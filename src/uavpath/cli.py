@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -156,10 +157,13 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None, progress=None) -> list[RunR
         budgeted_config(algo, replace(spec.base_config, seed=mix_seed(spec.base_seed, sc.name, algo, k)))
         for sc, algo, k in cells
     ]
-    if spec.jobs > 1:
+    # A forked pool starts all its workers at once: never more than there
+    # are cells to run or cores to run them on.
+    jobs = min(spec.jobs, len(cells), os.cpu_count() or 1)
+    if jobs > 1:
         cell_scenarios = [sc for sc, _, _ in cells]
         cell_algos = [algo for _, algo, _ in cells]
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, cell_scenarios, cell_algos, configs))
     else:
         results = [_run_cell(sc, algo, cfg) for (sc, algo, _), cfg in zip(cells, configs)]

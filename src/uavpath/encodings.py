@@ -235,8 +235,9 @@ def decode(kind: str, genome, scenario: Scenario) -> np.ndarray:
 
 # --- random genomes -------------------------------------------------------------
 
-def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Sample one genome within its bounds.
+def random_genomes(kind: str, scenario: Scenario, streams) -> np.ndarray:
+    """Sample one genome per generator in ``streams``, within the bounds of
+    the encoding's search space; returns a (len(streams), 3N) batch.
 
     Horizontal coordinates (and angles) are uniform over their intervals.
     Waypoint altitudes are sampled relative to the ground under the drawn
@@ -244,7 +245,8 @@ def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np
     z makes an all-nodes-in-corridor draw vanishingly rare.  Spherical
     genomes are biased forward (azimuth near the start->goal bearing) and
     nearly horizontal so the non-descending chain stays inside the
-    corridor too.
+    corridor too.  The search space is built once per batch, and row i
+    depends on ``streams[i]`` alone, whatever the batch.
     """
     space = space_for(kind, scenario)
     cons = scenario.constraints
@@ -257,22 +259,26 @@ def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np
             [EPS_LEN, math.pi / 2 - SPSO_INIT_PSI_BAND, bearing - SPSO_INIT_PHI_HALFWIDTH], n
         )
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
-        return clamp_wrap(rng.uniform(lo, hi), space)
-    genome = rng.uniform(space.lower, space.upper)
+        return clamp_wrap(np.stack([rng.uniform(lo, hi) for rng in streams]), space)
+    bounds = axis_bounds(scenario)
+    genomes = np.stack([rng.uniform(space.lower, space.upper) for rng in streams])
     if kind == "angle":
-        bounds = axis_bounds(scenario)
-        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genome[0::3]) + bounds[0].sum())
-        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genome[1::3]) + bounds[1].sum())
+        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())
+        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[:, 1::3]) + bounds[1].sum())
     else:
-        xs, ys = genome[0::3], genome[1::3]
+        xs, ys = genomes[:, 0::3], genomes[:, 1::3]
     ground = scenario.terrain.heights(xs, ys)
-    z = ground + rng.uniform(cons.h_min, cons.h_max, size=xs.size)
-    # Nodata ground (possible on real DEMs) falls back to the box-uniform z.
-    ok = ~np.isnan(z)
+    z = ground + np.stack([rng.uniform(cons.h_min, cons.h_max, size=xs.shape[1]) for rng in streams])
     if kind == "angle":
-        lo_z, hi_z = axis_bounds(scenario)[2]
-        arg = np.clip((2.0 * z[ok] - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0)
-        genome[2::3][ok] = np.arcsin(arg)
+        lo_z, hi_z = bounds[2]
+        z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
     else:
-        genome[2::3][ok] = np.clip(z[ok], space.lower[2::3][ok], space.upper[2::3][ok])
-    return genome
+        z_genes = np.clip(z, space.lower[2::3], space.upper[2::3])
+    # Nodata ground (possible on real DEMs) falls back to the box-uniform z.
+    genomes[:, 2::3] = np.where(np.isnan(z), genomes[:, 2::3], z_genes)
+    return genomes
+
+
+def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Sample one genome from ``rng``: ``random_genomes`` for one stream."""
+    return random_genomes(kind, scenario, [rng])[0]

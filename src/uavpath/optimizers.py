@@ -1,8 +1,5 @@
 """Population-based path optimizers behind one ``run`` entry point.
 
-Seven algorithms share the same loop skeleton (initialize, iterate a
-step function, log the best-so-far fitness per iteration):
-
 * pso       - inertial velocity/position updates on cartesian genomes
 * theta_pso - the same algebra on phase-angle genomes
 * qpso      - velocity-free sampling around a local attractor
@@ -12,6 +9,12 @@ step function, log the best-so-far fitness per iteration):
               mutations and one-point crossover
 * de        - DE/rand/1/bin with greedy selection
 * abc       - employed/onlooker/scout phases over food sources
+
+Each algorithm is a row of the solver table: a search space, an
+initializer and a step ``step(state, config, rng) -> state``; ``run``
+knows nothing else about any algorithm.  Every state derives from
+``_State``, whose ``evaluate`` decodes, scores and counts every batch of
+candidates, and has one ``best()`` returning its best (fitness, genome).
 
 Fitness is always the scenario's total path cost; infeasible candidates
 carry infinite fitness, stay in the population, and are never admitted as
@@ -23,7 +26,7 @@ are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,16 +36,6 @@ from .encodings import SearchSpace, assemble_path, clamp_velocity, clamp_wrap, w
 from .scenario import Scenario
 
 ALGORITHMS = ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
-
-_ENCODING_OF = {
-    "pso": "cartesian",
-    "theta_pso": "angle",
-    "qpso": "cartesian",
-    "spso": "spherical",
-    "ga": "cartesian",
-    "de": "cartesian",
-    "abc": "cartesian",
-}
 
 INIT_RETRIES = 20  # attempts per particle to find a finite-fitness genome
 
@@ -114,16 +107,59 @@ def _streams(seed: int, algorithm: str, swarm_size: int):
     return particle, swarm
 
 
+# --- shared state ----------------------------------------------------------------
+
+
+@dataclass
+class _State:
+    """Problem, search space and number of candidate paths scored so far."""
+
+    scenario: Scenario
+    space: SearchSpace
+    evaluations: int = field(default=0, kw_only=True)
+
+    def decode(self, genomes) -> np.ndarray:
+        return encodings.decode(self.space.kind, genomes, self.scenario)
+
+    def evaluate(self, genomes) -> np.ndarray:
+        """Decode, score and count a batch of genomes."""
+        self.evaluations += len(genomes)
+        return evaluate_paths(self.decode(genomes), self.scenario)
+
+
+def _sample(algorithm: str, scenario: Scenario, streams):
+    """One scored genome per stream, infeasible ones redrawn from their own
+    stream a bounded number of times; returns (bare state, genomes, fitness)."""
+    space_of, _ = _SOLVERS[algorithm]
+    base = _State(scenario, space_of(scenario))
+    kind = base.space.kind
+    genomes = encodings.random_genomes(kind, scenario, streams)
+    fitness = base.evaluate(genomes)
+    for _ in range(INIT_RETRIES - 1):
+        bad = np.flatnonzero(~np.isfinite(fitness))
+        if bad.size == 0:
+            break
+        genomes[bad] = encodings.random_genomes(kind, scenario, [streams[i] for i in bad])
+        fitness[bad] = base.evaluate(genomes[bad])
+    return base, genomes, fitness
+
+
+def _keep_best(state, fitness, genomes) -> None:
+    """Keep the lowest of ``fitness`` as the GA or ABC best if it improves it."""
+    i = int(np.argmin(fitness))
+    if fitness[i] < state.best_fitness:
+        state.best_fitness = float(fitness[i])
+        state.best_genome = genomes[i].copy()
+
+
 # --- PSO family ----------------------------------------------------------------
 
 
 @dataclass
-class Swarm:
+class Swarm(_State):
     """Vectorized particle state; row i is particle i."""
 
     kind: str
-    scenario: Scenario
-    space: SearchSpace
     positions: np.ndarray        # (M, D)
     velocities: np.ndarray | None
     fitness: np.ndarray          # (M,)
@@ -131,72 +167,42 @@ class Swarm:
     best_fitness: np.ndarray     # (M,)
     inertia: float
     iteration: int = 0
-    evaluations: int = 0
-
-    def evaluate(self, positions: np.ndarray) -> np.ndarray:
-        paths = encodings.decode(self.kind, positions, self.scenario)
-        self.evaluations += positions.shape[0]
-        return evaluate_paths(paths, self.scenario)
 
     def update_bests(self) -> None:
         improved = self.fitness < self.best_fitness
         self.best_positions[improved] = self.positions[improved]
         self.best_fitness[improved] = self.fitness[improved]
 
-    def global_best(self) -> tuple[np.ndarray, float]:
-        i = int(np.argmin(self.best_fitness))  # lowest index wins ties
-        return self.best_positions[i], float(self.best_fitness[i])
-
     def best(self) -> tuple[float, np.ndarray]:
-        genome, fit = self.global_best()
-        return fit, genome
-
-
-def _init_genomes(kind, scenario, streams):
-    """Draw one genome per particle, redrawing infeasible ones a bounded
-    number of times from the particle's own stream."""
-    genomes = np.stack([encodings.random_genome(kind, scenario, rng) for rng in streams])
-    paths = encodings.decode(kind, genomes, scenario)
-    fitness = evaluate_paths(paths, scenario)
-    evaluations = len(streams)
-    for _ in range(INIT_RETRIES - 1):
-        bad = ~np.isfinite(fitness)
-        if not bad.any():
-            break
-        idx = np.flatnonzero(bad)
-        redraw = np.stack([encodings.random_genome(kind, scenario, streams[i]) for i in idx])
-        new_fit = evaluate_paths(encodings.decode(kind, redraw, scenario), scenario)
-        evaluations += idx.size
-        genomes[idx] = redraw
-        fitness[idx] = new_fit
-    return genomes, fitness, evaluations
+        i = int(np.argmin(self.best_fitness))  # lowest index wins ties
+        return float(self.best_fitness[i]), self.best_positions[i]
 
 
 def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> Swarm:
-    kind = _ENCODING_OF[algorithm]
-    space = encodings.space_for(kind, scenario)
-    positions, fitness, evals = _init_genomes(kind, scenario, particle_streams)
-    velocities = None if algorithm == "qpso" else np.zeros_like(positions)
+    base, positions, fitness = _sample(algorithm, scenario, particle_streams)
     return Swarm(
-        kind=kind,
-        scenario=scenario,
-        space=space,
+        **vars(base),
+        kind=base.space.kind,
         positions=positions,
-        velocities=velocities,
+        velocities=np.zeros_like(positions),  # qpso leaves them at zero
         fitness=fitness,
         best_positions=positions.copy(),
         best_fitness=fitness.copy(),
         inertia=config.inertia,
-        evaluations=evals,
     )
 
 
-def _inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
-    """Shared velocity/position update for pso, theta_pso and spso."""
+def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
+    """v <- w v + eta1 r1 (local - x) + eta2 r2 (global - x); x <- x + v.
+
+    The update of pso on cartesian genomes, of theta_pso on phase angles
+    clamped to [-pi/2, pi/2], and of spso on (rho, psi, phi) motion
+    vectors, where azimuth attraction uses the wrapped short-way
+    difference."""
     shape = swarm.positions.shape
     r1 = rng.random(shape)
     r2 = rng.random(shape)
-    g_best, _ = swarm.global_best()
+    _, g_best = swarm.best()
     to_local = wrap_difference(swarm.best_positions - swarm.positions, swarm.space)
     to_global = wrap_difference(g_best[None, :] - swarm.positions, swarm.space)
     v = (
@@ -211,22 +217,6 @@ def _inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
     swarm.inertia *= config.damping
     swarm.iteration += 1
     return swarm
-
-
-def pso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
-    """v <- w v + eta1 r1 (local - x) + eta2 r2 (global - x); x <- x + v."""
-    return _inertial_step(swarm, config, rng)
-
-
-def theta_pso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
-    """The pso update applied to phase angles, clamped to [-pi/2, pi/2]."""
-    return _inertial_step(swarm, config, rng)
-
-
-def spso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
-    """The pso update applied to (rho, psi, phi) motion vectors; azimuth
-    attraction uses the wrapped short-way difference."""
-    return _inertial_step(swarm, config, rng)
 
 
 def qpso_beta(config: SwarmConfig, iteration: int) -> float:
@@ -244,7 +234,7 @@ def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
     a = rng.random(shape)
     u = 1.0 - rng.random(shape)  # (0, 1]: keeps ln(1/u) finite
     sign = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
-    g_best, _ = swarm.global_best()
+    _, g_best = swarm.best()
     p = a * swarm.best_positions + (1.0 - a) * g_best[None, :]
     spread = 2.0 * beta * np.abs(mbest[None, :] - swarm.positions)
     swarm.positions = clamp_wrap(p + sign * 0.5 * spread * np.log(1.0 / u), swarm.space)
@@ -258,21 +248,22 @@ def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
 
 
 @dataclass
-class GaPopulation:
+class GaPopulation(_State):
     """Variable-length waypoint genomes; member i is an (k_i, 3) array of
     interior nodes with k_i in [1, 2 * (n - 2)]."""
 
-    scenario: Scenario
-    space: SearchSpace
     members: list
     fitness: np.ndarray
     best_genome: np.ndarray
     best_fitness: float
-    evaluations: int = 0
 
     @property
     def max_nodes(self) -> int:
         return 2 * self.scenario.n_interior
+
+    def decode(self, genomes) -> np.ndarray:
+        """Members are interior nodes: (k, 3), or (M, k, 3) for one k."""
+        return assemble_path(genomes, self.scenario)
 
     def evaluate_members(self, members) -> np.ndarray:
         """Batch-evaluate a mixed-length population grouped by node count."""
@@ -280,13 +271,24 @@ class GaPopulation:
         lengths = np.array([len(m) for m in members])
         for k in np.unique(lengths):
             idx = np.flatnonzero(lengths == k)
-            paths = assemble_path(np.stack([members[i] for i in idx]), self.scenario)
-            fitness[idx] = evaluate_paths(paths, self.scenario)
-            self.evaluations += idx.size
+            fitness[idx] = self.evaluate(np.stack([members[i] for i in idx]))
         return fitness
 
     def best(self) -> tuple[float, np.ndarray]:
         return self.best_fitness, self.best_genome
+
+
+def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> GaPopulation:
+    base, genomes, fitness = _sample(algorithm, scenario, particle_streams)
+    members = [g.reshape(-1, 3) for g in genomes]
+    i = int(np.argmin(fitness))
+    return GaPopulation(
+        **vars(base),
+        members=members,
+        fitness=fitness,
+        best_genome=members[i].copy(),
+        best_fitness=float(fitness[i]),
+    )
 
 
 def _node_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +336,7 @@ def _tournament(fitness: np.ndarray, rng) -> int:
     return int(i) if fitness[i] <= fitness[j] else int(j)
 
 
-def ga_step(population: GaPopulation, config: SwarmConfig, scenario: Scenario, rng) -> GaPopulation:
+def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> GaPopulation:
     """Tournament selection, one-point crossover, structural mutation,
     elitism of one."""
     m = len(population.members)
@@ -351,15 +353,11 @@ def ga_step(population: GaPopulation, config: SwarmConfig, scenario: Scenario, r
             if len(new_members) >= m:
                 break
             if rng.random() < config.ga_mutation_rate:
-                child = ga_mutate(child, scenario, population.space, rng)
+                child = ga_mutate(child, population.scenario, population.space, rng)
             new_members.append(child)
-    fitness = population.evaluate_members(new_members)
     population.members = new_members
-    population.fitness = fitness
-    i = int(np.argmin(fitness))
-    if fitness[i] < population.best_fitness:
-        population.best_fitness = float(fitness[i])
-        population.best_genome = new_members[i].copy()
+    population.fitness = population.evaluate_members(new_members)
+    _keep_best(population, population.fitness, new_members)
     return population
 
 
@@ -367,16 +365,18 @@ def ga_step(population: GaPopulation, config: SwarmConfig, scenario: Scenario, r
 
 
 @dataclass
-class DePopulation:
-    scenario: Scenario
-    space: SearchSpace
+class DePopulation(_State):
     members: np.ndarray   # (M, D)
     fitness: np.ndarray
-    evaluations: int = 0
 
     def best(self) -> tuple[float, np.ndarray]:
         i = int(np.argmin(self.fitness))
         return float(self.fitness[i]), self.members[i]
+
+
+def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> DePopulation:
+    base, genomes, fitness = _sample(algorithm, scenario, particle_streams)
+    return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
 
 def _distinct_indices(m: int, exclude: int, count: int, rng) -> list[int]:
@@ -388,7 +388,7 @@ def _distinct_indices(m: int, exclude: int, count: int, rng) -> list[int]:
     return chosen
 
 
-def de_step(population: DePopulation, config: SwarmConfig, scenario: Scenario, rng) -> DePopulation:
+def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
     """DE/rand/1/bin generation with greedy replacement."""
     x = population.members
     m, d = x.shape
@@ -402,9 +402,7 @@ def de_step(population: DePopulation, config: SwarmConfig, scenario: Scenario, r
         cross[int(rng.integers(d))] = True  # at least one mutant dimension
         trials[i] = np.where(cross, mutant, x[i])
     trials = clamp_wrap(trials, population.space)
-    paths = assemble_path(trials.reshape(m, -1, 3), scenario)
-    trial_fitness = evaluate_paths(paths, scenario)
-    population.evaluations += m
+    trial_fitness = population.evaluate(trials)
     accept = trial_fitness <= population.fitness
     population.members = np.where(accept[:, None], trials, x)
     population.fitness = np.where(accept, trial_fitness, population.fitness)
@@ -415,21 +413,34 @@ def de_step(population: DePopulation, config: SwarmConfig, scenario: Scenario, r
 
 
 @dataclass
-class AbcColony:
+class AbcColony(_State):
     """Food sources (one per employed bee); onlookers equal employed."""
 
-    scenario: Scenario
-    space: SearchSpace
     sources: np.ndarray    # (S, D)
     fitness: np.ndarray
     trials: np.ndarray     # failures since last improvement
     best_genome: np.ndarray
     best_fitness: float
     scout_stream: np.random.Generator
-    evaluations: int = 0
 
     def best(self) -> tuple[float, np.ndarray]:
         return self.best_fitness, self.best_genome
+
+
+def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> AbcColony:
+    n_sources = max(2, config.swarm_size // 2)
+    base, genomes, fitness = _sample(algorithm, scenario, particle_streams[:n_sources])
+    i = int(np.argmin(fitness))
+    scout_seq = np.random.SeedSequence((config.seed, ALGORITHMS.index("abc"), 2))
+    return AbcColony(
+        **vars(base),
+        sources=genomes,
+        fitness=fitness,
+        trials=np.zeros(n_sources, dtype=int),
+        best_genome=genomes[i].copy(),
+        best_fitness=float(fitness[i]),
+        scout_stream=np.random.default_rng(scout_seq),
+    )
 
 
 def _abc_candidates(sources: np.ndarray, picks: np.ndarray, rng) -> np.ndarray:
@@ -446,11 +457,9 @@ def _abc_candidates(sources: np.ndarray, picks: np.ndarray, rng) -> np.ndarray:
     return cands
 
 
-def _abc_greedy(colony: AbcColony, picks: np.ndarray, cands: np.ndarray, scenario: Scenario) -> None:
+def _abc_greedy(colony: AbcColony, picks: np.ndarray, cands: np.ndarray) -> None:
     cands = clamp_wrap(cands, colony.space)
-    paths = assemble_path(cands.reshape(len(cands), -1, 3), scenario)
-    fitness = evaluate_paths(paths, scenario)
-    colony.evaluations += len(cands)
+    fitness = colony.evaluate(cands)
     for row, i in enumerate(picks):
         if fitness[row] < colony.fitness[i]:
             colony.sources[i] = cands[row]
@@ -470,92 +479,56 @@ def onlooker_weights(fitness: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _scout_phase(colony: AbcColony, config: SwarmConfig, scenario: Scenario) -> None:
+def _scout_phase(colony: AbcColony, config: SwarmConfig) -> None:
     """Retire the most exhausted source, at most one per cycle."""
     worst = int(np.argmax(colony.trials))
     if colony.trials[worst] < config.abc_limit:
         return
-    fresh = encodings.random_genome("cartesian", scenario, colony.scout_stream)
+    fresh = encodings.random_genome(colony.space.kind, colony.scenario, colony.scout_stream)
     colony.sources[worst] = fresh
-    path = assemble_path(fresh.reshape(1, -1, 3), scenario)
-    colony.fitness[worst] = float(evaluate_paths(path, scenario)[0])
-    colony.evaluations += 1
+    colony.fitness[worst] = colony.evaluate(fresh[None])[0]
     colony.trials[worst] = 0
-    if colony.fitness[worst] < colony.best_fitness:
-        colony.best_fitness = float(colony.fitness[worst])
-        colony.best_genome = colony.sources[worst].copy()
+    _keep_best(colony, colony.fitness[[worst]], colony.sources[[worst]])
 
 
-def abc_step(colony: AbcColony, config: SwarmConfig, scenario: Scenario, rng) -> AbcColony:
+def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> AbcColony:
     """Employed, onlooker and scout phases; the best source ever seen is
     retained outside the colony."""
     s = len(colony.sources)
     # Employed bees: one neighbor move per source.
     picks = np.arange(s)
-    _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng), scenario)
+    _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
     # Onlookers: fitness-proportional source choice.
     picks = rng.choice(s, size=s, p=onlooker_weights(colony.fitness))
-    _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng), scenario)
-    i = int(np.argmin(colony.fitness))
-    if colony.fitness[i] < colony.best_fitness:
-        colony.best_fitness = float(colony.fitness[i])
-        colony.best_genome = colony.sources[i].copy()
-    _scout_phase(colony, config, scenario)
+    _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
+    _keep_best(colony, colony.fitness, colony.sources)
+    _scout_phase(colony, config)
     return colony
 
 
-# --- run loop -----------------------------------------------------------------------
+# --- solver table and run loop --------------------------------------------------------
 
+# algorithm -> (search space of its genomes, initializer)
+_SOLVERS = {
+    "pso": (encodings.cartesian_space, init_swarm),
+    "theta_pso": (encodings.angle_space, init_swarm),
+    "qpso": (encodings.cartesian_space, init_swarm),
+    "spso": (encodings.spherical_space, init_swarm),
+    "ga": (encodings.cartesian_space, _init_ga),
+    "de": (encodings.cartesian_space, _init_de),
+    "abc": (encodings.cartesian_space, _init_abc),
+}
 
-def _init_state(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams):
-    if algorithm == "ga":
-        genomes, fitness, evals = _init_genomes("cartesian", scenario, particle_streams)
-        members = [g.reshape(-1, 3) for g in genomes]
-        i = int(np.argmin(fitness))
-        return GaPopulation(
-            scenario=scenario,
-            space=encodings.cartesian_space(scenario),
-            members=members,
-            fitness=fitness,
-            best_genome=members[i].copy(),
-            best_fitness=float(fitness[i]),
-            evaluations=evals,
-        )
-    if algorithm == "de":
-        if config.swarm_size < 4:
-            raise ValueError("DE needs swarm_size >= 4")
-        genomes, fitness, evals = _init_genomes("cartesian", scenario, particle_streams)
-        return DePopulation(
-            scenario=scenario,
-            space=encodings.cartesian_space(scenario),
-            members=genomes,
-            fitness=fitness,
-            evaluations=evals,
-        )
-    if algorithm == "abc":
-        n_sources = max(2, config.swarm_size // 2)
-        genomes, fitness, evals = _init_genomes("cartesian", scenario, particle_streams[:n_sources])
-        i = int(np.argmin(fitness))
-        scout_seq = np.random.SeedSequence((config.seed, ALGORITHMS.index("abc"), 2))
-        return AbcColony(
-            scenario=scenario,
-            space=encodings.cartesian_space(scenario),
-            sources=genomes,
-            fitness=fitness,
-            trials=np.zeros(n_sources, dtype=int),
-            best_genome=genomes[i].copy(),
-            best_fitness=float(fitness[i]),
-            scout_stream=np.random.default_rng(scout_seq),
-            evaluations=evals,
-        )
-    return init_swarm(algorithm, scenario, config, particle_streams)
-
-
+# algorithm -> step.  A flat dict of its own, so that each step stays a
+# module-level callable that a profiler can rebind (perfbench/tracer.py).
 _STEP = {
-    "pso": pso_step,
-    "theta_pso": theta_pso_step,
+    "pso": inertial_step,
+    "theta_pso": inertial_step,
     "qpso": qpso_step,
-    "spso": spso_step,
+    "spso": inertial_step,
+    "ga": ga_step,
+    "de": de_step,
+    "abc": abc_step,
 }
 
 
@@ -569,34 +542,25 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     particle_streams, swarm_stream = _streams(config.seed, algorithm, config.swarm_size)
-    state = _init_state(algorithm, scenario, config, particle_streams)
+    _, init = _SOLVERS[algorithm]
+    step = _STEP[algorithm]
+    state = init(algorithm, scenario, config, particle_streams)
     best_fit, best_genome = state.best()
     best_genome = np.array(best_genome, copy=True)
     trace = np.empty(config.max_iterations)
     for k in range(config.max_iterations):
-        if algorithm == "ga":
-            state = ga_step(state, config, scenario, swarm_stream)
-        elif algorithm == "de":
-            state = de_step(state, config, scenario, swarm_stream)
-        elif algorithm == "abc":
-            state = abc_step(state, config, scenario, swarm_stream)
-        else:
-            state = _STEP[algorithm](state, config, swarm_stream)
+        state = step(state, config, swarm_stream)
         fit, genome = state.best()
         if fit < best_fit:
             best_fit = fit
             best_genome = np.array(genome, copy=True)
         trace[k] = best_fit
-    if algorithm == "ga":
-        best_path = assemble_path(best_genome, scenario)
-    else:
-        best_path = encodings.decode(_ENCODING_OF[algorithm], best_genome, scenario)
     return EvolutionTrace(
         algorithm=algorithm,
         seed=config.seed,
         best_fitness=trace,
         best_genome=best_genome,
-        best_path=best_path,
+        best_path=state.decode(best_genome),
         evaluations=state.evaluations,
     )
 

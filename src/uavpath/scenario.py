@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -34,6 +34,14 @@ class ConfigError(ValueError):
     """Raised for schema violations and scenario invariant failures."""
 
 
+def _require_finite(record) -> None:
+    """Reject NaN and infinite fields of a dataclass, naming the field."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Threat:
     """Cylindrical no-fly zone, unbounded in z."""
@@ -43,6 +51,7 @@ class Threat:
     radius: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.radius <= 0:
             raise ConfigError(f"threat radius must be > 0, got {self.radius}")
 
@@ -55,6 +64,7 @@ class FlightConstraints:
     danger_distance: float = 10.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0 <= self.h_min < self.h_max):
             raise ConfigError(
                 f"h_min < h_max violated: h_min={self.h_min}, h_max={self.h_max}"
@@ -213,6 +223,8 @@ def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -
         _check_keys(t, ("x", "y", "r"), f"threats[{k}]")
         try:
             threats.append(Threat(float(t["x"]), float(t["y"]), float(t["r"])))
+        except ConfigError as exc:
+            raise ConfigError(f"threats[{k}]: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"threats[{k}] needs numeric x, y, r") from exc
     cons_cfg = cfg.get("constraints") or {}

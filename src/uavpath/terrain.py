@@ -8,7 +8,8 @@ row (files store north first, so rows are flipped on load).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class TerrainMap:
             raise ValueError("non-nodata elevations must be finite")
         elev.setflags(write=False)
         object.__setattr__(self, "elevations", elev)
+        # The grid is immutable, so its elevation range is taken once.
+        object.__setattr__(self, "_z_range", (float(np.nanmin(elev)), float(np.nanmax(elev))))
 
     @property
     def x_max(self) -> float:
@@ -78,11 +81,11 @@ class TerrainMap:
 
     @property
     def z_min(self) -> float:
-        return float(np.nanmin(self.elevations))
+        return self._z_range[0]
 
     @property
     def z_max(self) -> float:
-        return float(np.nanmax(self.elevations))
+        return self._z_range[1]
 
     def heights(self, xs, ys) -> np.ndarray:
         """Vectorized bilinear interpolation.
@@ -230,6 +233,9 @@ class SyntheticTerrainSpec:
     origin_y: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_cols < 2 or self.n_rows < 2:
             raise ValueError("n_cols and n_rows must be >= 2")
         if self.cell_size <= 0:

@@ -1,11 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 import yaml
 
-from uavpath import EvolutionTrace, load_scenario
+from uavpath import EvolutionTrace, SwarmConfig, cli, load_scenario
 from uavpath.cli import (
+    BenchmarkSpec,
     export_convergence_csv,
     export_waypoints_csv,
     main,
@@ -13,6 +15,7 @@ from uavpath.cli import (
     read_convergence_csv,
     read_summary_csv,
     read_waypoints_csv,
+    run_benchmark,
 )
 
 FLAT_CFG = {
@@ -109,6 +112,33 @@ class TestPlan:
         assert code == 2
         assert "goal altitude" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("threats", "r", math.nan, "threats[0]: radius"),
+            ("threats", "r", math.inf, "threats[0]: radius"),
+            ("constraints", "drone_diameter", math.nan, "drone_diameter"),
+            ("constraints", "danger_distance", math.nan, "danger_distance"),
+            ("constraints", "danger_distance", math.inf, "danger_distance"),
+            ("constraints", "h_max", math.inf, "h_max"),
+            ("synthetic", "cell_size", math.nan, "cell_size"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, value, named):
+        cfg = copy.deepcopy(FLAT_CFG)
+        target = {
+            "threats": cfg["threats"][0],
+            "constraints": cfg.setdefault("constraints", {}),
+            "synthetic": cfg["terrain"]["synthetic"],
+        }[section]
+        target[key] = value
+        bad = tmp_path / "nonfinite.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        code = main(["plan", str(bad), "--algo", "pso", "--swarm", "4", "--iters", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{named} must be finite" in capsys.readouterr().err
+
     def test_failed_run_exits_1(self, tmp_path, capsys):
         ring = [
             {"x": 50.0 + 20.0 * math.cos(a), "y": 50.0 + 20.0 * math.sin(a), "r": 9.0}
@@ -200,6 +230,37 @@ class TestBench:
         cfgs = self.make_two_configs(tmp_path)
         code = main(["bench", "--scenarios", cfgs[0], "--algos", "nope", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, started",
+        [(5000, 2, [2]), (5000, 64, [3]), (2, 64, [2]), (5000, 1, [])],
+    )
+    def test_pool_capped_by_cells_and_cores(self, monkeypatch, flat_scenario, jobs, cpus, started):
+        pools = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        spec = BenchmarkSpec(
+            scenarios=(flat_scenario,), algorithms=("pso",), runs_per_cell=3,
+            base_config=SwarmConfig(swarm_size=4, max_iterations=1), jobs=jobs,
+        )
+        assert len(run_benchmark(spec)) == 3
+        assert pools == started
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfgs = self.make_two_configs(tmp_path)

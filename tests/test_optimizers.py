@@ -25,12 +25,12 @@ from uavpath.optimizers import (
     de_step,
     ga_crossover,
     ga_mutate,
+    inertial_step as pso_step,
+    inertial_step as spso_step,
+    inertial_step as theta_pso_step,
     init_swarm,
     onlooker_weights,
-    pso_step,
     qpso_step,
-    spso_step,
-    theta_pso_step,
     _streams,
 )
 
@@ -261,7 +261,7 @@ class TestDe:
         )
         pop = DePopulation(scenario=one_node_scenario, space=space, members=members.copy(), fitness=fitness.copy())
         config = SwarmConfig(swarm_size=4, max_iterations=1, de_cr=1.0, de_f=0.5)
-        de_step(pop, config, one_node_scenario, np.random.default_rng(0))
+        de_step(pop, config, np.random.default_rng(0))
         # target 0's mutant is built from three copies of the optimum, so the
         # trial equals the optimum and greedily replaces the bad member...
         assert np.array_equal(pop.members[0], optimum)
@@ -273,7 +273,7 @@ class TestDe:
         space = SearchSpace("cartesian", np.full(3, 0.0), np.full(3, 200.0), np.zeros(3, bool))
         pop = DePopulation(scenario=one_node_scenario, space=space, members=members, fitness=np.zeros(3))
         with pytest.raises(ValueError, match="at least 4"):
-            de_step(pop, SwarmConfig(swarm_size=4, max_iterations=1), one_node_scenario, np.random.default_rng(0))
+            de_step(pop, SwarmConfig(swarm_size=4, max_iterations=1), np.random.default_rng(0))
 
 
 def make_colony(scenario, sources):
@@ -301,7 +301,7 @@ class TestAbc:
         rng = ScriptedRng(integers=[1, 0], uniforms=[0.0])  # dim 1, partner 1, phi=0
         cands = _abc_candidates(colony.sources, picks, rng)
         assert np.array_equal(cands[0], colony.sources[0])
-        _abc_greedy(colony, picks, cands, one_node_scenario)
+        _abc_greedy(colony, picks, cands)
         assert colony.trials[0] == 1
         assert colony.trials[1] == 0
 
@@ -315,7 +315,7 @@ class TestAbc:
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         before = colony.sources[1].copy()
         colony.trials[:] = [0, 50]
-        _scout_phase(colony, SwarmConfig(swarm_size=4, max_iterations=1, abc_limit=50), one_node_scenario)
+        _scout_phase(colony, SwarmConfig(swarm_size=4, max_iterations=1, abc_limit=50))
         assert colony.trials[1] == 0
         assert not np.array_equal(colony.sources[1], before)
 
@@ -323,7 +323,7 @@ class TestAbc:
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         before = colony.sources.copy()
         colony.trials[:] = [3, 7]
-        _scout_phase(colony, SwarmConfig(swarm_size=4, max_iterations=1, abc_limit=50), one_node_scenario)
+        _scout_phase(colony, SwarmConfig(swarm_size=4, max_iterations=1, abc_limit=50))
         assert np.array_equal(colony.sources, before)
 
 
