@@ -9,8 +9,9 @@ Subcommands:
 * ``suite generate --seed 0 --out DIR`` - materialize the built-in
   scenarios as config + DEM files.
 
-Exit codes: 0 success, 1 failed run(s), 2 configuration error, 3 I/O
-error.  Every run's seed derives from the base seed via SHA-256 over
+Exit codes: 0 success, 1 failed run(s), 2 configuration error (an
+unreadable scenario or DEM file included), 3 I/O error writing outputs.
+Every run's seed derives from the base seed via SHA-256 over
 "base|scenario|algorithm|run", so benchmarks are reproducible cell by
 cell and summaries are byte-identical across reruns.
 """
@@ -31,10 +32,9 @@ import numpy as np
 
 from .cost import total_cost
 from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, budgeted_config, run
-from .scenario import ConfigError, Scenario, load_scenario, save_scenario
+from .scenario import Scenario, load_scenario, save_scenario
 from .stats import Verdict, mean_std, paired_t_test
 from .suite import build_benchmark_suite
-from .terrain import DemParseError
 
 EXIT_OK = 0
 EXIT_FAILED_RUN = 1
@@ -264,7 +264,11 @@ def cmd_plan(args) -> int:
         config = SwarmConfig(
             swarm_size=args.swarm, max_iterations=args.iters, seed=args.seed
         )
-    except (ConfigError, DemParseError, FileNotFoundError, ValueError) as exc:
+        # DE draws three distinct partners per member; de_step enforces
+        # the same floor, but only once run() is under way.
+        if args.algo == "de" and config.swarm_size < 4:
+            raise ValueError("--swarm: DE needs a population of at least 4")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     trace = run(args.algo, scenario, config)
@@ -310,7 +314,7 @@ def cmd_bench(args) -> int:
             base_seed=args.seed,
             jobs=args.jobs,
         )
-    except (ConfigError, DemParseError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)

@@ -235,9 +235,10 @@ def decode(kind: str, genome, scenario: Scenario) -> np.ndarray:
 
 # --- random genomes -------------------------------------------------------------
 
-def random_genomes(kind: str, scenario: Scenario, streams) -> np.ndarray:
+def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarray:
     """Sample one genome per generator in ``streams``, within the bounds of
-    the encoding's search space; returns a (len(streams), 3N) batch.
+    ``space`` (the scenario's search space of one encoding); returns a
+    (len(streams), 3N) batch.
 
     Horizontal coordinates (and angles) are uniform over their intervals.
     Waypoint altitudes are sampled relative to the ground under the drawn
@@ -245,10 +246,10 @@ def random_genomes(kind: str, scenario: Scenario, streams) -> np.ndarray:
     z makes an all-nodes-in-corridor draw vanishingly rare.  Spherical
     genomes are biased forward (azimuth near the start->goal bearing) and
     nearly horizontal so the non-descending chain stays inside the
-    corridor too.  The search space is built once per batch, and row i
-    depends on ``streams[i]`` alone, whatever the batch.
+    corridor too.  Row i depends on ``streams[i]`` alone, whatever the
+    batch.
     """
-    space = space_for(kind, scenario)
+    kind = space.kind
     cons = scenario.constraints
     if kind == "spherical":
         n = scenario.n_interior
@@ -281,4 +282,4 @@ def random_genomes(kind: str, scenario: Scenario, streams) -> np.ndarray:
 
 def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     """Sample one genome from ``rng``: ``random_genomes`` for one stream."""
-    return random_genomes(kind, scenario, [rng])[0]
+    return random_genomes(space_for(kind, scenario), scenario, [rng])[0]

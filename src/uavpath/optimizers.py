@@ -132,14 +132,13 @@ def _sample(algorithm: str, scenario: Scenario, streams):
     stream a bounded number of times; returns (bare state, genomes, fitness)."""
     space_of, _ = _SOLVERS[algorithm]
     base = _State(scenario, space_of(scenario))
-    kind = base.space.kind
-    genomes = encodings.random_genomes(kind, scenario, streams)
+    genomes = encodings.random_genomes(base.space, scenario, streams)
     fitness = base.evaluate(genomes)
     for _ in range(INIT_RETRIES - 1):
         bad = np.flatnonzero(~np.isfinite(fitness))
         if bad.size == 0:
             break
-        genomes[bad] = encodings.random_genomes(kind, scenario, [streams[i] for i in bad])
+        genomes[bad] = encodings.random_genomes(base.space, scenario, [streams[i] for i in bad])
         fitness[bad] = base.evaluate(genomes[bad])
     return base, genomes, fitness
 
@@ -484,7 +483,7 @@ def _scout_phase(colony: AbcColony, config: SwarmConfig) -> None:
     worst = int(np.argmax(colony.trials))
     if colony.trials[worst] < config.abc_limit:
         return
-    fresh = encodings.random_genome(colony.space.kind, colony.scenario, colony.scout_stream)
+    fresh = encodings.random_genomes(colony.space, colony.scenario, [colony.scout_stream])[0]
     colony.sources[worst] = fresh
     colony.fitness[worst] = colony.evaluate(fresh[None])[0]
     colony.trials[worst] = 0

@@ -5,29 +5,34 @@ The config schema (all keys documented in the README):
 
     terrain:               # exactly one of dem_path / synthetic
       dem_path: relative/or/absolute.asc
-      synthetic: {n_cols, n_rows, cell_size, base_elevation, n_hills,
-                  amp_min, amp_max, sigma_min, sigma_max,
-                  origin_x, origin_y, seed}
+      synthetic: {<SyntheticTerrainSpec fields>, seed}
     threats: [{x, y, r}, ...]
     start: {x, y, z}
     goal: {x, y, z}
-    constraints: {h_min, h_max, drone_diameter, danger_distance}
-    weights: {b1, b2, b3, b4, a1, a2}
+    constraints: {<FlightConstraints fields>}
+    weights: {<CostWeights fields>}
     n_waypoints: 12
 
-Unknown keys anywhere are errors.
+The section keys and their number kinds are read from the dataclasses'
+own fields, and ``save_scenario`` writes those fields back, so the
+dataclasses are the one statement of the schema.  Every section must be
+a mapping (``threats`` a list), every value a number, and a field
+annotated ``int`` a whole number.  Unknown keys anywhere are errors.
+A schema violation raises a ``ConfigError`` that names the field.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 import yaml
 
-from .terrain import SyntheticTerrainSpec, TerrainMap, TerrainError, generate_synthetic, height_at, load_dem
+from .terrain import (
+    SyntheticTerrainSpec, TerrainError, TerrainMap, generate_synthetic, height_at, load_dem, save_dem,
+)
 
 
 class ConfigError(ValueError):
@@ -155,59 +160,69 @@ def validate_scenario(sc: Scenario) -> None:
 
 # --- config parsing helpers -------------------------------------------------
 
-_SYNTH_KEYS = {
-    "n_cols", "n_rows", "cell_size", "base_elevation", "n_hills",
-    "amp_min", "amp_max", "sigma_min", "sigma_max", "origin_x", "origin_y", "seed",
-}
 
-
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _get_point(section, where: str) -> np.ndarray:
+def _mapping(section, keys, where: str) -> dict:
+    """``section`` as a dict with no key outside ``keys``; null reads as empty."""
+    section = {} if section is None else section
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a mapping with x, y, z")
-    _check_keys(section, ("x", "y", "z"), where)
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
+    return section
+
+
+def _number(value, where: str, kind=float):
+    """A YAML number as ``kind``; an int must be a whole number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return np.array([float(section["x"]), float(section["y"]), float(section["z"])])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} needs numeric x, y, z") from exc
+        if kind is int and not float(value).is_integer():
+            raise ConfigError(f"{where} must be a whole number, got {value!r}")
+        return kind(value)
+    except OverflowError:  # a YAML integer beyond the float range
+        raise ConfigError(f"{where} is out of range") from None
+
+
+def _record(cls, section, where: str, extra=()):
+    """Build dataclass ``cls`` from the matching keys of ``section``; its
+    fields are annotated ``"int"`` or ``"float"``."""
+    kinds = {f.name: int if f.type == "int" else float for f in fields(cls)}
+    section = _mapping(section, (*kinds, *extra), where)
+    values = {k: _number(v, f"{where}.{k}", kinds[k]) for k, v in section.items() if k in kinds}
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _point(section, where: str, keys: str = "xyz") -> list[float]:
+    section = _mapping(section, keys, where)
+    return [_number(section.get(k), f"{where}.{k}") for k in keys]
 
 
 def _build_terrain(section, base_dir: str) -> TerrainMap:
-    if not isinstance(section, dict):
-        raise ConfigError("terrain must be a mapping")
-    _check_keys(section, ("dem_path", "synthetic"), "terrain")
+    section = _mapping(section, ("dem_path", "synthetic"), "terrain")
     if ("dem_path" in section) == ("synthetic" in section):
         raise ConfigError("terrain needs exactly one of dem_path or synthetic")
     if "dem_path" in section:
-        path = section["dem_path"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise ConfigError(f"terrain.dem_path does not exist: {path}")
+        if not isinstance(section["dem_path"], str):
+            raise ConfigError(f"terrain.dem_path must be a string, got {section['dem_path']!r}")
+        path = os.path.join(base_dir, section["dem_path"])
+        if not os.path.isfile(path):
+            raise ConfigError(f"terrain.dem_path does not exist as a file: {path}")
         return load_dem(path)
     synth = section["synthetic"]
-    if not isinstance(synth, dict):
-        raise ConfigError("terrain.synthetic must be a mapping")
-    _check_keys(synth, _SYNTH_KEYS, "terrain.synthetic")
-    seed = int(synth.get("seed", 0))
-    fields = {k: v for k, v in synth.items() if k != "seed"}
-    try:
-        spec = SyntheticTerrainSpec(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"terrain.synthetic: {exc}") from exc
+    spec = _record(SyntheticTerrainSpec, synth, "terrain.synthetic", extra=("seed",))
+    seed = _number(synth.get("seed", 0), "terrain.synthetic.seed", int)
+    if seed < 0:
+        raise ConfigError(f"terrain.synthetic.seed must be >= 0, got {seed}")
     return generate_synthetic(spec, seed)
 
 
 def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
     """Build and validate a Scenario from a parsed config mapping."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(
+    cfg = _mapping(
         cfg,
         ("terrain", "threats", "start", "goal", "constraints", "weights", "n_waypoints"),
         "config root",
@@ -216,35 +231,25 @@ def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -
         if req not in cfg:
             raise ConfigError(f"missing required section {req!r}")
     terrain = _build_terrain(cfg["terrain"], base_dir)
+    threat_list = cfg.get("threats")
+    if not isinstance(threat_list, (list, type(None))):
+        raise ConfigError(f"threats must be a list, got {threat_list!r}")
     threats = []
-    for k, t in enumerate(cfg.get("threats") or []):
-        if not isinstance(t, dict):
-            raise ConfigError(f"threats[{k}] must be a mapping with x, y, r")
-        _check_keys(t, ("x", "y", "r"), f"threats[{k}]")
+    for k, t in enumerate(threat_list or []):
+        where = f"threats[{k}]"
+        x, y, r = _point(t, where, "xyr")
         try:
-            threats.append(Threat(float(t["x"]), float(t["y"]), float(t["r"])))
+            threats.append(Threat(x, y, r))
         except ConfigError as exc:
-            raise ConfigError(f"threats[{k}]: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"threats[{k}] needs numeric x, y, r") from exc
-    cons_cfg = cfg.get("constraints") or {}
-    _check_keys(cons_cfg, ("h_min", "h_max", "drone_diameter", "danger_distance"), "constraints")
-    weights_cfg = cfg.get("weights") or {}
-    _check_keys(weights_cfg, ("b1", "b2", "b3", "b4", "a1", "a2"), "weights")
-    try:
-        constraints = FlightConstraints(**{k: float(v) for k, v in cons_cfg.items()})
-        weights = CostWeights(**{k: float(v) for k, v in weights_cfg.items()})
-        n_waypoints = int(cfg.get("n_waypoints", 12))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     return Scenario(
         terrain=terrain,
         threats=tuple(threats),
-        start=_get_point(cfg["start"], "start"),
-        goal=_get_point(cfg["goal"], "goal"),
-        constraints=constraints,
-        weights=weights,
-        n_waypoints=n_waypoints,
+        start=_point(cfg["start"], "start"),
+        goal=_point(cfg["goal"], "goal"),
+        constraints=_record(FlightConstraints, cfg.get("constraints"), "constraints"),
+        weights=_record(CostWeights, cfg.get("weights"), "weights"),
+        n_waypoints=_number(cfg.get("n_waypoints", 12), "n_waypoints", int),
         name=name,
     )
 
@@ -264,32 +269,17 @@ def load_scenario(file_path) -> Scenario:
 def save_scenario(sc: Scenario, file_path, dem_path: str | None = None) -> None:
     """Write a scenario config; the terrain goes to ``dem_path`` (an .asc
     file referenced relative to the config) supplied by the caller."""
-    from .terrain import save_dem
-
-    base_dir = os.path.dirname(os.path.abspath(str(file_path)))
-    if dem_path is None:
-        abs_dem = os.path.splitext(os.path.abspath(str(file_path)))[0] + ".asc"
-    else:
-        abs_dem = dem_path if os.path.isabs(dem_path) else os.path.join(base_dir, dem_path)
+    abs_path = os.path.abspath(str(file_path))
+    base_dir = os.path.dirname(abs_path)
+    abs_dem = os.path.join(base_dir, dem_path or os.path.splitext(abs_path)[0] + ".asc")
     save_dem(sc.terrain, abs_dem)
     cfg = {
         "terrain": {"dem_path": os.path.relpath(abs_dem, base_dir)},
-        "threats": [
-            {"x": float(t.center_x), "y": float(t.center_y), "r": float(t.radius)}
-            for t in sc.threats
-        ],
-        "start": {"x": float(sc.start[0]), "y": float(sc.start[1]), "z": float(sc.start[2])},
-        "goal": {"x": float(sc.goal[0]), "y": float(sc.goal[1]), "z": float(sc.goal[2])},
-        "constraints": {
-            "h_min": sc.constraints.h_min,
-            "h_max": sc.constraints.h_max,
-            "drone_diameter": sc.constraints.drone_diameter,
-            "danger_distance": sc.constraints.danger_distance,
-        },
-        "weights": {
-            "b1": sc.weights.b1, "b2": sc.weights.b2, "b3": sc.weights.b3,
-            "b4": sc.weights.b4, "a1": sc.weights.a1, "a2": sc.weights.a2,
-        },
+        "threats": [dict(zip("xyr", map(float, astuple(t)))) for t in sc.threats],
+        "start": dict(zip("xyz", map(float, sc.start))),
+        "goal": dict(zip("xyz", map(float, sc.goal))),
+        "constraints": asdict(sc.constraints),
+        "weights": asdict(sc.weights),
         "n_waypoints": sc.n_waypoints,
     }
     with open(file_path, "w") as fh:

@@ -139,6 +139,53 @@ class TestPlan:
         assert code == 2
         assert f"{named} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, algo_args, named",
+        [
+            ("terrain.synthetic.seed", math.inf, (), "seed"),
+            ("terrain.synthetic.seed", math.nan, (), "seed"),
+            ("n_waypoints", math.inf, (), "n_waypoints"),
+            ("n_waypoints", "abc", (), "n_waypoints"),
+            ("n_waypoints", 4.7, (), "n_waypoints"),
+            ("terrain.synthetic.n_cols", 11.5, (), "n_cols"),
+            ("terrain.synthetic.n_hills", 2.5, (), "n_hills"),
+            ("constraints", 5, (), "constraints"),
+            ("threats", 5, (), "threats"),
+            ("terrain", {"dem_path": 5}, (), "dem_path"),
+            ("terrain", {"dem_path": "a_directory"}, (), "dem_path"),
+            ("constraints", {"h_min": "abc"}, (), "h_min"),
+            ("constraints", {"h_max": 10**400}, (), "h_max"),
+            ("terrain.synthetic.cell_size", "abc", (), "cell_size"),
+            (None, None, ("--algo", "de", "--swarm", "3"), "swarm"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):
+        cfg = copy.deepcopy(FLAT_CFG)
+        if key is not None:
+            *parents, leaf = key.split(".")
+            target = cfg
+            for part in parents:
+                target = target[part]
+            target[leaf] = value
+        (tmp_path / "a_directory").mkdir()
+        bad = tmp_path / "malformed.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        code = main(["plan", str(bad), *(algo_args or ("--algo", "pso", "--swarm", "4")),
+                     "--iters", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["plan", "{dir}", "--algo", "pso"],
+        ["bench", "--scenarios", "{dir}", "--algos", "pso"],
+    ])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, command):
+        argv = [a.format(dir=tmp_path) for a in command]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_failed_run_exits_1(self, tmp_path, capsys):
         ring = [
             {"x": 50.0 + 20.0 * math.cos(a), "y": 50.0 + 20.0 * math.sin(a), "r": 9.0}

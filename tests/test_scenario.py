@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uavpath import ConfigError, Threat, load_scenario, save_scenario
+from uavpath import ConfigError, CostWeights, FlightConstraints, Threat, load_scenario, save_scenario
 from uavpath.cost import threat_cost, total_cost
 from uavpath.suite import build_benchmark_suite, is_complicated
 
@@ -72,6 +73,20 @@ class TestLoadScenario:
         assert sc.threats == hilly_scenario.threats
         assert sc.n_waypoints == hilly_scenario.n_waypoints
         assert np.array_equal(sc.terrain.elevations, hilly_scenario.terrain.elevations)
+
+    def test_round_trip_keeps_constraints_and_weights(self, tmp_path, hilly_scenario):
+        original = replace(
+            hilly_scenario,
+            constraints=FlightConstraints(
+                h_min=15.5, h_max=130.25, drone_diameter=2.0, danger_distance=7.5
+            ),
+            weights=CostWeights(b1=2.0, b2=0.5, b3=3.0, b4=0.0, a1=1.5, a2=0.75),
+        )
+        path = tmp_path / "rt.yaml"
+        save_scenario(original, path)
+        sc = load_scenario(path)
+        assert sc.constraints == original.constraints
+        assert sc.weights == original.weights
 
 
 class TestThreatType:
