@@ -45,51 +45,46 @@ EXIT_IO = 3
 # --- CSV exports ---------------------------------------------------------------
 
 
+def _write_csv(file_path, header, rows) -> None:
+    with open(file_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_summary_csv(file_path) -> list[dict]:
+    with open(file_path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def export_waypoints_csv(waypoints, file_path) -> None:
     """Write `index,x,y,z` rows with fixed 6-decimal formatting."""
     path = np.asarray(waypoints, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] < 3:
         raise ValueError("expected an (n, 3) path with n >= 3")
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "y", "z"])
-        for i, (x, y, z) in enumerate(path):
-            writer.writerow([i, f"{x:.6f}", f"{y:.6f}", f"{z:.6f}"])
+    rows = ([i, f"{x:.6f}", f"{y:.6f}", f"{z:.6f}"] for i, (x, y, z) in enumerate(path))
+    _write_csv(file_path, ["index", "x", "y", "z"], rows)
 
 
 def read_waypoints_csv(file_path) -> np.ndarray:
-    with open(file_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_summary_csv(file_path)
     return np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows])
 
 
 def export_convergence_csv(trace: EvolutionTrace, file_path) -> None:
     """Write `iteration,best_fitness`, one row per iteration; infinities
     are serialized as the literal ``inf``."""
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_fitness"])
-        for i, v in enumerate(trace.best_fitness, start=1):
-            writer.writerow([i, repr(float(v))])
+    rows = ([i, repr(float(v))] for i, v in enumerate(trace.best_fitness, start=1))
+    _write_csv(file_path, ["iteration", "best_fitness"], rows)
 
 
 def read_convergence_csv(file_path) -> np.ndarray:
-    with open(file_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return np.array([float(r["best_fitness"]) for r in rows])
+    return np.array([float(r["best_fitness"]) for r in read_summary_csv(file_path)])
 
 
 def export_breakdown_csv(breakdown, file_path) -> None:
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "value"])
-        for name in ("f1", "f2", "f3", "f4", "total"):
-            writer.writerow([name, repr(getattr(breakdown, name))])
-
-
-def read_summary_csv(file_path) -> list[dict]:
-    with open(file_path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    rows = ([name, repr(getattr(breakdown, name))] for name in ("f1", "f2", "f3", "f4", "total"))
+    _write_csv(file_path, ["component", "value"], rows)
 
 
 # --- benchmark harness -----------------------------------------------------------
@@ -233,26 +228,19 @@ def summarize(records: list[RunRecord], spec: BenchmarkSpec, alpha: float = 0.05
 
 
 def write_summary_csv(rows: list[dict], file_path) -> None:
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["scenario", "algorithm", "mean", "std", "t", "p", "verdict"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    header = ["scenario", "algorithm", "mean", "std", "t", "p", "verdict"]
+    _write_csv(file_path, header, ([row[name] for name in header] for row in rows))
 
 
 def write_runs_csv(records: list[RunRecord], file_path) -> None:
-    with open(file_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "algorithm", "run", "seed", "final_fitness", "feasible",
-             "wall_time_s", "trace_path"]
-        )
-        for r in records:
-            writer.writerow(
-                [r.scenario, r.algorithm, r.run_index, r.seed, repr(r.final_fitness),
-                 int(r.feasible), f"{r.wall_time:.3f}", r.trace_path]
-            )
+    header = ["scenario", "algorithm", "run", "seed", "final_fitness", "feasible",
+              "wall_time_s", "trace_path"]
+    rows = (
+        [r.scenario, r.algorithm, r.run_index, r.seed, repr(r.final_fitness),
+         int(r.feasible), f"{r.wall_time:.3f}", r.trace_path]
+        for r in records
+    )
+    _write_csv(file_path, header, rows)
 
 
 # --- subcommands ------------------------------------------------------------------

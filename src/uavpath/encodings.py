@@ -98,16 +98,6 @@ def spherical_space(scenario: Scenario) -> SearchSpace:
     return SearchSpace("spherical", lower, upper, wrap)
 
 
-def space_for(kind: str, scenario: Scenario) -> SearchSpace:
-    if kind == "cartesian":
-        return cartesian_space(scenario)
-    if kind == "angle":
-        return angle_space(scenario)
-    if kind == "spherical":
-        return spherical_space(scenario)
-    raise ValueError(f"unknown encoding kind {kind!r}")
-
-
 # --- wrapping / clamping ------------------------------------------------------
 
 def wrap_to_pi(values) -> np.ndarray:
@@ -178,10 +168,9 @@ def decode_angle(genome, scenario: Scenario) -> np.ndarray:
     """Monotone sine map from phase angles to axis intervals, then placed
     like cartesian interior coordinates."""
     g, squeeze = _check_dims(genome, scenario)
-    bounds = np.tile(axis_bounds(scenario), (scenario.n_interior, 1))
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    coords = 0.5 * ((hi - lo) * np.sin(g) + hi + lo)
-    path = assemble_path(coords.reshape(g.shape[0], -1, 3), scenario)
+    lo, hi = axis_bounds(scenario).T
+    coords = 0.5 * ((hi - lo) * np.sin(g.reshape(g.shape[0], -1, 3)) + hi + lo)
+    path = assemble_path(coords, scenario)
     return path[0] if squeeze else path
 
 
@@ -223,14 +212,17 @@ def encode_spherical(waypoints) -> np.ndarray:
     return np.stack([rho, psi, phi], axis=1).reshape(-1)
 
 
+# encoding kind -> (search space builder, decode)
+_ENCODINGS = {
+    "cartesian": (cartesian_space, decode_cartesian),
+    "angle": (angle_space, decode_angle),
+    "spherical": (spherical_space, decode_spherical),
+}
+
+
 def decode(kind: str, genome, scenario: Scenario) -> np.ndarray:
-    if kind == "cartesian":
-        return decode_cartesian(genome, scenario)
-    if kind == "angle":
-        return decode_angle(genome, scenario)
-    if kind == "spherical":
-        return decode_spherical(genome, scenario)
-    raise ValueError(f"unknown encoding kind {kind!r}")
+    _, decode_kind = _ENCODINGS[kind]
+    return decode_kind(genome, scenario)
 
 
 # --- random genomes -------------------------------------------------------------
@@ -282,4 +274,5 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarra
 
 def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     """Sample one genome from ``rng``: ``random_genomes`` for one stream."""
-    return random_genomes(space_for(kind, scenario), scenario, [rng])[0]
+    space_of, _ = _ENCODINGS[kind]
+    return random_genomes(space_of(scenario), scenario, [rng])[0]

@@ -14,7 +14,7 @@ Each algorithm is a row of the solver table: a search space, an
 initializer and a step ``step(state, config, rng) -> state``; ``run``
 knows nothing else about any algorithm.  Every state derives from
 ``_State``, whose ``evaluate`` decodes, scores and counts every batch of
-candidates, and has one ``best()`` returning its best (fitness, genome).
+candidates, and has one ``best()``: the best (fitness, genome) it ever held.
 
 Fitness is always the scenario's total path cost; infeasible candidates
 carry infinite fitness, stay in the population, and are never admitted as
@@ -39,24 +39,27 @@ ALGORITHMS = ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
 
 INIT_RETRIES = 20  # attempts per particle to find a finite-fitness genome
 
+# Solver constants fixed by the paper.
+DAMPING = 0.98  # inertia weight factor per PSO-family iteration
+QPSO_BETA = (1.0, 0.5)  # QPSO contraction coefficient, linear start -> end
+GA_CROSSOVER_RATE = 0.8
+GA_MUTATION_RATE = 0.2
+
 
 @dataclass
 class SwarmConfig:
     """Shared solver parameters; per-algorithm fields are ignored by the
-    algorithms that do not use them."""
+    algorithms that do not use them.  Values the paper fixes are the module
+    constants DAMPING, QPSO_BETA, GA_CROSSOVER_RATE and GA_MUTATION_RATE."""
 
     swarm_size: int = 500
     max_iterations: int = 200
     inertia: float = 1.0
-    damping: float = 0.98
     cognitive: float = 1.5
     social: float = 1.5
-    qpso_beta: tuple[float, float] = (1.0, 0.5)  # linear schedule start -> end
     de_f: float = 0.5
     de_cr: float = 0.9
     abc_limit: int = 50
-    ga_crossover_rate: float = 0.8
-    ga_mutation_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -64,10 +67,8 @@ class SwarmConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("de_cr", "ga_crossover_rate", "ga_mutation_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= self.de_cr <= 1.0:
+            raise ValueError("de_cr must be in [0, 1]")
         if self.cognitive < 0 or self.social < 0:
             raise ValueError("cognitive and social coefficients must be >= 0")
         if self.seed < 0:
@@ -213,13 +214,13 @@ def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
     swarm.positions = clamp_wrap(swarm.positions + swarm.velocities, swarm.space)
     swarm.fitness = swarm.evaluate(swarm.positions)
     swarm.update_bests()
-    swarm.inertia *= config.damping
+    swarm.inertia *= DAMPING
     swarm.iteration += 1
     return swarm
 
 
 def qpso_beta(config: SwarmConfig, iteration: int) -> float:
-    start, end = config.qpso_beta
+    start, end = QPSO_BETA
     span = max(config.max_iterations - 1, 1)
     return start + (end - start) * min(iteration, span) / span
 
@@ -290,10 +291,6 @@ def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_s
     )
 
 
-def _node_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    return space.lower[:3], space.upper[:3]
-
-
 def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, rng):
     """One-point crossover at a waypoint boundary; parents with a single
     node pass through unchanged."""
@@ -309,7 +306,7 @@ def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, rng):
 def ga_mutate(nodes: np.ndarray, scenario: Scenario, space: SearchSpace, rng) -> np.ndarray:
     """Apply one of the three structural mutations, each equally likely;
     a mutation whose length guard fails leaves the genome unchanged."""
-    lo, hi = _node_bounds(space)
+    lo, hi = space.lower[:3], space.upper[:3]  # the bounds of one node
     op = int(rng.integers(3))
     if op == 0:  # add: midpoint of a random segment of the full path, jittered
         if len(nodes) >= 2 * scenario.n_interior:
@@ -344,14 +341,14 @@ def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> GaPopulation:
     while len(new_members) < m:
         p1 = population.members[_tournament(population.fitness, rng)]
         p2 = population.members[_tournament(population.fitness, rng)]
-        if rng.random() < config.ga_crossover_rate:
+        if rng.random() < GA_CROSSOVER_RATE:
             c1, c2 = ga_crossover(p1, p2, population.max_nodes, rng)
         else:
             c1, c2 = p1.copy(), p2.copy()
         for child in (c1, c2):
             if len(new_members) >= m:
                 break
-            if rng.random() < config.ga_mutation_rate:
+            if rng.random() < GA_MUTATION_RATE:
                 child = ga_mutate(child, population.scenario, population.space, rng)
             new_members.append(child)
     population.members = new_members
@@ -544,21 +541,17 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
     _, init = _SOLVERS[algorithm]
     step = _STEP[algorithm]
     state = init(algorithm, scenario, config, particle_streams)
-    best_fit, best_genome = state.best()
-    best_genome = np.array(best_genome, copy=True)
     trace = np.empty(config.max_iterations)
+    # best() only improves (local and kept bests, DE's greedy members): the best so far.
     for k in range(config.max_iterations):
         state = step(state, config, swarm_stream)
-        fit, genome = state.best()
-        if fit < best_fit:
-            best_fit = fit
-            best_genome = np.array(genome, copy=True)
-        trace[k] = best_fit
+        trace[k], _ = state.best()
+    _, best_genome = state.best()
     return EvolutionTrace(
         algorithm=algorithm,
         seed=config.seed,
         best_fitness=trace,
-        best_genome=best_genome,
+        best_genome=np.array(best_genome, copy=True),
         best_path=state.decode(best_genome),
         evaluations=state.evaluations,
     )

@@ -15,6 +15,9 @@ import numpy as np
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 _REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+# Largest synthetic grid, checked before the grid is allocated (about 11.6x
+# a 1201 x 1201 DEM; each node takes several float64 arrays while built).
+MAX_GRID_NODES = 4096 * 4096
 
 
 class DemParseError(ValueError):
@@ -238,6 +241,11 @@ class SyntheticTerrainSpec:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_cols < 2 or self.n_rows < 2:
             raise ValueError("n_cols and n_rows must be >= 2")
+        if self.n_cols * self.n_rows > MAX_GRID_NODES:
+            raise ValueError(
+                f"n_cols * n_rows must be <= {MAX_GRID_NODES} grid nodes, "
+                f"got {self.n_cols} * {self.n_rows}"
+            )
         if self.cell_size <= 0:
             raise ValueError("cell_size must be > 0")
         if self.n_hills < 0:

@@ -157,6 +157,9 @@ class TestPlan:
             ("constraints", {"h_max": 10**400}, (), "h_max"),
             ("terrain.synthetic.cell_size", "abc", (), "cell_size"),
             (None, None, ("--algo", "de", "--swarm", "3"), "swarm"),
+            ("terrain.synthetic.n_cols", 10**30, (), "n_cols"),
+            # The smallest n_cols over MAX_GRID_NODES at the table's n_rows: 11.
+            ("terrain.synthetic.n_cols", 1525202, (), "n_cols"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):

@@ -1,0 +1,78 @@
+"""Property tests of the cost model's invariants, drawn with hypothesis.
+
+* F1 (length) and F4 (smoothness) depend only on the differences between
+  waypoints, so translating a whole path leaves them unchanged up to the
+  rounding of the translated coordinates.
+* F2 (threats) never decreases as a threat's radius grows: the collision
+  and danger radii both grow while the distance to the path stays put, so
+  an infinite value stays infinite.
+
+Examples are derandomized so a run is reproducible, and no example
+database is written.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uavpath import CostWeights, FlightConstraints, Threat
+from uavpath.cost import path_length_cost, smooth_cost, threat_cost
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+coord = st.floats(-1000.0, 1000.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def paths(draw, min_waypoints=3, max_waypoints=8):
+    """A path whose horizontal steps are at least 1 m long, so no turn or
+    climb angle sits at the degenerate-segment threshold."""
+    n = draw(st.integers(min_waypoints, max_waypoints))
+    start = [draw(coord), draw(coord), draw(st.floats(0.0, 300.0))]
+    steps = []
+    for _ in range(n - 1):
+        length = draw(st.floats(1.0, 200.0))
+        heading = draw(st.floats(-math.pi, math.pi))
+        dz = draw(st.floats(-50.0, 50.0))
+        steps.append([length * math.cos(heading), length * math.sin(heading), dz])
+    return np.vstack([start, start + np.cumsum(steps, axis=0)])
+
+
+def rel_close(a: float, b: float) -> bool:
+    """|a - b| within 1e-9 of the larger magnitude, and within 1e-9
+    absolute below 1: a straight path has a zero turn angle, and a shift of
+    up to 1000 m moves the direction of a 1 m step by ~1e-13 rad."""
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(path=paths(), shift=st.tuples(coord, coord, coord))
+def test_length_and_smoothness_translation_invariant(path, shift):
+    moved = path + np.asarray(shift)
+    weights = CostWeights()
+    assert rel_close(path_length_cost(path), path_length_cost(moved))
+    assert rel_close(smooth_cost(path, weights), smooth_cost(moved, weights))
+
+
+threat = st.builds(Threat, coord, coord, st.floats(0.5, 300.0))
+
+
+@PROPERTY_SETTINGS
+@given(
+    path=paths(min_waypoints=2),
+    threats=st.lists(threat, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_threat_cost_monotone_in_radius(path, threats, data):
+    i = data.draw(st.integers(0, len(threats) - 1), label="grown threat")
+    growth = data.draw(st.floats(0.0, 300.0), label="radius growth")
+    grown = list(threats)
+    grown[i] = Threat(threats[i].center_x, threats[i].center_y, threats[i].radius + growth)
+    constraints = FlightConstraints()
+    before = threat_cost(path, threats, constraints)
+    after = threat_cost(path, grown, constraints)
+    assert after >= before
+    if math.isinf(before):
+        assert math.isinf(after)
