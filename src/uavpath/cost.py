@@ -57,20 +57,37 @@ def path_length_cost(waypoints) -> float:
 def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints) -> np.ndarray:
     if len(threats) == 0:
         return np.zeros(paths.shape[0])
-    centers = np.array([[t.center_x, t.center_y] for t in threats])  # (K, 2)
+    # x and y are kept apart as (M, n-1, K) arrays, updated in place:
+    # reducing a length-2 axis and allocating temporaries cost more than
+    # the arithmetic.
+    cx = np.array([t.center_x for t in threats])  # (K,)
+    cy = np.array([t.center_y for t in threats])
     radii = np.array([t.radius for t in threats])
-    a = paths[:, :-1, None, :2]  # (M, n-1, 1, 2)
-    b = paths[:, 1:, None, :2]
-    ab = b - a
-    ap = centers[None, None, :, :] - a
-    denom = (ab**2).sum(axis=-1)  # (M, n-1, 1)
-    t = np.divide((ap * ab).sum(axis=-1), denom, out=np.zeros_like(ap[..., 0]), where=denom > 0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t[..., None] * ab
-    d = np.sqrt(((centers[None, None, :, :] - closest) ** 2).sum(axis=-1))  # (M, n-1, K)
+    ax, ay = paths[:, :-1, 0, None], paths[:, :-1, 1, None]  # (M, n-1, 1)
+    abx, aby = paths[:, 1:, 0, None] - ax, paths[:, 1:, 1, None] - ay
+    denom = abx * abx + aby * aby
+    # closest point a + t * ab to each centre, t clamped to the segment; a
+    # zero-length segment has a zero numerator, so t = 0 (its start point)
+    t = (cx - ax) * abx
+    t += (cy - ay) * aby
+    t /= np.where(denom > 0, denom, np.inf)
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    dx = t * abx
+    dx += ax
+    np.subtract(cx, dx, out=dx)  # cx - (ax + t * abx)
+    dy = t * aby
+    dy += ay
+    np.subtract(cy, dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    d = np.sqrt(dx, out=dx)
     collide_r = constraints.drone_diameter + radii  # (K,)
     danger_r = constraints.danger_distance + collide_r
-    penalty = np.where(d <= collide_r, np.inf, np.clip(danger_r - d, 0.0, None))
+    penalty = danger_r - d
+    np.maximum(penalty, 0.0, out=penalty)
+    penalty[d <= collide_r] = np.inf
     return penalty.sum(axis=(1, 2))
 
 
@@ -113,29 +130,34 @@ def altitude_cost(waypoints, terrain, constraints: FlightConstraints) -> float:
 
 # --- F4: smoothness ----------------------------------------------------------
 
-def _turn_angles(paths: np.ndarray) -> np.ndarray:
+def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment vectors (M, n-1, 3) and their horizontal lengths (M, n-1)."""
+    steps = np.diff(paths, axis=-2)
+    return steps, np.hypot(steps[..., 0], steps[..., 1])
+
+
+def _turn_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
     """Horizontal turn angle at each interior waypoint, (M, n-2)."""
-    dxy = np.diff(paths[..., :2], axis=-2)  # (M, n-1, 2)
-    u, v = dxy[:, :-1], dxy[:, 1:]
-    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    dot = (u * v).sum(axis=-1)
-    ang = np.arctan2(np.abs(cross), dot)
-    ok = (np.hypot(u[..., 0], u[..., 1]) > EPS_LEN) & (np.hypot(v[..., 0], v[..., 1]) > EPS_LEN)
+    ux, uy = steps[:, :-1, 0], steps[:, :-1, 1]
+    vx, vy = steps[:, 1:, 0], steps[:, 1:, 1]
+    ang = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
+    ok = (horiz[:, :-1] > EPS_LEN) & (horiz[:, 1:] > EPS_LEN)
     return np.where(ok, ang, 0.0)
 
 
-def _climb_angles(paths: np.ndarray) -> np.ndarray:
+def _climb_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
     """Climb angle of each segment, (M, n-1); degenerate segments give 0."""
-    steps = np.diff(paths, axis=-2)
-    horiz = np.hypot(steps[..., 0], steps[..., 1])
-    ang = np.arctan2(steps[..., 2], horiz)
-    ok = np.sqrt((steps**2).sum(axis=-1)) > EPS_LEN
+    dz = steps[..., 2]
+    ang = np.arctan2(dz, horiz)
+    sx, sy = steps[..., 0], steps[..., 1]
+    ok = np.sqrt(sx * sx + sy * sy + dz * dz) > EPS_LEN
     return np.where(ok, ang, 0.0)
 
 
 def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
-    turns = _turn_angles(paths).sum(axis=-1)
-    climbs = _climb_angles(paths)
+    steps, horiz = _segments(paths)
+    turns = _turn_angles(steps, horiz).sum(axis=-1)
+    climbs = _climb_angles(steps, horiz)
     deltas = np.abs(np.diff(climbs, axis=-1)).sum(axis=-1)
     return weights.a1 * turns + weights.a2 * deltas
 
@@ -144,14 +166,14 @@ def turn_angle(p0, p1, p2) -> float:
     """Angle in [0, pi] between consecutive segments projected on the
     horizontal plane; zero when either projection is degenerate."""
     path = np.vstack([p0, p1, p2]).astype(float)
-    return float(_turn_angles(path[None])[0, 0])
+    return float(_turn_angles(*_segments(path[None]))[0, 0])
 
 
 def climb_angle(p0, p1) -> float:
     """Angle in [-pi/2, pi/2] between a segment and its horizontal
     projection; vertical segments give +-pi/2, zero-length segments 0."""
     path = np.vstack([p0, p1]).astype(float)
-    return float(_climb_angles(path[None])[0, 0])
+    return float(_climb_angles(*_segments(path[None]))[0, 0])
 
 
 def smooth_cost(waypoints, weights) -> float:
@@ -176,6 +198,9 @@ def _weighted_total(f1, f2, f3, f4, weights) -> np.ndarray:
     for b, f in ((weights.b1, f1), (weights.b2, f2), (weights.b3, f3), (weights.b4, f4)):
         if b > 0:  # skip zero weights so 0 * inf cannot poison the sum
             total = total + b * f
+    # A NaN coordinate makes a term NaN; such a path is infeasible, and a
+    # NaN fitness must never win an argmin.
+    total[np.isnan(total)] = np.inf
     return total
 
 
