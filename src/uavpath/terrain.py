@@ -237,8 +237,13 @@ class SyntheticTerrainSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(f"{f.name} is out of range") from None
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_cols < 2 or self.n_rows < 2:
             raise ValueError("n_cols and n_rows must be >= 2")
         if self.n_cols * self.n_rows > MAX_GRID_NODES:

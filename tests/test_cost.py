@@ -18,6 +18,8 @@ from uavpath import (
     total_cost,
     turn_angle,
 )
+from uavpath.cost import evaluate_paths
+from uavpath.suite import build_benchmark_suite
 from uavpath.terrain import SyntheticTerrainSpec, generate_synthetic
 
 from conftest import random_feasibleish_path
@@ -78,6 +80,18 @@ class TestThreatPenalty:
         ]
         assert all(u >= v for u, v in zip(vals, vals[1:]))
         assert np.all(np.abs(np.diff(vals)) <= np.diff(ds) + 1e-12)
+
+    def test_closest_distance_equal_to_collision_radius(self):
+        a, b = self.seg_at(11.0)  # passes (11, 0): exactly collide_r away
+        assert segment_threat_penalty(a, b, self.threat, self.cons) == math.inf
+
+    def test_zero_length_segment_in_collision_disc(self):
+        p = (5.0, 3.0, 50.0)
+        assert segment_threat_penalty(p, p, self.threat, self.cons) == math.inf
+
+    def test_zero_length_segment_beyond_danger_ring(self):
+        p = (12.0, 13.0, 50.0)  # 17.7 m from the centre, danger radius 16
+        assert segment_threat_penalty(p, p, self.threat, self.cons) == 0.0
 
     def test_empty_threat_list(self):
         assert threat_cost([(0, 0, 0), (1, 1, 1), (2, 2, 2)], [], self.cons) == 0.0
@@ -240,6 +254,15 @@ class TestTotalCost:
                 n_waypoints=hilly_scenario.n_waypoints,
             )
             assert total_cost(p, sc).total >= base - 1e-9
+
+    def test_nan_coordinate_scores_infinite(self):
+        s4 = build_benchmark_suite(0)[3]
+        paths = np.stack([s4.witness, s4.witness])
+        paths[1, 3, 0] = np.nan
+        totals = evaluate_paths(paths, s4)
+        assert math.isfinite(totals[0]) and totals[1] == math.inf
+        assert np.argmin(totals[::-1]) == 1
+        assert total_cost(paths[1], s4).total == math.inf
 
     def test_zero_weight_suppresses_infinite_term(self, flat_scenario):
         sc = Scenario(

@@ -171,6 +171,10 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticTerrainSpec(n_cols=5, n_rows=5, cell_size=1.0, n_hills=1, sigma_min=0.0)
 
+    def test_integer_beyond_float_range_names_field(self):
+        with pytest.raises(ValueError, match="n_cols"):
+            SyntheticTerrainSpec(n_cols=10**400, n_rows=11, cell_size=10.0)
+
 
 class TestSaveRoundTrip:
     def test_values_round_trip_exactly(self, tmp_path):
