@@ -71,7 +71,7 @@ def edge_case_paths(scenario, rng) -> np.ndarray:
     stalled = line.copy()
     stalled[1] = start
     stalled[2] = start + [0.0, 0.0, 25.0]
-    x_min, x_max, y_min, y_max = scenario.terrain.bounds
+    x_min, _, _, y_max = scenario.terrain.bounds
     off_map = line + rng.normal(0.0, 5.0, line.shape)
     off_map[[0, -1]] = start, goal
     off_map[1:-1:3, 0] = x_min - 50.0
@@ -86,7 +86,7 @@ def edge_case_paths(scenario, rng) -> np.ndarray:
 def scenario_paths(scenario, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     batches = [edge_case_paths(scenario, rng)]
-    for kind, (space_of, decode) in _ENCODINGS.items():
+    for space_of, decode in _ENCODINGS.values():
         space = space_of(scenario)
         streams = [np.random.default_rng([seed, i]) for i in range(N_SAMPLED)]
         batches.append(decode(random_genomes(space, scenario, streams), scenario))
