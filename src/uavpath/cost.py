@@ -43,7 +43,10 @@ def _as_paths(waypoints) -> np.ndarray:
 # --- F1: path length ---------------------------------------------------------
 
 def length_cost_many(paths: np.ndarray) -> np.ndarray:
-    steps = np.diff(paths, axis=-2)
+    # Two infinite coordinates in a row give inf - inf; the NaN that
+    # follows scores the path +inf, so the warning adds nothing.
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(paths, axis=-2)
     return np.sqrt((steps**2).sum(axis=-1)).sum(axis=-1)
 
 
@@ -57,38 +60,41 @@ def path_length_cost(waypoints) -> float:
 def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints) -> np.ndarray:
     if len(threats) == 0:
         return np.zeros(paths.shape[0])
-    # x and y are kept apart as (M, n-1, K) arrays, updated in place:
-    # reducing a length-2 axis and allocating temporaries cost more than
-    # the arithmetic.
-    cx = np.array([t.center_x for t in threats])  # (K,)
-    cy = np.array([t.center_y for t in threats])
-    radii = np.array([t.radius for t in threats])
-    ax, ay = paths[:, :-1, 0, None], paths[:, :-1, 1, None]  # (M, n-1, 1)
-    abx, aby = paths[:, 1:, 0, None] - ax, paths[:, 1:, 1, None] - ay
-    denom = abx * abx + aby * aby
-    # closest point a + t * ab to each centre, t clamped to the segment; a
-    # zero-length segment has a zero numerator, so t = 0 (its start point)
-    t = (cx - ax) * abx
-    t += (cy - ay) * aby
-    t /= np.where(denom > 0, denom, np.inf)
-    np.maximum(t, 0.0, out=t)
-    np.minimum(t, 1.0, out=t)
-    dx = t * abx
-    dx += ax
-    np.subtract(cx, dx, out=dx)  # cx - (ax + t * abx)
-    dy = t * aby
-    dy += ay
-    np.subtract(cy, dy, out=dy)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    d = np.sqrt(dx, out=dx)
-    collide_r = constraints.drone_diameter + radii  # (K,)
-    danger_r = constraints.danger_distance + collide_r
-    penalty = danger_r - d
-    np.maximum(penalty, 0.0, out=penalty)
-    penalty[d <= collide_r] = np.inf
-    return penalty.sum(axis=(1, 2))
+    # An infinite coordinate gives inf - inf and inf / inf below; the NaN
+    # that follows scores the path +inf, so the warning adds nothing.
+    with np.errstate(invalid="ignore"):
+        # x and y are kept apart as (M, n-1, K) arrays, updated in place:
+        # reducing a length-2 axis and allocating temporaries cost more than
+        # the arithmetic.
+        cx = np.array([t.center_x for t in threats])  # (K,)
+        cy = np.array([t.center_y for t in threats])
+        radii = np.array([t.radius for t in threats])
+        ax, ay = paths[:, :-1, 0, None], paths[:, :-1, 1, None]  # (M, n-1, 1)
+        abx, aby = paths[:, 1:, 0, None] - ax, paths[:, 1:, 1, None] - ay
+        denom = abx * abx + aby * aby
+        # closest point a + t * ab to each centre, t clamped to the segment; a
+        # zero-length segment has a zero numerator, so t = 0 (its start point)
+        t = (cx - ax) * abx
+        t += (cy - ay) * aby
+        t /= np.where(denom > 0, denom, np.inf)
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        dx = t * abx
+        dx += ax
+        np.subtract(cx, dx, out=dx)  # cx - (ax + t * abx)
+        dy = t * aby
+        dy += ay
+        np.subtract(cy, dy, out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        d = np.sqrt(dx, out=dx)
+        collide_r = constraints.drone_diameter + radii  # (K,)
+        danger_r = constraints.danger_distance + collide_r
+        penalty = danger_r - d
+        np.maximum(penalty, 0.0, out=penalty)
+        penalty[d <= collide_r] = np.inf
+        return penalty.sum(axis=(1, 2))
 
 
 def segment_threat_penalty(seg_start, seg_end, threat: Threat, constraints: FlightConstraints) -> float:
@@ -155,11 +161,14 @@ def _climb_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
 
 
 def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
-    steps, horiz = _segments(paths)
-    turns = _turn_angles(steps, horiz).sum(axis=-1)
-    climbs = _climb_angles(steps, horiz)
-    deltas = np.abs(np.diff(climbs, axis=-1)).sum(axis=-1)
-    return weights.a1 * turns + weights.a2 * deltas
+    # As in F1 and F2, an infinite coordinate's inf - inf only makes the
+    # path's NaN, which scores +inf.
+    with np.errstate(invalid="ignore"):
+        steps, horiz = _segments(paths)
+        turns = _turn_angles(steps, horiz).sum(axis=-1)
+        climbs = _climb_angles(steps, horiz)
+        deltas = np.abs(np.diff(climbs, axis=-1)).sum(axis=-1)
+        return weights.a1 * turns + weights.a2 * deltas
 
 
 def turn_angle(p0, p1, p2) -> float:
@@ -204,10 +213,33 @@ def _weighted_total(f1, f2, f3, f4, weights) -> np.ndarray:
     return total
 
 
+def _in_running(term: np.ndarray, weight: float) -> np.ndarray:
+    """Rows a term leaves feasible; a zero-weight term is not in the total,
+    so it rules out none."""
+    return np.isfinite(term) | (weight == 0)
+
+
 def evaluate_paths(paths, scenario: Scenario) -> np.ndarray:
-    """Total cost of each path in an (M, n, 3) stack; the optimizer hot path."""
+    """Total cost of each path in an (M, n, 3) stack; the optimizer hot path.
+
+    Feasibility first: F3 runs on every path, F2 on the paths F3 left
+    finite, F1 and F4 on the paths both left finite, and every other path
+    scores +inf, as its weighted total would.  The kernels work row by row,
+    so each surviving total is bit-identical to that of the full batch.
+    """
     paths = _as_paths(paths)
-    return _weighted_total(*cost_components(paths, scenario), scenario.weights)
+    weights, cons = scenario.weights, scenario.constraints
+    f3 = altitude_cost_many(paths, scenario.terrain, cons)
+    rows = np.flatnonzero(_in_running(f3, weights.b3))
+    f2 = threat_cost_many(paths[rows], scenario.threats, cons)
+    keep = _in_running(f2, weights.b2)
+    rows, f2 = rows[keep], f2[keep]
+    live = paths[rows]
+    total = np.full(paths.shape[0], np.inf)
+    total[rows] = _weighted_total(
+        length_cost_many(live), f2, f3[rows], smooth_cost_many(live, weights), weights
+    )
+    return total
 
 
 def total_cost(waypoints, scenario: Scenario) -> CostBreakdown:

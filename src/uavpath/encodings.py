@@ -241,6 +241,11 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarra
     corridor too.  Row i depends on ``streams[i]`` alone, whatever the
     batch.
     """
+    # Each draw is ``lo + (hi - lo) * rng.random(n)``, the arithmetic of
+    # ``rng.uniform(lo, hi, n)`` on the same stream values, without the
+    # Python-level bound checks ``Generator.uniform`` makes on every call.
+    # The golden hashes and test_sampler_draws_equal_generator_uniform
+    # guard that equivalence against a numpy that computes it differently.
     kind = space.kind
     cons = scenario.constraints
     if kind == "spherical":
@@ -252,16 +257,19 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarra
             [EPS_LEN, math.pi / 2 - SPSO_INIT_PSI_BAND, bearing - SPSO_INIT_PHI_HALFWIDTH], n
         )
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
-        return clamp_wrap(np.stack([rng.uniform(lo, hi) for rng in streams]), space)
+        draws = np.stack([rng.random(lo.size) for rng in streams])
+        return clamp_wrap(lo + (hi - lo) * draws, space)
     bounds = axis_bounds(scenario)
-    genomes = np.stack([rng.uniform(space.lower, space.upper) for rng in streams])
+    draws = np.stack([rng.random(space.dims) for rng in streams])
+    genomes = space.lower + (space.upper - space.lower) * draws
     if kind == "angle":
         xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())
         ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[:, 1::3]) + bounds[1].sum())
     else:
         xs, ys = genomes[:, 0::3], genomes[:, 1::3]
     ground = scenario.terrain.heights(xs, ys)
-    z = ground + np.stack([rng.uniform(cons.h_min, cons.h_max, size=xs.shape[1]) for rng in streams])
+    draws = np.stack([rng.random(xs.shape[1]) for rng in streams])
+    z = ground + (cons.h_min + (cons.h_max - cons.h_min) * draws)
     if kind == "angle":
         lo_z, hi_z = bounds[2]
         z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))

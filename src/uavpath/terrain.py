@@ -112,10 +112,14 @@ class TerrainMap:
         iy = np.clip(gy.astype(int), 0, self.n_rows - 2)
         u = gx - ix
         v = gy - iy
-        f00 = self.elevations[iy, ix]
-        f10 = self.elevations[iy, ix + 1]
-        f01 = self.elevations[iy + 1, ix]
-        f11 = self.elevations[iy + 1, ix + 1]
+        # One flat gather per corner is cheaper than 2-D fancy indexing.
+        grid = self.elevations.ravel()
+        i00 = iy * self.n_cols + ix
+        i01 = i00 + self.n_cols
+        f00 = grid.take(i00)
+        f10 = grid.take(i00 + 1)
+        f01 = grid.take(i01)
+        f11 = grid.take(i01 + 1)
         z = (
             (1.0 - u) * (1.0 - v) * f00
             + u * (1.0 - v) * f10

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from uavpath import (
     total_cost,
     turn_angle,
 )
-from uavpath.cost import evaluate_paths
+from uavpath.cost import _weighted_total, cost_components, evaluate_paths
 from uavpath.suite import build_benchmark_suite
 from uavpath.terrain import SyntheticTerrainSpec, generate_synthetic
 
@@ -264,6 +266,16 @@ class TestTotalCost:
         assert np.argmin(totals[::-1]) == 1
         assert total_cost(paths[1], s4).total == math.inf
 
+    @pytest.mark.parametrize("nodes", [[3], [2, 3]])
+    def test_infinite_coordinate_scores_infinite_without_warning(self, nodes):
+        s4 = build_benchmark_suite(0)[3]
+        path = s4.witness.copy()
+        path[nodes, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_paths(path, s4)[0] == math.inf
+            assert total_cost(path, s4).total == math.inf
+
     def test_zero_weight_suppresses_infinite_term(self, flat_scenario):
         sc = Scenario(
             terrain=flat_scenario.terrain,
@@ -279,6 +291,47 @@ class TestTotalCost:
         b = total_cost(path, sc)
         assert b.f3 == math.inf
         assert math.isfinite(b.total)
+
+
+class TestFeasibilityFirst:
+    """evaluate_paths skips terms on rows an earlier term made infinite;
+    its totals must equal the weighted total of the full breakdown."""
+
+    @staticmethod
+    def mixed_batch(scenario):
+        w = scenario.witness
+        threat = scenario.threats[0]
+        rows = {
+            "feasible": w,
+            "collision": w.copy(),
+            "corridor": w.copy(),
+            "off_map": w.copy(),
+            "nan": w.copy(),
+        }
+        rows["collision"][2, :2] = threat.center_x, threat.center_y
+        rows["corridor"][2, 2] += 500.0
+        rows["off_map"][2, 0] = scenario.terrain.bounds[0] - 50.0
+        rows["nan"][3, 1] = np.nan
+        rng = np.random.default_rng(5)
+        nudged = np.repeat(w[None], 10, axis=0)
+        nudged[:, 1:-1] += rng.normal(0.0, 1.0, nudged[:, 1:-1].shape)
+        wild = [random_feasibleish_path(scenario, rng) for _ in range(10)]
+        return list(rows), np.concatenate([np.stack(list(rows.values())), nudged, wild])
+
+    @pytest.mark.parametrize("weights", [{}, {"b2": 0.0}, {"b3": 0.0}])
+    def test_totals_equal_full_breakdown(self, weights):
+        scenario = build_benchmark_suite(0)[3]
+        scenario = replace(scenario, weights=CostWeights(**weights))
+        names, paths = self.mixed_batch(scenario)
+        got = evaluate_paths(paths, scenario)
+        want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
+        assert got.tobytes() == want.tobytes()
+        finite = dict(zip(names, np.isfinite(got)))
+        assert finite["feasible"] and not finite["nan"]
+        # a zero weight lets through the rows only its own term rules out
+        assert finite["collision"] == ("b2" in weights)
+        assert finite["corridor"] == finite["off_map"] == ("b3" in weights)
+        assert np.isfinite(got[len(names):]).sum() >= 10
 
 
 def _random_scenario(seed):

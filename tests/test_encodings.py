@@ -10,16 +10,21 @@ from uavpath import (
     encode_spherical,
     random_genome,
 )
+from uavpath.cost import EPS_LEN
 from uavpath.encodings import (
+    SPSO_INIT_PHI_HALFWIDTH,
+    SPSO_INIT_PSI_BAND,
     angle_space,
     axis_bounds,
     cartesian_space,
     clamp_wrap,
+    random_genomes,
     rho_max,
     spherical_space,
     wrap_difference,
     wrap_to_pi,
 )
+from uavpath.suite import build_benchmark_suite
 
 from conftest import random_feasibleish_path
 
@@ -234,3 +239,49 @@ class TestRandomGenome:
         for _ in range(500):
             g = random_genome("cartesian", hilly_scenario, rng)
             assert np.all(g >= space.lower) and np.all(g <= space.upper)
+
+
+def _uniform_reference(space, scenario, seeds):
+    """random_genomes as drawn with ``Generator.uniform``: per stream, the
+    genome box (or the spherical init box), then one altitude offset per
+    node, from fresh generators."""
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    cons = scenario.constraints
+    if space.kind == "spherical":
+        n = scenario.n_interior
+        dx, dy = (scenario.goal - scenario.start)[:2]
+        bearing = math.atan2(dy, dx)
+        lo = np.tile(
+            [EPS_LEN, math.pi / 2 - SPSO_INIT_PSI_BAND, bearing - SPSO_INIT_PHI_HALFWIDTH], n
+        )
+        hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
+        return clamp_wrap(np.stack([rng.uniform(lo, hi) for rng in streams]), space)
+    bounds = axis_bounds(scenario)
+    genomes = np.stack([rng.uniform(space.lower, space.upper) for rng in streams])
+    if space.kind == "angle":
+        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())
+        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[:, 1::3]) + bounds[1].sum())
+    else:
+        xs, ys = genomes[:, 0::3], genomes[:, 1::3]
+    ground = scenario.terrain.heights(xs, ys)
+    z = ground + np.stack([rng.uniform(cons.h_min, cons.h_max, size=xs.shape[1]) for rng in streams])
+    if space.kind == "angle":
+        lo_z, hi_z = bounds[2]
+        z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
+    else:
+        z_genes = np.clip(z, space.lower[2::3], space.upper[2::3])
+    genomes[:, 2::3] = np.where(np.isnan(z), genomes[:, 2::3], z_genes)
+    return genomes
+
+
+@pytest.mark.parametrize("space_of", [cartesian_space, angle_space, spherical_space])
+@pytest.mark.parametrize("index", [0, 6])
+def test_sampler_draws_equal_generator_uniform(space_of, index):
+    """random_genomes scales ``rng.random`` itself; a numpy whose
+    ``Generator.uniform`` computes ``lo + (hi - lo) * u`` differently
+    breaks this identity, and with it every golden hash."""
+    scenario = build_benchmark_suite(0)[index]
+    space = space_of(scenario)
+    seeds = range(40, 56)
+    got = random_genomes(space, scenario, [np.random.default_rng(seed) for seed in seeds])
+    assert np.array_equal(got, _uniform_reference(space, scenario, seeds))
