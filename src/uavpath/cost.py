@@ -43,11 +43,12 @@ def _as_paths(waypoints) -> np.ndarray:
 # --- F1: path length ---------------------------------------------------------
 
 def length_cost_many(paths: np.ndarray) -> np.ndarray:
-    # Two infinite coordinates in a row give inf - inf; the NaN that
-    # follows scores the path +inf, so the warning adds nothing.
-    with np.errstate(invalid="ignore"):
+    # Two infinite coordinates in a row give inf - inf, a huge one overflows
+    # the square; the NaN or inf that follows scores the path +inf, so the
+    # warning adds nothing.
+    with np.errstate(invalid="ignore", over="ignore"):
         steps = np.diff(paths, axis=-2)
-    return np.sqrt((steps**2).sum(axis=-1)).sum(axis=-1)
+        return np.sqrt((steps**2).sum(axis=-1)).sum(axis=-1)
 
 
 def path_length_cost(waypoints) -> float:
@@ -60,41 +61,51 @@ def path_length_cost(waypoints) -> float:
 def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints) -> np.ndarray:
     if len(threats) == 0:
         return np.zeros(paths.shape[0])
-    # An infinite coordinate gives inf - inf and inf / inf below; the NaN
-    # that follows scores the path +inf, so the warning adds nothing.
-    with np.errstate(invalid="ignore"):
-        # x and y are kept apart as (M, n-1, K) arrays, updated in place:
-        # reducing a length-2 axis and allocating temporaries cost more than
-        # the arithmetic.
-        cx = np.array([t.center_x for t in threats])  # (K,)
-        cy = np.array([t.center_y for t in threats])
-        radii = np.array([t.radius for t in threats])
-        ax, ay = paths[:, :-1, 0, None], paths[:, :-1, 1, None]  # (M, n-1, 1)
-        abx, aby = paths[:, 1:, 0, None] - ax, paths[:, 1:, 1, None] - ay
+    # An infinite coordinate gives inf - inf and inf / inf below, a huge one
+    # overflows a product; the NaN or inf that follows scores the path +inf,
+    # so the warning adds nothing.
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Threat-major layout: the P = M * (n-1) segments sit on one flat
+        # contiguous axis and each threat is a row of (K, P) arrays, so every
+        # op below runs one loop of P elements; x and y are kept apart and
+        # updated in place, since reducing a length-2 axis and allocating
+        # temporaries cost more than the arithmetic.
+        m, n = paths.shape[:2]
+        circles = np.array([(t.center_x, t.center_y, t.radius) for t in threats])
+        cx, cy, radii = circles.T[..., None]  # (K, 1) each
+        x, y = paths[..., 0], paths[..., 1]  # (M, n)
+        ax, ay = x[:, :-1].reshape(-1), y[:, :-1].reshape(-1)  # (P,) copies
+        abx = (x[:, 1:] - x[:, :-1]).reshape(-1)
+        aby = (y[:, 1:] - y[:, :-1]).reshape(-1)
         denom = abx * abx + aby * aby
         # closest point a + t * ab to each centre, t clamped to the segment; a
         # zero-length segment has a zero numerator, so t = 0 (its start point)
-        t = (cx - ax) * abx
-        t += (cy - ay) * aby
+        t = cx - ax
+        t *= abx
+        dy = cy - ay
+        dy *= aby
+        t += dy
         t /= np.where(denom > 0, denom, np.inf)
         np.maximum(t, 0.0, out=t)
         np.minimum(t, 1.0, out=t)
         dx = t * abx
         dx += ax
         np.subtract(cx, dx, out=dx)  # cx - (ax + t * abx)
-        dy = t * aby
+        np.multiply(t, aby, out=dy)
         dy += ay
         np.subtract(cy, dy, out=dy)
         dx *= dx
         dy *= dy
         dx += dy
         d = np.sqrt(dx, out=dx)
-        collide_r = constraints.drone_diameter + radii  # (K,)
-        danger_r = constraints.danger_distance + collide_r
-        penalty = danger_r - d
+        collide_r = constraints.drone_diameter + radii  # (K, 1)
+        penalty = constraints.danger_distance + collide_r - d
         np.maximum(penalty, 0.0, out=penalty)
-        penalty[d <= collide_r] = np.inf
-        return penalty.sum(axis=(1, 2))
+        np.putmask(penalty, d <= collide_r, np.inf)
+        # Summed from segment-major (M, n-1, K) order, as numpy's pairwise
+        # sum of the original layout did, so every total keeps its bits.
+        by_path = penalty.reshape(len(threats), m, n - 1).transpose(1, 2, 0)
+        return np.ascontiguousarray(by_path).sum(axis=(1, 2))
 
 
 def segment_threat_penalty(seg_start, seg_end, threat: Threat, constraints: FlightConstraints) -> float:
@@ -161,9 +172,9 @@ def _climb_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
 
 
 def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
-    # As in F1 and F2, an infinite coordinate's inf - inf only makes the
-    # path's NaN, which scores +inf.
-    with np.errstate(invalid="ignore"):
+    # As in F1 and F2, an infinite coordinate's inf - inf, or a huge one's
+    # overflow, only makes the path's NaN or inf, which scores +inf.
+    with np.errstate(invalid="ignore", over="ignore"):
         steps, horiz = _segments(paths)
         turns = _turn_angles(steps, horiz).sum(axis=-1)
         climbs = _climb_angles(steps, horiz)

@@ -100,13 +100,24 @@ def spherical_space(scenario: Scenario) -> SearchSpace:
 
 # --- wrapping / clamping ------------------------------------------------------
 
+def _wrap_in_place(a: np.ndarray) -> np.ndarray:
+    """wrap_to_pi of a float array, written over its values."""
+    out_of_range = a > math.pi
+    out_of_range |= a <= -math.pi
+    # Only the out-of-range values pay for the modulo; the rest keep their bits.
+    b = a[out_of_range]
+    b += math.pi
+    np.mod(b, 2.0 * math.pi, out=b)
+    b -= math.pi
+    a[out_of_range] = b
+    a[a == -math.pi] = math.pi
+    return a
+
+
 def wrap_to_pi(values) -> np.ndarray:
     """Wrap angles into (-pi, pi]; values already in range pass through
     bit-identically."""
-    a = np.asarray(values, dtype=float)
-    out_of_range = (a > math.pi) | (a <= -math.pi)
-    wrapped = np.where(out_of_range, np.mod(a + math.pi, 2.0 * math.pi) - math.pi, a)
-    return np.where(wrapped == -math.pi, math.pi, wrapped)
+    return _wrap_in_place(np.array(values, dtype=float))
 
 
 def wrap_difference(delta, space: SearchSpace) -> np.ndarray:
@@ -114,7 +125,9 @@ def wrap_difference(delta, space: SearchSpace) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if not space.wrap.any():
         return delta
-    return np.where(space.wrap, wrap_to_pi(delta), delta)
+    out = delta.copy()
+    out[..., space.wrap] = _wrap_in_place(delta[..., space.wrap])
+    return out
 
 
 def clamp_wrap(genome, space: SearchSpace) -> np.ndarray:
@@ -122,9 +135,9 @@ def clamp_wrap(genome, space: SearchSpace) -> np.ndarray:
     In-range genomes come back unchanged."""
     g = np.asarray(genome, dtype=float)
     clipped = np.clip(g, space.lower, space.upper)
-    if not space.wrap.any():
-        return clipped
-    return np.where(space.wrap, wrap_to_pi(g), clipped)
+    if space.wrap.any():
+        clipped[..., space.wrap] = _wrap_in_place(g[..., space.wrap])
+    return clipped
 
 
 def clamp_velocity(velocity, space: SearchSpace) -> np.ndarray:
@@ -144,16 +157,22 @@ def _check_dims(genome, scenario: Scenario) -> tuple[np.ndarray, bool]:
     return g, squeeze
 
 
+def _empty_paths(m: int, k: int, scenario: Scenario) -> np.ndarray:
+    """(m, k+2, 3) paths with start and goal set and k interior rows to fill."""
+    path = np.empty((m, k + 2, 3))
+    path[:, 0] = scenario.start
+    path[:, -1] = scenario.goal
+    return path
+
+
 def assemble_path(interior, scenario: Scenario) -> np.ndarray:
     """[start] + interior waypoints + [goal]; accepts (k,3) or (M,k,3)."""
     interior = np.asarray(interior, dtype=float)
     squeeze = interior.ndim == 2
     if squeeze:
         interior = interior[None]
-    m = interior.shape[0]
-    start = np.broadcast_to(scenario.start, (m, 1, 3))
-    goal = np.broadcast_to(scenario.goal, (m, 1, 3))
-    path = np.concatenate([start, interior, goal], axis=1)
+    path = _empty_paths(interior.shape[0], interior.shape[1], scenario)
+    path[:, 1:-1] = interior
     return path[0] if squeeze else path
 
 
@@ -169,26 +188,37 @@ def decode_angle(genome, scenario: Scenario) -> np.ndarray:
     like cartesian interior coordinates."""
     g, squeeze = _check_dims(genome, scenario)
     lo, hi = axis_bounds(scenario).T
-    coords = 0.5 * ((hi - lo) * np.sin(g.reshape(g.shape[0], -1, 3)) + hi + lo)
-    path = assemble_path(coords, scenario)
+    path = _empty_paths(g.shape[0], scenario.n_interior, scenario)
+    # 0.5 * ((hi - lo) * sin(g) + hi + lo), evaluated in place
+    coords = np.sin(g.reshape(g.shape[0], -1, 3))
+    coords *= hi - lo
+    coords += hi
+    coords += lo
+    np.multiply(coords, 0.5, out=path[:, 1:-1])
     return path[0] if squeeze else path
 
 
 def decode_spherical(genome, scenario: Scenario) -> np.ndarray:
     """Chain the motion vectors from the start, then append the goal."""
     g, squeeze = _check_dims(genome, scenario)
-    triples = g.reshape(g.shape[0], -1, 3)
-    rho, psi, phi = triples[..., 0], triples[..., 1], triples[..., 2]
-    steps = np.stack(
-        [
-            rho * np.sin(psi) * np.cos(phi),
-            rho * np.sin(psi) * np.sin(phi),
-            rho * np.cos(psi),
-        ],
-        axis=-1,
-    )
-    interior = scenario.start + np.cumsum(steps, axis=1)
-    path = assemble_path(interior, scenario)
+    m = g.shape[0]
+    rho, psi, phi = g.reshape(m, -1, 3).transpose(2, 0, 1)  # (M, N) each
+    # The x, y and z steps are contiguous (M, N) planes of one array, so
+    # the products, the chain sum and the shift to the start each run on
+    # long loops; the planes are interleaved into the path once at the end.
+    steps = np.empty((3,) + rho.shape)
+    horiz = np.sin(psi)
+    horiz *= rho
+    np.cos(phi, out=steps[0])
+    steps[0] *= horiz
+    np.sin(phi, out=steps[1])
+    steps[1] *= horiz
+    np.cos(psi, out=steps[2])
+    steps[2] *= rho
+    np.cumsum(steps, axis=2, out=steps)
+    steps += scenario.start[:, None, None]
+    path = _empty_paths(m, rho.shape[1], scenario)
+    path[:, 1:-1] = steps.transpose(1, 2, 0)
     return path[0] if squeeze else path
 
 

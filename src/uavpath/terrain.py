@@ -96,8 +96,10 @@ class TerrainMap:
         Returns NaN where the query is out of bounds or touches a nodata
         corner; never raises.  Exact grid nodes return the stored value.
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        # Strided views (a path stack's x or y plane) are copied first:
+        # comparisons on contiguous data cost less than the copy.
+        xs = np.asarray(xs, dtype=float, order="C")
+        ys = np.asarray(ys, dtype=float, order="C")
         inside = (
             (xs >= self.origin_x)
             & (xs <= self.x_max)
@@ -105,28 +107,53 @@ class TerrainMap:
             & (ys <= self.y_max)
         )
         # Out-of-bounds points get clipped indices to keep the gather legal,
-        # then masked back to NaN at the end.
-        gx = (np.where(inside, xs, self.origin_x) - self.origin_x) / self.cell_size
-        gy = (np.where(inside, ys, self.origin_y) - self.origin_y) / self.cell_size
-        ix = np.clip(gx.astype(int), 0, self.n_cols - 2)
-        iy = np.clip(gy.astype(int), 0, self.n_rows - 2)
-        u = gx - ix
-        v = gy - iy
-        # One flat gather per corner is cheaper than 2-D fancy indexing.
+        # then masked back to NaN at the end.  The work runs on flat arrays,
+        # in place where it can, so each op is one contiguous loop.
+        gx = np.where(inside, xs, self.origin_x).reshape(-1)
+        gy = np.where(inside, ys, self.origin_y).reshape(-1)
+        gx -= self.origin_x
+        gx /= self.cell_size
+        gy -= self.origin_y
+        gy /= self.cell_size
+        # gx, gy >= 0 (a point on the map lies at or past the origin, the
+        # rest sit on it), so only the last cell's index needs clamping.
+        ix = gx.astype(int)
+        np.minimum(ix, self.n_cols - 2, out=ix)
+        iy = gy.astype(int)
+        np.minimum(iy, self.n_rows - 2, out=iy)
+        u, v = gx, gy
+        u -= ix  # the fractions within the cell
+        v -= iy
+        # One flat gather per corner is cheaper than 2-D fancy indexing;
+        # the corner index moves in place from (ix, iy) to its neighbours.
         grid = self.elevations.ravel()
-        i00 = iy * self.n_cols + ix
-        i01 = i00 + self.n_cols
-        f00 = grid.take(i00)
-        f10 = grid.take(i00 + 1)
-        f01 = grid.take(i01)
-        f11 = grid.take(i01 + 1)
-        z = (
-            (1.0 - u) * (1.0 - v) * f00
-            + u * (1.0 - v) * f10
-            + (1.0 - u) * v * f01
-            + u * v * f11
-        )
-        return np.where(inside, z, np.nan)
+        i = iy
+        i *= self.n_cols
+        i += ix
+        f00 = grid.take(i)
+        i += 1
+        f10 = grid.take(i)
+        i += self.n_cols
+        f11 = grid.take(i)
+        i -= 1
+        f01 = grid.take(i)
+        # (1-u)(1-v) f00 + u(1-v) f10 + (1-u) v f01 + u v f11, left to right
+        su = 1.0 - u
+        sv = 1.0 - v
+        z = su * sv
+        z *= f00
+        w = u * sv
+        w *= f10
+        z += w
+        np.multiply(su, v, out=w)
+        w *= f01
+        z += w
+        np.multiply(u, v, out=w)
+        w *= f11
+        z += w
+        z = z.reshape(inside.shape)
+        z[~inside] = np.nan
+        return z
 
 
 def height_at(terrain: TerrainMap, x: float, y: float) -> float:

@@ -20,7 +20,15 @@ from uavpath import (
     total_cost,
     turn_angle,
 )
-from uavpath.cost import _weighted_total, cost_components, evaluate_paths
+from uavpath.cost import (
+    _weighted_total,
+    altitude_cost_many,
+    cost_components,
+    evaluate_paths,
+    length_cost_many,
+    smooth_cost_many,
+    threat_cost_many,
+)
 from uavpath.suite import build_benchmark_suite
 from uavpath.terrain import SyntheticTerrainSpec, generate_synthetic
 
@@ -274,6 +282,25 @@ class TestTotalCost:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert evaluate_paths(path, s4)[0] == math.inf
+            assert total_cost(path, s4).total == math.inf
+
+    # Finite x values whose squares, products or differences overflow.
+    @pytest.mark.parametrize(
+        "xs", [{3: 1e160}, {3: 1e300}, {3: -1e300}, {2: 1.7e308, 3: -1.7e308}]
+    )
+    def test_huge_coordinate_scores_infinite_without_warning(self, xs):
+        s4 = build_benchmark_suite(0)[3]
+        path = s4.witness.copy()
+        for node, x in xs.items():
+            path[node, 0] = x
+        paths = path[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert length_cost_many(paths)[0] == math.inf
+            threat_cost_many(paths, s4.threats, s4.constraints)
+            assert altitude_cost_many(paths, s4.terrain, s4.constraints)[0] == math.inf
+            smooth_cost_many(paths, s4.weights)
+            assert evaluate_paths(paths, s4)[0] == math.inf
             assert total_cost(path, s4).total == math.inf
 
     def test_zero_weight_suppresses_infinite_term(self, flat_scenario):
