@@ -140,34 +140,54 @@ def _run_cell(scenario: Scenario, algorithm: str, config: SwarmConfig):
     return trace, time.perf_counter() - start
 
 
+# A pool worker's copy of the benchmark's scenarios, set once when it starts.
+_worker_scenarios: tuple[Scenario, ...] = ()
+
+
+def _init_worker(scenarios: tuple[Scenario, ...]) -> None:
+    global _worker_scenarios
+    _worker_scenarios = scenarios
+
+
+def _run_worker_cell(index: int, algorithm: str, config: SwarmConfig):
+    return _run_cell(_worker_scenarios[index], algorithm, config)
+
+
 def run_benchmark(spec: BenchmarkSpec, out_dir=None, progress=None) -> list[RunRecord]:
     """Execute the full matrix; per-run trace CSVs land in out_dir/traces."""
+    scenarios = tuple(spec.scenarios)
     cells = [
-        (sc, algo, k)
-        for sc in spec.scenarios
+        (i, algo, k)
+        for i in range(len(scenarios))
         for algo in spec.algorithms
         for k in range(spec.runs_per_cell)
     ]
     configs = [
-        budgeted_config(algo, replace(spec.base_config, seed=mix_seed(spec.base_seed, sc.name, algo, k)))
-        for sc, algo, k in cells
+        budgeted_config(
+            algo, replace(spec.base_config, seed=mix_seed(spec.base_seed, scenarios[i].name, algo, k))
+        )
+        for i, algo, k in cells
     ]
     # A forked pool starts all its workers at once: never more than there
     # are cells to run or cores to run them on.
     jobs = min(spec.jobs, len(cells), os.cpu_count() or 1)
     if jobs > 1:
-        cell_scenarios = [sc for sc, _, _ in cells]
-        cell_algos = [algo for _, algo, _ in cells]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cell_scenarios, cell_algos, configs))
+        # Each worker gets the scenarios once, when it starts; a cell ships
+        # only its scenario's index, its algorithm and its config.
+        indices, algos, _ = zip(*cells)
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(scenarios,)
+        ) as pool:
+            results = list(pool.map(_run_worker_cell, indices, algos, configs))
     else:
-        results = [_run_cell(sc, algo, cfg) for (sc, algo, _), cfg in zip(cells, configs)]
+        results = [_run_cell(scenarios[i], algo, cfg) for (i, algo, _), cfg in zip(cells, configs)]
     trace_dir = None
     if out_dir is not None:
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for (sc, algo, k), cfg, (trace, wall) in zip(cells, configs, results):
+    for (i, algo, k), cfg, (trace, wall) in zip(cells, configs, results):
+        sc = scenarios[i]
         trace_path = ""
         if trace_dir is not None:
             trace_path = str(trace_dir / f"{sc.name}_{algo}_run{k}.csv")

@@ -12,6 +12,7 @@ paths (M, n, 3) in vectorized form and are what the optimizers call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +262,8 @@ def total_cost(waypoints, scenario: Scenario) -> CostBreakdown:
         raise ValueError(f"a path needs at least 3 waypoints, got {n}")
     if not (np.array_equal(paths[0, 0], scenario.start) and np.array_equal(paths[0, -1], scenario.goal)):
         raise ValueError("path endpoints do not match the scenario start/goal")
-    f1, f2, f3, f4 = cost_components(paths, scenario)
-    total = _weighted_total(f1, f2, f3, f4, scenario.weights)
-    return CostBreakdown(float(f1[0]), float(f2[0]), float(f3[0]), float(f4[0]), float(total[0]))
+    terms = cost_components(paths, scenario)
+    total = _weighted_total(*terms, scenario.weights)
+    # A NaN term reads +inf, as the total does: the path is infeasible.
+    f1, f2, f3, f4 = (math.inf if math.isnan(f[0]) else float(f[0]) for f in terms)
+    return CostBreakdown(f1, f2, f3, f4, float(total[0]))

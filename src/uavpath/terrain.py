@@ -174,51 +174,51 @@ def height_at(terrain: TerrainMap, x: float, y: float) -> float:
 def load_dem(file_path) -> TerrainMap:
     """Parse an ESRI ASCII grid file.
 
-    Header keys are case-insensitive; the first data row is the
-    northernmost and maps to the highest y index.
+    Header keys are case-insensitive; ``ncols`` and ``nrows`` must be
+    positive integers and the other header values finite.  The first data
+    row is the northernmost and maps to the highest y index.  Cells are
+    separated by whitespace, blank lines are skipped, and a cell is an
+    ASCII float literal without underscores (``12``, ``-0.5``, ``1e3``,
+    ``nan``, ``inf``).
     """
     header: dict[str, float] = {}
-    rows: list[np.ndarray] = []
-    n_cols = None
     with open(file_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        line_no = 0
+        while True:
+            data_start = fh.tell()
+            line = fh.readline()
+            if not line:
+                raise DemParseError("no data rows found")
+            line_no += 1
             tokens = line.split()
             if not tokens:
                 continue
             key = tokens[0].lower()
-            if not rows and key in _HEADER_KEYS:
-                if len(tokens) != 2:
-                    raise DemParseError(f"line {line_no}: expected 'key value'")
-                if key in header:
-                    raise DemParseError(f"line {line_no}: duplicate header key {key!r}")
-                try:
-                    header[key] = float(tokens[1])
-                except ValueError:
-                    raise DemParseError(
-                        f"line {line_no}: non-numeric value for {key!r}"
-                    ) from None
-                continue
-            # First non-header line: check the header is complete.
-            if n_cols is None:
-                for req in _REQUIRED_KEYS:
-                    if req not in header:
-                        raise DemParseError(f"line {line_no}: missing header key {req!r}")
-                n_cols = int(header["ncols"])
-            try:
-                values = np.array([float(t) for t in tokens])
-            except ValueError:
-                raise DemParseError(f"line {line_no}: non-numeric cell value") from None
-            if values.size != n_cols:
-                raise DemParseError(
-                    f"row {len(rows) + 1}: expected {n_cols} values, got {values.size}"
-                )
-            rows.append(values)
-    if n_cols is None:
-        raise DemParseError("no data rows found")
+            if key not in _HEADER_KEYS:
+                break  # the first data row
+            if len(tokens) != 2:
+                raise DemParseError(f"line {line_no}: expected 'key value'")
+            if key in header:
+                raise DemParseError(f"line {line_no}: duplicate header key {key!r}")
+            header[key] = _header_value(key, tokens[1], line_no)
+        for req in _REQUIRED_KEYS:
+            if req not in header:
+                raise DemParseError(f"line {line_no}: missing header key {req!r}")
+        n_cols = int(header["ncols"])
+        # One C-level pass over the whole block; a malformed block is
+        # scanned again row by row to name the offending line.
+        fh.seek(data_start)
+        try:
+            grid = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            grid = None
+        if grid is None or grid.shape[1] != n_cols:
+            fh.seek(data_start)
+            _raise_row_error(fh, line_no, n_cols)
     n_rows = int(header["nrows"])
-    if len(rows) != n_rows:
-        raise DemParseError(f"expected {n_rows} data rows, got {len(rows)}")
-    grid = np.vstack(rows)[::-1]  # file is north-first; store south-first
+    if grid.shape[0] != n_rows:
+        raise DemParseError(f"expected {n_rows} data rows, got {grid.shape[0]}")
+    grid = grid[::-1]  # file is north-first; store south-first
     nodata = header.get("nodata_value", -9999.0)
     if "nodata_value" in header:  # only mask cells when the file declares a sentinel
         grid = np.where(grid == nodata, np.nan, grid)
@@ -231,6 +231,46 @@ def load_dem(file_path) -> TerrainMap:
         nodata_value=nodata,
         elevations=grid,
     )
+
+
+def _header_value(key: str, token: str, line_no: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise DemParseError(f"line {line_no}: non-numeric value for {key!r}") from None
+    if key in ("ncols", "nrows"):
+        if not (value.is_integer() and value >= 1):  # False for nan and inf too
+            raise DemParseError(f"line {line_no}: {key!r} must be a positive integer, got {token}")
+    elif not math.isfinite(value):
+        raise DemParseError(f"line {line_no}: {key!r} must be finite, got {token}")
+    return value
+
+
+def _is_cell(token: str) -> bool:
+    """np.loadtxt's cell grammar: float() without its underscores and
+    non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_row_error(lines, first_line_no: int, n_cols: int):
+    """Raise the error of the first bad data row, numbered as in the file."""
+    n_rows = 0
+    for line_no, line in enumerate(lines, start=first_line_no):
+        tokens = line.split()
+        if not tokens:
+            continue
+        n_rows += 1
+        if not all(map(_is_cell, tokens)):
+            raise DemParseError(f"line {line_no}: non-numeric cell value")
+        if len(tokens) != n_cols:
+            raise DemParseError(f"row {n_rows}: expected {n_cols} values, got {len(tokens)}")
+    raise DemParseError("data rows could not be parsed")
 
 
 def save_dem(terrain: TerrainMap, file_path) -> None:

@@ -1,11 +1,12 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uavpath import EvolutionTrace, SwarmConfig, cli, load_scenario
+from uavpath import EvolutionTrace, Scenario, SwarmConfig, cli, load_scenario
 from uavpath.cli import (
     BenchmarkSpec,
     export_convergence_csv,
@@ -180,6 +181,27 @@ class TestPlan:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [("cellsize nan", "'cellsize'"), ("ncols 2.7", "'ncols'"), ("NODATA_value inf", "'nodata_value'")],
+    )
+    def test_bad_dem_header_exits_2(self, tmp_path, capsys, line, named):
+        header = {"ncols": "ncols 11", "nrows": "nrows 11", "xllcorner": "xllcorner 0",
+                  "yllcorner": "yllcorner 0", "cellsize": "cellsize 10",
+                  "nodata_value": "NODATA_value -9999"}
+        header[line.split()[0].lower()] = line
+        row = " ".join(["0"] * 11)
+        (tmp_path / "site.asc").write_text("\n".join([*header.values(), *[row] * 11]) + "\n")
+        cfg = dict(FLAT_CFG, terrain={"dem_path": "site.asc"})
+        bad = tmp_path / "dem.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        code = main(["plan", str(bad), "--algo", "pso", "--swarm", "4", "--iters", "1",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [
         ["plan", "{dir}", "--algo", "pso"],
         ["bench", "--scenarios", "{dir}", "--algos", "pso"],
@@ -291,8 +313,10 @@ class TestBench:
         class SerialPool:
             """Records the pool size asked for and maps in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 pools.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -311,6 +335,43 @@ class TestBench:
         )
         assert len(run_benchmark(spec)) == 3
         assert pools == started
+
+    def test_pool_cells_ship_no_scenario(self, monkeypatch, flat_scenario):
+        mapped = []
+
+        class RecordingPool:
+            """Starts one in-process worker and records what each cell ships."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                cells = list(zip(*iterables))
+                mapped.extend(cells)
+                return [fn(*cell) for cell in cells]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_scenarios", ())
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        other = replace(flat_scenario, name="other", goal=[90.0, 10.0, 70.0])
+        spec = BenchmarkSpec(
+            scenarios=(flat_scenario, other), algorithms=("pso",), runs_per_cell=2,
+            base_config=SwarmConfig(swarm_size=4, max_iterations=1), jobs=2,
+        )
+        records = run_benchmark(spec)
+        assert len(mapped) == 4
+        assert not any(isinstance(arg, Scenario) for cell in mapped for arg in cell)
+        # Each cell ran on its own scenario, as in the serial path.
+        serial = run_benchmark(replace(spec, jobs=1))
+        for got, want in zip(records, serial, strict=True):
+            assert got.scenario == want.scenario
+            assert np.array_equal(got.trace.best_path, want.trace.best_path)
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfgs = self.make_two_configs(tmp_path)

@@ -303,6 +303,16 @@ class TestTotalCost:
             assert evaluate_paths(paths, s4)[0] == math.inf
             assert total_cost(path, s4).total == math.inf
 
+    @pytest.mark.parametrize("x", [1e160, math.inf])
+    def test_nan_term_reads_infinite(self, x):
+        s4 = build_benchmark_suite(0)[3]
+        path = s4.witness.copy()
+        path[3, 0] = x
+        assert math.isnan(threat_cost_many(path[None], s4.threats, s4.constraints)[0])
+        b = total_cost(path, s4)
+        assert b.f2 == b.total == math.inf
+        assert not any(math.isnan(v) for v in (b.f1, b.f2, b.f3, b.f4))
+
     def test_zero_weight_suppresses_infinite_term(self, flat_scenario):
         sc = Scenario(
             terrain=flat_scenario.terrain,

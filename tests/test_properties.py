@@ -1,4 +1,5 @@
-"""Property tests of the cost model's invariants, drawn with hypothesis.
+"""Property tests of the cost model's invariants and of the grid parser,
+drawn with hypothesis.
 
 * F1 (length) and F4 (smoothness) depend only on the differences between
   waypoints, so translating a whole path leaves them unchanged up to the
@@ -6,6 +7,9 @@
 * F2 (threats) never decreases as a threat's radius grows: the collision
   and danger radii both grow while the distance to the path stays put, so
   an infinite value stays infinite.
+* ``load_dem`` returns exactly the grid a per-token ``float()`` gives,
+  whatever the separators, line endings and blank lines, and a bad cell
+  names its line in the file.
 
 Examples are derandomized so a run is reproducible, and no example
 database is written.
@@ -14,10 +18,11 @@ database is written.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavpath import CostWeights, FlightConstraints, Threat
+from uavpath import CostWeights, DemParseError, FlightConstraints, Threat, load_dem
 from uavpath.cost import path_length_cost, smooth_cost, threat_cost
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -76,3 +81,58 @@ def test_threat_cost_monotone_in_radius(path, threats, data):
     assert after >= before
     if math.isinf(before):
         assert math.isinf(after)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+separator = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+blank = st.sampled_from(["", " ", "\t", "  \t"])
+
+
+@st.composite
+def dem_files(draw):
+    """An ESRI grid as file lines, each a list of text pieces; a data row
+    holds its tokens at the odd indices, between its separators.  Also
+    returns the indices of the data rows, the line ending and the nodata
+    sentinel."""
+    n_cols, n_rows = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+    sentinel = draw(st.sampled_from([-9999.0, 0.0, 1e300, -3.4028234663852886e38]))
+    lines = [[""] for _ in range(draw(st.integers(0, 2)))]
+    lines += [[f"ncols {n_cols}"], [f"nrows {n_rows}"], ["xllcorner 0.5"], ["yllcorner -2"],
+              ["cellsize 1.25"], [f"NODATA_value {fmt(sentinel)}"]]
+    rows = []
+    for _ in range(n_rows):
+        lines += [[draw(blank)] for _ in range(draw(st.integers(0, 2)))]
+        pieces = [draw(blank)]
+        for _ in range(n_cols):
+            value = sentinel if draw(st.integers(0, 3)) == 0 else draw(finite)
+            pieces += [fmt(value), draw(separator)]
+        pieces[-1] = draw(blank)
+        rows.append(len(lines))
+        lines.append(pieces)
+    return lines, rows, draw(st.sampled_from(["\n", "\r\n"])), sentinel
+
+
+def write_lines(path, lines, eol):
+    path.write_bytes((eol.join("".join(pieces) for pieces in lines) + eol).encode())
+
+
+@PROPERTY_SETTINGS
+@given(dem=dem_files(), data=st.data())
+def test_load_dem_matches_per_token_float(tmp_path_factory, dem, data):
+    lines, rows, eol, sentinel = dem
+    want = np.array([[float(t) for t in lines[i][1::2]] for i in rows])[::-1]
+    want = np.where(want == sentinel, np.nan, want)
+    assume(not np.isnan(want).all())  # an all-nodata grid has no elevation range
+    path = tmp_path_factory.getbasetemp() / "property.asc"
+    write_lines(path, lines, eol)
+    got = load_dem(path).elevations
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # One cell outside the grammar: the error names its line in the file.
+    i = data.draw(st.sampled_from(rows), label="bad row")
+    k = data.draw(st.integers(0, want.shape[1] - 1), label="bad column")
+    bad = [list(pieces) for pieces in lines]
+    bad[i][2 * k + 1] = data.draw(st.sampled_from(["#", "1_0", "x", "1.5.2"]), label="bad token")
+    write_lines(path, bad, eol)
+    with pytest.raises(DemParseError, match=f"^line {i + 1}: non-numeric cell value$"):
+        load_dem(path)

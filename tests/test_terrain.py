@@ -83,6 +83,65 @@ class TestLoadDem:
             load_dem(write(tmp_path, bad))
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("xllcorner", "nan", "'xllcorner' must be finite"),
+            ("yllcorner", "inf", "'yllcorner' must be finite"),
+            ("cellsize", "nan", "'cellsize' must be finite"),
+            ("NODATA_value", "-inf", "'nodata_value' must be finite"),
+            ("ncols", "2.7", "'ncols' must be a positive integer"),
+            ("ncols", "nan", "'ncols' must be a positive integer"),
+            ("nrows", "0", "'nrows' must be a positive integer"),
+            ("nrows", "-2", "'nrows' must be a positive integer"),
+        ],
+    )
+    def test_bad_header_value_names_key(self, tmp_path, key, value, message):
+        header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0",
+                  "cellsize": "5", "NODATA_value": "-9999", key: value}
+        text = "".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n"
+        line = list(header).index(key) + 1
+        with pytest.raises(DemParseError, match=f"line {line}: {message}, got {value}"):
+            load_dem(write(tmp_path, text))
+
+    def test_integral_float_grid_size(self, tmp_path):
+        text = "ncols 2.0\nnrows 2e0\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 4\n"
+        assert load_dem(write(tmp_path, text)).elevations.shape == (2, 2)
+
+    @pytest.mark.parametrize("token", ["#", "1_0", "\u0661"])
+    def test_token_outside_the_cell_grammar(self, tmp_path, token):
+        # float() takes "1_0" as 10.0 and the Arabic-Indic digit as 1.0;
+        # the grid parser takes neither.
+        bad = f"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 {token}\n"
+        with pytest.raises(DemParseError, match="line 7: non-numeric cell value"):
+            load_dem(write(tmp_path, bad))
+
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        bad = "\n\nncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n\n\n1 2\n\n3 x\n"
+        with pytest.raises(DemParseError, match="line 12: non-numeric cell value"):
+            load_dem(write(tmp_path, bad))
+
+    def test_width_error_counts_data_rows(self, tmp_path):
+        bad = "ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n\n3 4\n5 6 7\n"
+        with pytest.raises(DemParseError, match="row 3: expected 2 values, got 3"):
+            load_dem(write(tmp_path, bad))
+
+    def test_consistent_wrong_width(self, tmp_path):
+        bad = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 4\n"
+        with pytest.raises(DemParseError, match="row 1: expected 3 values, got 2"):
+            load_dem(write(tmp_path, bad))
+
+    def test_single_data_row_keeps_its_shape(self, tmp_path):
+        bad = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n"
+        with pytest.raises(DemParseError, match="expected 2 data rows, got 1"):
+            load_dem(write(tmp_path, bad))
+
+    def test_header_only_file(self, tmp_path):
+        bad = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n\n"
+        with pytest.raises(DemParseError, match="no data rows found"):
+            load_dem(write(tmp_path, bad))
+
+
 class TestHeightAt:
     def test_grid_node_identity(self, tmp_path):
         t = load_dem(write(tmp_path, SMALL_DEM))
