@@ -25,7 +25,6 @@ from .encodings import (
     decode_cartesian,
     decode_spherical,
     encode_spherical,
-    random_genome,
 )
 from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, run
 from .scenario import (

@@ -108,6 +108,12 @@ class BenchmarkSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        # Records, trace files and summary rows are keyed by these names.
+        for what, names in (("algorithm", self.algorithms),
+                            ("scenario name", [sc.name for sc in self.scenarios])):
+            twice = sorted({n for n in names if names.count(n) > 1})
+            if twice:
+                raise ValueError(f"{what} listed more than once: {', '.join(twice)}")
         if self.base_config is None:
             object.__setattr__(self, "base_config", SwarmConfig())
 
@@ -210,7 +216,7 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None, progress=None) -> list[RunR
     return records
 
 
-def summarize(records: list[RunRecord], spec: BenchmarkSpec, alpha: float = 0.05) -> list[dict]:
+def summarize(records: list[RunRecord], spec: BenchmarkSpec) -> list[dict]:
     """Mean/Std per cell plus the paired t-test of every algorithm against
     the baseline; pairs where either side failed are dropped."""
     by_cell: dict[tuple[str, str], list[RunRecord]] = {}
@@ -239,7 +245,7 @@ def summarize(records: list[RunRecord], spec: BenchmarkSpec, alpha: float = 0.05
                     base_vals = [p[0] for p in pairs]
                     algo_vals = [p[1] for p in pairs]
                     # Oriented so D+ means the baseline is statistically better.
-                    verdict = paired_t_test(base_vals, algo_vals, alpha=alpha)
+                    verdict = paired_t_test(base_vals, algo_vals)
                     row["t"] = f"{verdict.t_statistic:.4f}"
                     row["p"] = f"{verdict.p_value:.6g}"
                     row["verdict"] = verdict.verdict.value

@@ -309,8 +309,3 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarra
     genomes[:, 2::3] = np.where(np.isnan(z), genomes[:, 2::3], z_genes)
     return genomes
 
-
-def random_genome(kind: str, scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Sample one genome from ``rng``: ``random_genomes`` for one stream."""
-    space_of, _ = _ENCODINGS[kind]
-    return random_genomes(space_of(scenario), scenario, [rng])[0]

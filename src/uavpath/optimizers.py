@@ -39,27 +39,29 @@ ALGORITHMS = ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
 
 INIT_RETRIES = 20  # attempts per particle to find a finite-fitness genome
 
-# Solver constants fixed by the paper.
+# Solver constants fixed by the paper, read where they are used, so that
+# patching one changes the next step.
+INERTIA = 1.0  # initial PSO-family inertia weight
 DAMPING = 0.98  # inertia weight factor per PSO-family iteration
+COGNITIVE = 1.5  # PSO-family pull toward the particle's own best
+SOCIAL = 1.5  # PSO-family pull toward the swarm's best
 QPSO_BETA = (1.0, 0.5)  # QPSO contraction coefficient, linear start -> end
 GA_CROSSOVER_RATE = 0.8
 GA_MUTATION_RATE = 0.2
+DE_F = 0.5  # DE differential weight
+DE_CR = 0.9  # DE crossover rate
+ABC_LIMIT = 50  # ABC failed trials before a source is retired
 
 
 @dataclass
 class SwarmConfig:
-    """Shared solver parameters; per-algorithm fields are ignored by the
-    algorithms that do not use them.  Values the paper fixes are the module
-    constants DAMPING, QPSO_BETA, GA_CROSSOVER_RATE and GA_MUTATION_RATE."""
+    """Population size, iteration count and seed of one run.  Every
+    coefficient the paper fixes is a module constant: INERTIA, DAMPING,
+    COGNITIVE, SOCIAL, QPSO_BETA, GA_CROSSOVER_RATE, GA_MUTATION_RATE,
+    DE_F, DE_CR and ABC_LIMIT."""
 
     swarm_size: int = 500
     max_iterations: int = 200
-    inertia: float = 1.0
-    cognitive: float = 1.5
-    social: float = 1.5
-    de_f: float = 0.5
-    de_cr: float = 0.9
-    abc_limit: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -67,10 +69,6 @@ class SwarmConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 <= self.de_cr <= 1.0:
-            raise ValueError("de_cr must be in [0, 1]")
-        if self.cognitive < 0 or self.social < 0:
-            raise ValueError("cognitive and social coefficients must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -159,7 +157,6 @@ def _keep_best(state, fitness, genomes) -> None:
 class Swarm(_State):
     """Vectorized particle state; row i is particle i."""
 
-    kind: str
     positions: np.ndarray        # (M, D)
     velocities: np.ndarray | None
     fitness: np.ndarray          # (M,)
@@ -182,13 +179,12 @@ def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig, particle
     base, positions, fitness = _sample(algorithm, scenario, particle_streams)
     return Swarm(
         **vars(base),
-        kind=base.space.kind,
         positions=positions,
         velocities=np.zeros_like(positions),  # qpso leaves them at zero
         fitness=fitness,
         best_positions=positions.copy(),
         best_fitness=fitness.copy(),
-        inertia=config.inertia,
+        inertia=INERTIA,
     )
 
 
@@ -207,8 +203,8 @@ def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
     to_global = wrap_difference(g_best[None, :] - swarm.positions, swarm.space)
     v = (
         swarm.inertia * swarm.velocities
-        + config.cognitive * r1 * to_local
-        + config.social * r2 * to_global
+        + COGNITIVE * r1 * to_local
+        + SOCIAL * r2 * to_global
     )
     swarm.velocities = clamp_velocity(v, swarm.space)
     swarm.positions = clamp_wrap(swarm.positions + swarm.velocities, swarm.space)
@@ -393,8 +389,8 @@ def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
     trials = np.empty_like(x)
     for i in range(m):
         r1, r2, r3 = _distinct_indices(m, i, 3, rng)
-        mutant = x[r1] + config.de_f * (x[r2] - x[r3])
-        cross = rng.random(d) < config.de_cr
+        mutant = x[r1] + DE_F * (x[r2] - x[r3])
+        cross = rng.random(d) < DE_CR
         cross[int(rng.integers(d))] = True  # at least one mutant dimension
         trials[i] = np.where(cross, mutant, x[i])
     trials = clamp_wrap(trials, population.space)
@@ -475,10 +471,10 @@ def onlooker_weights(fitness: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _scout_phase(colony: AbcColony, config: SwarmConfig) -> None:
+def _scout_phase(colony: AbcColony) -> None:
     """Retire the most exhausted source, at most one per cycle."""
     worst = int(np.argmax(colony.trials))
-    if colony.trials[worst] < config.abc_limit:
+    if colony.trials[worst] < ABC_LIMIT:
         return
     fresh = encodings.random_genomes(colony.space, colony.scenario, [colony.scout_stream])[0]
     colony.sources[worst] = fresh
@@ -498,7 +494,7 @@ def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> AbcColony:
     picks = rng.choice(s, size=s, p=onlooker_weights(colony.fitness))
     _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
     _keep_best(colony, colony.fitness, colony.sources)
-    _scout_phase(colony, config)
+    _scout_phase(colony)
     return colony
 
 

@@ -266,15 +266,14 @@ def load_scenario(file_path) -> Scenario:
     return scenario_from_dict(cfg, base_dir=base_dir, name=name)
 
 
-def save_scenario(sc: Scenario, file_path, dem_path: str | None = None) -> None:
-    """Write a scenario config; the terrain goes to ``dem_path`` (an .asc
-    file referenced relative to the config) supplied by the caller."""
+def save_scenario(sc: Scenario, file_path) -> None:
+    """Write a scenario config; the terrain goes to ``<stem>.asc`` beside
+    it, referenced relative to the config."""
     abs_path = os.path.abspath(str(file_path))
-    base_dir = os.path.dirname(abs_path)
-    abs_dem = os.path.join(base_dir, dem_path or os.path.splitext(abs_path)[0] + ".asc")
+    abs_dem = os.path.splitext(abs_path)[0] + ".asc"
     save_dem(sc.terrain, abs_dem)
     cfg = {
-        "terrain": {"dem_path": os.path.relpath(abs_dem, base_dir)},
+        "terrain": {"dem_path": os.path.basename(abs_dem)},
         "threats": [dict(zip("xyr", map(float, astuple(t)))) for t in sc.threats],
         "start": dict(zip("xyz", map(float, sc.start))),
         "goal": dict(zip("xyz", map(float, sc.goal))),

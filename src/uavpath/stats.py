@@ -1,9 +1,9 @@
 """Sample summaries and the paired-sample t-test used by the benchmark
 reports.
 
-The t-distribution CDF is computed from the regularized incomplete beta
-function evaluated by a Lentz-style continued fraction, so the module has
-no dependency beyond the standard library.
+The two-sided t-test p-value is computed from the regularized incomplete
+beta function evaluated by a Lentz-style continued fraction, so the module
+has no dependency beyond the standard library.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+ALPHA = 0.05  # significance level of every paired t-test verdict
 
 
 class Verdict(str, Enum):
@@ -109,17 +111,6 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def t_cdf(t: float, df: int) -> float:
-    """Student-t cumulative distribution function."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    x = df / (df + t * t)
-    tail = 0.5 * betainc_regularized(0.5 * df, 0.5, x)
-    return 1.0 - tail if t >= 0 else tail
-
-
 def t_two_sided_p(t: float, df: int) -> float:
     """Two-sided p-value for a t statistic."""
     if math.isinf(t):
@@ -127,13 +118,13 @@ def t_two_sided_p(t: float, df: int) -> float:
     return min(1.0, betainc_regularized(0.5 * df, 0.5, df / (df + t * t)))
 
 
-def paired_t_test(a, b, alpha: float = 0.05, lower_is_better: bool = True) -> TTestVerdict:
-    """Paired-sample t-test of a against b at significance alpha.
+def paired_t_test(a, b) -> TTestVerdict:
+    """Paired-sample t-test of a against b at significance ALPHA.
 
-    Samples pair by index (same seed list).  D+ means a's mean is
-    statistically better, D- worse, N insignificant.  A zero-variance
-    difference is deterministic dominance: verdict by sign with p = 0,
-    or N with t = 0 when the samples are identical.
+    Samples pair by index (same seed list); lower values are better.  D+
+    means a's mean is statistically lower, D- higher, N insignificant.  A
+    zero-variance difference is deterministic dominance: verdict by sign
+    with p = 0, or N with t = 0 when the samples are identical.
     """
     xs = [float(v) for v in a]
     ys = [float(v) for v in b]
@@ -153,7 +144,6 @@ def paired_t_test(a, b, alpha: float = 0.05, lower_is_better: bool = True) -> TT
     else:
         t = md / (sd / math.sqrt(n))
         p = t_two_sided_p(t, n - 1)
-    if p > alpha:
+    if p > ALPHA:
         return TTestVerdict(t, p, Verdict.N)
-    a_better = md < 0.0 if lower_is_better else md > 0.0
-    return TTestVerdict(t, p, Verdict.D_PLUS if a_better else Verdict.D_MINUS)
+    return TTestVerdict(t, p, Verdict.D_PLUS if md < 0.0 else Verdict.D_MINUS)

@@ -207,7 +207,7 @@ def test_criterion_7_statistics_oracle():
         for t in np.arange(-10.0, 10.01, 0.5):
             tail, _ = quad(pdf, abs(t), math.inf, args=(df,))
             worst = max(worst, abs(t_two_sided_p(float(t), df) - 2.0 * tail))
-    example = paired_t_test([1, 2, 3, 4], [2, 2, 4, 5], alpha=0.05)
+    example = paired_t_test([1, 2, 3, 4], [2, 2, 4, 5])
     example_ok = (
         abs(example.t_statistic + 3.0) < 1e-9
         and abs(example.p_value - 0.0577) < 2e-4

@@ -304,6 +304,28 @@ class TestBench:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "files, algos, named",
+        [
+            # A repeated algorithm would pair the t-test's runs wrongly.
+            (["a/s1.yaml"], "spso,pso,spso", "algorithm listed more than once: spso"),
+            # Two files with one stem would write to the same trace CSVs.
+            (["a/s1.yaml", "b/s1.yaml"], "spso,pso", "scenario name listed more than once: s1"),
+        ],
+    )
+    def test_duplicate_name_exits_2(self, tmp_path, capsys, files, algos, named):
+        for f in files:
+            (tmp_path / f).parent.mkdir(exist_ok=True)
+            (tmp_path / f).write_text(yaml.safe_dump(FLAT_CFG))
+        out = tmp_path / "dup"
+        code = main([
+            "bench", "--scenarios", ",".join(str(tmp_path / f) for f in files),
+            "--algos", algos, "--runs", "2", "--swarm", "6", "--iters", "2", "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "jobs, cpus, started",
         [(5000, 2, [2]), (5000, 64, [3]), (2, 64, [2]), (5000, 1, [])],
     )

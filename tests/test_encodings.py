@@ -8,7 +8,6 @@ from uavpath import (
     decode_cartesian,
     decode_spherical,
     encode_spherical,
-    random_genome,
 )
 from uavpath.cost import EPS_LEN
 from uavpath.encodings import (
@@ -46,7 +45,7 @@ class TestDecodeCartesian:
 
     def test_round_trip(self, flat_scenario):
         rng = np.random.default_rng(0)
-        genome = random_genome("cartesian", flat_scenario, rng)
+        genome = random_genomes(cartesian_space(flat_scenario), flat_scenario, [rng])[0]
         path = decode_cartesian(genome, flat_scenario)
         assert np.array_equal(path[1:-1].reshape(-1), genome)
 
@@ -102,7 +101,7 @@ class TestDecodeSpherical:
 
     def test_chains_from_start_and_appends_goal(self, flat_scenario):
         rng = np.random.default_rng(2)
-        genome = random_genome("spherical", flat_scenario, rng)
+        genome = random_genomes(spherical_space(flat_scenario), flat_scenario, [rng])[0]
         path = decode_spherical(genome, flat_scenario)
         assert np.array_equal(path[0], flat_scenario.start)
         assert np.array_equal(path[-1], flat_scenario.goal)
@@ -185,12 +184,9 @@ class TestClampWrap:
 
     def test_in_range_identity_bitwise(self, flat_scenario):
         rng = np.random.default_rng(5)
-        for kind, space in (
-            ("cartesian", cartesian_space(flat_scenario)),
-            ("angle", angle_space(flat_scenario)),
-            ("spherical", spherical_space(flat_scenario)),
-        ):
-            g = random_genome(kind, flat_scenario, rng)
+        for space_of in (cartesian_space, angle_space, spherical_space):
+            space = space_of(flat_scenario)
+            g = random_genomes(space, flat_scenario, [rng])[0]
             assert np.array_equal(clamp_wrap(g, space), g)
 
     def test_wrap_to_pi_edges(self):
@@ -211,16 +207,18 @@ class TestClampWrap:
 
 class TestRandomGenome:
     def test_deterministic_from_cloned_streams(self, hilly_scenario):
-        for kind in ("cartesian", "angle", "spherical"):
-            a = random_genome(kind, hilly_scenario, np.random.default_rng(99))
-            b = random_genome(kind, hilly_scenario, np.random.default_rng(99))
+        for space_of in (cartesian_space, angle_space, spherical_space):
+            space = space_of(hilly_scenario)
+            a = random_genomes(space, hilly_scenario, [np.random.default_rng(99)])[0]
+            b = random_genomes(space, hilly_scenario, [np.random.default_rng(99)])[0]
             assert np.array_equal(a, b)
 
     def test_angle_bounds_respected(self, hilly_scenario):
         rng = np.random.default_rng(6)
+        space = angle_space(hilly_scenario)
         lo = hi = 0.0
         for _ in range(10_000):
-            g = random_genome("angle", hilly_scenario, rng)
+            g = random_genomes(space, hilly_scenario, [rng])[0]
             lo = min(lo, g.min())
             hi = max(hi, g.max())
         assert -math.pi / 2 <= lo and hi <= math.pi / 2
@@ -228,8 +226,9 @@ class TestRandomGenome:
     def test_spherical_rho_capped(self, hilly_scenario):
         rng = np.random.default_rng(7)
         cap = rho_max(hilly_scenario)
+        space = spherical_space(hilly_scenario)
         for _ in range(10_000):
-            g = random_genome("spherical", hilly_scenario, rng)
+            g = random_genomes(space, hilly_scenario, [rng])[0]
             rhos = g[0::3]
             assert np.all(rhos > 0) and np.all(rhos <= cap)
 
@@ -237,7 +236,7 @@ class TestRandomGenome:
         rng = np.random.default_rng(8)
         space = cartesian_space(hilly_scenario)
         for _ in range(500):
-            g = random_genome("cartesian", hilly_scenario, rng)
+            g = random_genomes(space, hilly_scenario, [rng])[0]
             assert np.all(g >= space.lower) and np.all(g <= space.upper)
 
 

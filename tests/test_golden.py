@@ -13,11 +13,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from uavpath import SwarmConfig, run
+from uavpath import SwarmConfig, optimizers, run
 from uavpath.optimizers import ALGORITHMS
 
-# abc_limit is low so that ABC scouts fly within the ten iterations.
-GOLDEN_CONFIG = SwarmConfig(swarm_size=12, max_iterations=10, abc_limit=3, seed=5)
+GOLDEN_CONFIG = SwarmConfig(swarm_size=12, max_iterations=10, seed=5)
 
 GOLDEN = {
     "pso": "59569ef4b95117e314c09a9ee485e37914267208cdae103bb5818e9c6a6599f6",
@@ -39,7 +38,9 @@ def trace_digest(trace) -> str:
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_golden_trace(algorithm, hilly_scenario):
+def test_golden_trace(algorithm, hilly_scenario, monkeypatch):
+    # A low ABC_LIMIT makes ABC scouts fly within the ten iterations.
+    monkeypatch.setattr(optimizers, "ABC_LIMIT", 3)
     trace = run(algorithm, hilly_scenario, GOLDEN_CONFIG)
     digest = trace_digest(trace)
     assert digest == GOLDEN[algorithm], f"{algorithm}: {digest}"

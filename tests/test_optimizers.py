@@ -11,6 +11,7 @@ from uavpath import (
     Threat,
     run,
 )
+from uavpath import optimizers
 from uavpath.cost import evaluate_paths
 from uavpath.encodings import SearchSpace
 from uavpath.optimizers import (
@@ -95,7 +96,6 @@ def stub_swarm(positions, velocities, best_positions, best_fitness, inertia=1.0,
         np.zeros(d, dtype=bool) if wrap is None else np.asarray(wrap),
     )
     swarm = Swarm(
-        kind="cartesian",
         scenario=None,
         space=space,
         positions=positions,
@@ -119,14 +119,16 @@ class TestInertialSteps:
             best_fitness=[1.0, 0.0],  # particle 1 holds the global best
             inertia=0.5,
         )
-        config = SwarmConfig(swarm_size=2, max_iterations=1, cognitive=1.5, social=1.5)
+        config = SwarmConfig(swarm_size=2, max_iterations=1)
         pso_step(swarm, config, OnesRng())
         assert swarm.velocities[0, 0] == pytest.approx(9.5)
         assert swarm.positions[0, 0] == pytest.approx(9.5)
 
-    def test_degenerate_coefficients_pure_inertia(self):
+    def test_degenerate_coefficients_pure_inertia(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "COGNITIVE", 0.0)
+        monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
         swarm = stub_swarm([[0.0]], [[1.0]], [[5.0]], [0.0], inertia=1.0)
-        config = SwarmConfig(swarm_size=2, max_iterations=1, cognitive=0.0, social=0.0)
+        config = SwarmConfig(swarm_size=2, max_iterations=1)
         pso_step(swarm, config, OnesRng())
         assert swarm.velocities[0, 0] == 1.0
         assert swarm.positions[0, 0] == 1.0
@@ -141,12 +143,12 @@ class TestInertialSteps:
     def test_theta_hand_evaluated_update(self):
         # w=1, dtheta=0.1, theta=0, gamma=gamma_g=0, r=0.5 -> dtheta'=0.1
         swarm = stub_swarm([[0.0]], [[0.1]], [[0.0]], [0.0], inertia=1.0)
-        config = SwarmConfig(swarm_size=2, max_iterations=1, cognitive=1.5, social=1.5)
+        config = SwarmConfig(swarm_size=2, max_iterations=1)
         theta_pso_step(swarm, config, ScriptedRng(randoms=[0.5, 0.5]))
         assert swarm.velocities[0, 0] == pytest.approx(0.1)
         assert swarm.positions[0, 0] == pytest.approx(0.1)
 
-    def test_spso_wrapped_short_way(self):
+    def test_spso_wrapped_short_way(self, monkeypatch):
         # phi_u = 0.9pi, phi_q = -0.9pi: attraction wraps to +0.2pi
         swarm = stub_swarm(
             positions=[[0.9 * math.pi]],
@@ -156,7 +158,9 @@ class TestInertialSteps:
             inertia=0.0,
             wrap=[True],
         )
-        config = SwarmConfig(swarm_size=2, max_iterations=1, cognitive=1.0, social=0.0)
+        monkeypatch.setattr(optimizers, "COGNITIVE", 1.0)
+        monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
+        config = SwarmConfig(swarm_size=2, max_iterations=1)
         spso_step(swarm, config, OnesRng())
         assert swarm.velocities[0, 0] == pytest.approx(0.2 * math.pi)
         # position 1.1pi wraps back into (-pi, pi]
@@ -193,11 +197,10 @@ class TestQpso:
 
 class TestStationarity:
     @pytest.mark.parametrize("algorithm", ["pso", "theta_pso", "spso"])
-    def test_zero_coefficients_freeze_swarm(self, algorithm, hilly_scenario):
-        config = SwarmConfig(
-            swarm_size=8, max_iterations=5, cognitive=0.0, social=0.0,
-            inertia=1.0, seed=3,
-        )
+    def test_zero_coefficients_freeze_swarm(self, algorithm, hilly_scenario, monkeypatch):
+        monkeypatch.setattr(optimizers, "COGNITIVE", 0.0)
+        monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
+        config = SwarmConfig(swarm_size=8, max_iterations=5, seed=3)
         particle_streams, swarm_stream = _streams(config.seed, algorithm, config.swarm_size)
         swarm = init_swarm(algorithm, hilly_scenario, config, particle_streams)
         initial = swarm.positions.copy()
@@ -250,7 +253,8 @@ class TestGaOperators:
 
 
 class TestDe:
-    def test_zero_difference_vector_and_greedy(self, one_node_scenario):
+    def test_zero_difference_vector_and_greedy(self, one_node_scenario, monkeypatch):
+        monkeypatch.setattr(optimizers, "DE_CR", 1.0)
         optimum = np.array([50.0, 50.0, 70.0])
         bad = np.array([15.0, 85.0, 115.0])
         members = np.vstack([bad, optimum, optimum, optimum])
@@ -260,7 +264,7 @@ class TestDe:
             one_node_scenario,
         )
         pop = DePopulation(scenario=one_node_scenario, space=space, members=members.copy(), fitness=fitness.copy())
-        config = SwarmConfig(swarm_size=4, max_iterations=1, de_cr=1.0, de_f=0.5)
+        config = SwarmConfig(swarm_size=4, max_iterations=1)
         de_step(pop, config, np.random.default_rng(0))
         # target 0's mutant is built from three copies of the optimum, so the
         # trial equals the optimum and greedily replaces the bad member...
@@ -315,7 +319,7 @@ class TestAbc:
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         before = colony.sources[1].copy()
         colony.trials[:] = [0, 50]
-        _scout_phase(colony, SwarmConfig(swarm_size=4, max_iterations=1, abc_limit=50))
+        _scout_phase(colony)
         assert colony.trials[1] == 0
         assert not np.array_equal(colony.sources[1], before)
 
@@ -323,7 +327,7 @@ class TestAbc:
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         before = colony.sources.copy()
         colony.trials[:] = [3, 7]
-        _scout_phase(colony, SwarmConfig(swarm_size=4, max_iterations=1, abc_limit=50))
+        _scout_phase(colony)
         assert np.array_equal(colony.sources, before)
 
 
@@ -419,8 +423,6 @@ class TestBudget:
             SwarmConfig(swarm_size=1, max_iterations=10)
         with pytest.raises(ValueError):
             SwarmConfig(swarm_size=10, max_iterations=0)
-        with pytest.raises(ValueError):
-            SwarmConfig(swarm_size=10, max_iterations=10, de_cr=1.5)
         with pytest.raises(ValueError):
             SwarmConfig(swarm_size=10, max_iterations=10, seed=-1)
 

@@ -9,7 +9,7 @@ from uavpath.stats import (
     betainc_regularized,
     mean_std,
     paired_t_test,
-    t_cdf,
+    t_two_sided_p,
 )
 
 
@@ -39,18 +39,20 @@ class TestMeanStd:
 class TestTDistribution:
     def test_symmetry_at_zero(self):
         for df in (1, 3, 9, 30):
-            assert t_cdf(0.0, df) == pytest.approx(0.5, abs=1e-15)
+            assert t_two_sided_p(0.0, df) == 1.0
 
     def test_cdf_monotone(self):
-        ts = np.linspace(-8, 8, 161)
+        # the two-sided p-value falls strictly as |t| grows, on both sides
+        ts = np.linspace(0, 8, 81)
         for df in (2, 5, 17):
-            vals = [t_cdf(t, df) for t in ts]
-            assert all(a < b for a, b in zip(vals, vals[1:]))
+            vals = [t_two_sided_p(t, df) for t in ts]
+            assert all(a > b for a, b in zip(vals, vals[1:]))
+            assert [t_two_sided_p(-t, df) for t in ts] == vals
 
     def test_matches_known_quantiles(self):
-        # classic table values: P(T_3 <= 3.182) = 0.975, P(T_9 <= 2.262) = 0.975
-        assert t_cdf(3.182, 3) == pytest.approx(0.975, abs=5e-4)
-        assert t_cdf(2.262, 9) == pytest.approx(0.975, abs=5e-4)
+        # classic table values: P(|T_3| >= 3.182) = 0.05, P(|T_9| >= 2.262) = 0.05
+        assert t_two_sided_p(3.182, 3) == pytest.approx(0.05, abs=1e-3)
+        assert t_two_sided_p(2.262, 9) == pytest.approx(0.05, abs=1e-3)
 
     def test_betainc_edges(self):
         assert betainc_regularized(2.0, 3.0, 0.0) == 0.0
@@ -68,7 +70,7 @@ class TestPairedTTest:
 
     def test_worked_example(self):
         # d = [-1, 0, -1, -1]: t = -3.0, df = 3, two-sided p ~ 0.0577 -> N
-        out = paired_t_test([1, 2, 3, 4], [2, 2, 4, 5], alpha=0.05)
+        out = paired_t_test([1, 2, 3, 4], [2, 2, 4, 5])
         assert out.t_statistic == pytest.approx(-3.0, abs=1e-12)
         assert out.p_value == pytest.approx(0.0577, abs=2e-4)
         assert out.verdict is Verdict.N
@@ -80,12 +82,6 @@ class TestPairedTTest:
         assert out.verdict is Verdict.D_PLUS
         assert out.p_value == 0.0
         assert out.t_statistic == -math.inf
-
-    def test_higher_is_better_flips(self):
-        a = list(range(10))
-        b = [x + 10 for x in a]
-        out = paired_t_test(a, b, lower_is_better=False)
-        assert out.verdict is Verdict.D_MINUS
 
     def test_swap_mirrors(self):
         rng = np.random.default_rng(0)
