@@ -286,6 +286,36 @@ class TestBench:
             assert int(rec["feasible"]) in (0, 1)
             assert float(rec["final_fitness"]) > 0
 
+    def test_bench_prints_runs_and_failed_cells(self, tmp_path, capsys):
+        ring = [
+            {"x": 50.0 + 20.0 * math.cos(a), "y": 50.0 + 20.0 * math.sin(a), "r": 9.0}
+            for a in np.linspace(0, 2 * math.pi, 9, endpoint=False)
+        ]
+        (tmp_path / "ring.yaml").write_text(yaml.safe_dump(
+            dict(FLAT_CFG, threats=ring, goal={"x": 50.0, "y": 50.0, "z": 70.0})))
+        (tmp_path / "flat.yaml").write_text(yaml.safe_dump(FLAT_CFG))
+        out = tmp_path / "pin"
+        code = main([
+            "bench", "--scenarios", f"{tmp_path / 'ring.yaml'},{tmp_path / 'flat.yaml'}",
+            "--algos", "spso,pso", "--runs", "2", "--swarm", "12", "--iters", "5",
+            "--seed", "3", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == [
+            "[1/8] ring spso run 0: inf (FAILED)",
+            "[2/8] ring spso run 1: inf (FAILED)",
+            "[3/8] ring pso run 0: inf (FAILED)",
+            "[4/8] ring pso run 1: inf (FAILED)",
+            "[5/8] flat spso run 0: 117.995 (ok)",
+            "[6/8] flat spso run 1: 114.040 (ok)",
+            "[7/8] flat pso run 0: 162.653 (ok)",
+            "[8/8] flat pso run 1: 191.273 (ok)",
+            f"summary written to {out / 'summary.csv'}",
+        ]
+        assert "4 failed run(s)" in captured.err
+        assert "cells with no feasible run: [('ring', 'pso'), ('ring', 'spso')]" in captured.err
+
     def test_single_run_has_na_ttest(self, tmp_path):
         cfgs = self.make_two_configs(tmp_path)
         out = tmp_path / "b3"
