@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,7 @@ class BenchmarkSpec:
     scenarios: tuple[Scenario, ...]
     algorithms: tuple[str, ...]
     runs_per_cell: int = 10
-    base_config: SwarmConfig | None = None
+    base_config: SwarmConfig = field(default_factory=SwarmConfig)
     baseline: str = "spso"
     base_seed: int = 0
     jobs: int = 1
@@ -114,8 +114,6 @@ class BenchmarkSpec:
             twice = sorted({n for n in names if names.count(n) > 1})
             if twice:
                 raise ValueError(f"{what} listed more than once: {', '.join(twice)}")
-        if self.base_config is None:
-            object.__setattr__(self, "base_config", SwarmConfig())
 
 
 @dataclass
@@ -123,9 +121,6 @@ class RunRecord:
     scenario: str
     algorithm: str
     run_index: int
-    seed: int
-    final_fitness: float
-    feasible: bool
     wall_time: float
     trace_path: str
     trace: EvolutionTrace
@@ -159,7 +154,7 @@ def _run_worker_cell(index: int, algorithm: str, config: SwarmConfig):
     return _run_cell(_worker_scenarios[index], algorithm, config)
 
 
-def run_benchmark(spec: BenchmarkSpec, out_dir=None, progress=None) -> list[RunRecord]:
+def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunRecord]:
     """Execute the full matrix; per-run trace CSVs land in out_dir/traces."""
     scenarios = tuple(spec.scenarios)
     cells = [
@@ -192,7 +187,7 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None, progress=None) -> list[RunR
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for (i, algo, k), cfg, (trace, wall) in zip(cells, configs, results):
+    for (i, algo, k), (trace, wall) in zip(cells, results):
         sc = scenarios[i]
         trace_path = ""
         if trace_dir is not None:
@@ -203,42 +198,36 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None, progress=None) -> list[RunR
                 scenario=sc.name,
                 algorithm=algo,
                 run_index=k,
-                seed=cfg.seed,
-                final_fitness=trace.final_fitness,
-                feasible=trace.feasible,
                 wall_time=wall,
                 trace_path=trace_path,
                 trace=trace,
             )
         )
-        if progress is not None:
-            progress(records[-1])
     return records
 
 
 def summarize(records: list[RunRecord], spec: BenchmarkSpec) -> list[dict]:
     """Mean/Std per cell plus the paired t-test of every algorithm against
     the baseline; pairs where either side failed are dropped."""
-    by_cell: dict[tuple[str, str], list[RunRecord]] = {}
-    for r in records:
-        by_cell.setdefault((r.scenario, r.algorithm), []).append(r)
+    by_cell: dict[tuple[str, str], list[EvolutionTrace]] = {}
+    for r in sorted(records, key=lambda r: r.run_index):
+        by_cell.setdefault((r.scenario, r.algorithm), []).append(r.trace)
     rows = []
     for sc in spec.scenarios:
         base_runs = by_cell.get((sc.name, spec.baseline), [])
         for algo in spec.algorithms:
-            runs = sorted(by_cell.get((sc.name, algo), []), key=lambda r: r.run_index)
-            finite = [r.final_fitness for r in runs if r.feasible]
+            runs = by_cell.get((sc.name, algo), [])
+            finite = [t.final_fitness for t in runs if t.feasible]
             row = {"scenario": sc.name, "algorithm": algo,
                    "mean": "", "std": "", "t": "", "p": "", "verdict": Verdict.NA.value}
             if finite:
                 summary = mean_std(finite)
                 row["mean"] = f"{summary.mean:.6f}"
                 row["std"] = f"{summary.std:.6f}"
-            if algo != spec.baseline and base_runs:
-                base_sorted = sorted(base_runs, key=lambda r: r.run_index)
+            if algo != spec.baseline:
                 pairs = [
                     (b.final_fitness, a.final_fitness)
-                    for b, a in zip(base_sorted, runs)
+                    for b, a in zip(base_runs, runs)
                     if b.feasible and a.feasible
                 ]
                 if len(pairs) >= 2:
@@ -262,8 +251,8 @@ def write_runs_csv(records: list[RunRecord], file_path) -> None:
     header = ["scenario", "algorithm", "run", "seed", "final_fitness", "feasible",
               "wall_time_s", "trace_path"]
     rows = (
-        [r.scenario, r.algorithm, r.run_index, r.seed, repr(r.final_fitness),
-         int(r.feasible), f"{r.wall_time:.3f}", r.trace_path]
+        [r.scenario, r.algorithm, r.run_index, r.trace.seed, repr(r.trace.final_fitness),
+         int(r.trace.feasible), f"{r.wall_time:.3f}", r.trace_path]
         for r in records
     )
     _write_csv(file_path, header, rows)
@@ -334,16 +323,11 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        done = {"n": 0}
-        total = len(spec.scenarios) * len(spec.algorithms) * spec.runs_per_cell
-
-        def progress(record):
-            done["n"] += 1
-            flag = "ok" if record.feasible else "FAILED"
-            print(f"[{done['n']}/{total}] {record.scenario} {record.algorithm} "
-                  f"run {record.run_index}: {record.final_fitness:.3f} ({flag})")
-
-        records = run_benchmark(spec, out_dir=out, progress=progress)
+        records = run_benchmark(spec, out_dir=out)
+        for n, r in enumerate(records, start=1):
+            flag = "ok" if r.trace.feasible else "FAILED"
+            print(f"[{n}/{len(records)}] {r.scenario} {r.algorithm} "
+                  f"run {r.run_index}: {r.trace.final_fitness:.3f} ({flag})")
         rows = summarize(records, spec)
         write_runs_csv(records, out / "runs.csv")
         write_summary_csv(rows, out / "summary.csv")
@@ -351,15 +335,12 @@ def cmd_bench(args) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"summary written to {out / 'summary.csv'}")
-    n_failed = sum(not r.feasible for r in records)
+    n_failed = sum(not r.trace.feasible for r in records)
     if n_failed:
         print(f"{n_failed} failed run(s) recorded in runs.csv and dropped "
               "from the summary statistics", file=sys.stderr)
-    feasible_cells = {
-        (r.scenario, r.algorithm) for r in records if r.feasible
-    }
-    all_cells = {(sc.name, a) for sc in spec.scenarios for a in spec.algorithms}
-    missing = sorted(all_cells - feasible_cells)
+    # A cell's mean is empty exactly when none of its runs was feasible.
+    missing = sorted((row["scenario"], row["algorithm"]) for row in rows if not row["mean"])
     if missing:
         print(f"cells with no feasible run: {missing}", file=sys.stderr)
         return EXIT_FAILED_RUN
@@ -388,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="plan one path for a scenario file")
     plan.add_argument("scenario", help="scenario config (YAML)")
     plan.add_argument("--algo", required=True, choices=ALGORITHMS)
-    plan.add_argument("--iters", type=int, default=200)
-    plan.add_argument("--swarm", type=int, default=500)
+    plan.add_argument("--iters", type=int, default=SwarmConfig.max_iterations)
+    plan.add_argument("--swarm", type=int, default=SwarmConfig.swarm_size)
     plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--out", default="plan_out")
     plan.set_defaults(func=cmd_plan)
@@ -403,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated subset of {','.join(ALGORITHMS)}")
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--baseline", default="spso", choices=ALGORITHMS)
-    bench.add_argument("--iters", type=int, default=200)
-    bench.add_argument("--swarm", type=int, default=500)
+    bench.add_argument("--iters", type=int, default=SwarmConfig.max_iterations)
+    bench.add_argument("--swarm", type=int, default=SwarmConfig.swarm_size)
     bench.add_argument("--seed", type=int, default=0, help="base seed")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", default="bench_out")

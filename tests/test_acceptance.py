@@ -91,7 +91,7 @@ def test_criterion_2_feasibility(matrix):
     for r in records:
         if r.algorithm == "spso":
             counts.setdefault(r.scenario, 0)
-            counts[r.scenario] += int(r.feasible)
+            counts[r.scenario] += int(r.trace.feasible)
     worst = min(counts.values())
     ok = len(counts) == 8 and worst >= 9
     assert report(
