@@ -108,6 +108,10 @@ class BenchmarkSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        if self.baseline not in self.algorithms:
+            raise ValueError(f"baseline {self.baseline!r} is not one of the algorithms")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         # Records, trace files and summary rows are keyed by these names.
         for what, names in (("algorithm", self.algorithms),
                             ("scenario name", [sc.name for sc in self.scenarios])):
@@ -348,10 +352,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_suite_generate(args) -> int:
+    try:
+        suite = build_benchmark_suite(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for scenario in build_benchmark_suite(args.seed):
+        for scenario in suite:
             save_scenario(scenario, out / f"{scenario.name}.yaml")
             print(f"wrote {out / (scenario.name + '.yaml')}")
     except OSError as exc:

@@ -94,9 +94,11 @@ class CostWeights:
     a2: float = 1.0
 
     def __post_init__(self):
-        vals = (self.b1, self.b2, self.b3, self.b4, self.a1, self.a2)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise ConfigError("weights must be finite and >= 0")
+        _require_finite(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ConfigError(f"{f.name} must be >= 0, got {value}")
         if self.b1 == self.b2 == self.b3 == self.b4 == 0:
             raise ConfigError("at least one of b1..b4 must be > 0")
 

@@ -178,6 +178,8 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
 
 def build_benchmark_suite(seed: int) -> list[Scenario]:
     """Deterministically build the eight benchmark scenarios for a seed."""
+    if seed < 0:
+        raise ValueError(f"suite seed must be >= 0, got {seed}")
     terrains = [
         generate_synthetic(spec, _derived_seed(seed, 100 + i))
         for i, spec in enumerate(_TERRAIN_SPECS)

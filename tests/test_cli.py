@@ -123,6 +123,7 @@ class TestPlan:
             ("constraints", "danger_distance", math.inf, "danger_distance"),
             ("constraints", "h_max", math.inf, "h_max"),
             ("synthetic", "cell_size", math.nan, "cell_size"),
+            ("weights", "b2", math.nan, "b2"),
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, value, named):
@@ -131,6 +132,7 @@ class TestPlan:
             "threats": cfg["threats"][0],
             "constraints": cfg.setdefault("constraints", {}),
             "synthetic": cfg["terrain"]["synthetic"],
+            "weights": cfg.setdefault("weights", {}),
         }[section]
         target[key] = value
         bad = tmp_path / "nonfinite.yaml"
@@ -161,6 +163,7 @@ class TestPlan:
             ("terrain.synthetic.n_cols", 10**30, (), "n_cols"),
             # The smallest n_cols over MAX_GRID_NODES at the table's n_rows: 11.
             ("terrain.synthetic.n_cols", 1525202, (), "n_cols"),
+            ("weights", {"a1": -1.0}, (), "a1"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):
@@ -356,6 +359,24 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, named",
+        [
+            # A baseline outside the matrix would leave every t-test empty.
+            (("--algos", "spso,pso", "--baseline", "ga"), "baseline 'ga' is not one of"),
+            (("--algos", "pso,qpso"), "baseline 'spso' is not one of"),
+            (("--algos", "spso", "--jobs", "0"), "jobs must be >= 1"),
+        ],
+    )
+    def test_bad_spec_exits_2(self, tmp_path, capsys, args, named):
+        cfgs = self.make_two_configs(tmp_path)
+        out = tmp_path / "spec"
+        code = main(["bench", "--scenarios", cfgs[0], *args, "--runs", "2",
+                     "--swarm", "6", "--iters", "2", "--out", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "jobs, cpus, started",
         [(5000, 2, [2]), (5000, 64, [3]), (2, 64, [2]), (5000, 1, [])],
     )
@@ -383,7 +404,7 @@ class TestBench:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         spec = BenchmarkSpec(
             scenarios=(flat_scenario,), algorithms=("pso",), runs_per_cell=3,
-            base_config=SwarmConfig(swarm_size=4, max_iterations=1), jobs=jobs,
+            base_config=SwarmConfig(swarm_size=4, max_iterations=1), baseline="pso", jobs=jobs,
         )
         assert len(run_benchmark(spec)) == 3
         assert pools == started
@@ -414,7 +435,7 @@ class TestBench:
         other = replace(flat_scenario, name="other", goal=[90.0, 10.0, 70.0])
         spec = BenchmarkSpec(
             scenarios=(flat_scenario, other), algorithms=("pso",), runs_per_cell=2,
-            base_config=SwarmConfig(swarm_size=4, max_iterations=1), jobs=2,
+            base_config=SwarmConfig(swarm_size=4, max_iterations=1), baseline="pso", jobs=2,
         )
         records = run_benchmark(spec)
         assert len(mapped) == 4
@@ -450,3 +471,15 @@ class TestSuiteGenerate:
         sc = load_scenario(out1 / "s3.yaml")
         assert sc.n_waypoints == 12
         assert len(sc.threats) >= 8
+
+    @pytest.mark.parametrize("command", [
+        ["suite", "generate", "--seed", "-1"],
+        ["bench", "--suite-seed", "-1", "--algos", "spso"],
+    ])
+    def test_negative_suite_seed_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "neg"
+        assert main(command + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "suite seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
