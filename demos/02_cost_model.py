@@ -10,9 +10,9 @@ from uavpath import (
     SyntheticTerrainSpec,
     Threat,
     generate_synthetic,
-    segment_threat_penalty,
     total_cost,
 )
+from uavpath.cost import threat_cost_many
 
 terrain = generate_synthetic(
     SyntheticTerrainSpec(n_cols=21, n_rows=21, cell_size=10.0), seed=0
@@ -33,9 +33,8 @@ scenario = Scenario(
 threat = scenario.threats[0]
 print("segment distance sweep (collision radius 21 m, danger radius 31 m):")
 for offset in (40.0, 28.0, 24.0, 20.0):
-    a = (100.0 - offset, 0.0, 70.0)
-    b = (100.0 - offset, 200.0, 70.0)
-    pen = segment_threat_penalty(a, b, threat, scenario.constraints)
+    segment = np.array([[[100.0 - offset, 0.0, 70.0], [100.0 - offset, 200.0, 70.0]]])
+    pen = threat_cost_many(segment, [threat], scenario.constraints)[0]
     print(f"  passes {offset:4.0f} m from center -> penalty {pen}")
 
 # Full paths break down into the four weighted terms.

@@ -3,28 +3,16 @@
 A cost model over 3D waypoint paths (length, cylindrical threats,
 altitude corridor, turn/climb smoothness) plus seven population-based
 solvers for it, a deterministic benchmark harness, and paired t-test
-reporting.
+reporting.  The cost API is ``evaluate_paths`` (a stack of paths) and
+``total_cost`` (one path's four terms); the kernels are in ``uavpath.cost``.
 """
 
-from .cost import (
-    CostBreakdown,
-    altitude_cost,
-    altitude_penalty,
-    climb_angle,
-    evaluate_paths,
-    path_length_cost,
-    segment_threat_penalty,
-    smooth_cost,
-    threat_cost,
-    total_cost,
-    turn_angle,
-)
+from .cost import CostBreakdown, evaluate_paths, total_cost
 from .encodings import (
     clamp_wrap,
     decode_angle,
     decode_cartesian,
     decode_spherical,
-    encode_spherical,
 )
 from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, run
 from .scenario import (

@@ -52,11 +52,6 @@ def _write_csv(file_path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_summary_csv(file_path) -> list[dict]:
-    with open(file_path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def export_waypoints_csv(waypoints, file_path) -> None:
     """Write `index,x,y,z` rows with fixed 6-decimal formatting."""
     path = np.asarray(waypoints, dtype=float)
@@ -66,20 +61,11 @@ def export_waypoints_csv(waypoints, file_path) -> None:
     _write_csv(file_path, ["index", "x", "y", "z"], rows)
 
 
-def read_waypoints_csv(file_path) -> np.ndarray:
-    rows = read_summary_csv(file_path)
-    return np.array([[float(r["x"]), float(r["y"]), float(r["z"])] for r in rows])
-
-
 def export_convergence_csv(trace: EvolutionTrace, file_path) -> None:
     """Write `iteration,best_fitness`, one row per iteration; infinities
     are serialized as the literal ``inf``."""
     rows = ([i, repr(float(v))] for i, v in enumerate(trace.best_fitness, start=1))
     _write_csv(file_path, ["iteration", "best_fitness"], rows)
-
-
-def read_convergence_csv(file_path) -> np.ndarray:
-    return np.array([float(r["best_fitness"]) for r in read_summary_csv(file_path)])
 
 
 def export_breakdown_csv(breakdown, file_path) -> None:

@@ -6,8 +6,9 @@ are the fixed start and goal.  Infeasible features (collision, corridor
 violation, off-map flight) make the affected term infinite, and any
 infinite weighted term makes the total infinite.
 
-All functions are pure; the ``*_many`` variants evaluate a whole stack of
-paths (M, n, 3) in vectorized form and are what the optimizers call.
+All functions are pure.  Each term is a ``*_many`` kernel over a stack of
+paths (M, n, 3), one value per path; ``evaluate_paths`` is what the
+optimizers call, and ``total_cost`` breaks one path into its terms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import FlightConstraints, Scenario, Threat
+from .scenario import FlightConstraints, Scenario
 
 EPS_LEN = 1e-9  # below this a segment counts as degenerate
 
@@ -44,6 +45,7 @@ def _as_paths(waypoints) -> np.ndarray:
 # --- F1: path length ---------------------------------------------------------
 
 def length_cost_many(paths: np.ndarray) -> np.ndarray:
+    """Sum of Euclidean segment lengths."""
     # Two infinite coordinates in a row give inf - inf, a huge one overflows
     # the square; the NaN or inf that follows scores the path +inf, so the
     # warning adds nothing.
@@ -52,14 +54,12 @@ def length_cost_many(paths: np.ndarray) -> np.ndarray:
         return np.sqrt((steps**2).sum(axis=-1)).sum(axis=-1)
 
 
-def path_length_cost(waypoints) -> float:
-    """Sum of Euclidean segment lengths."""
-    return float(length_cost_many(_as_paths(waypoints))[0])
-
-
 # --- F2: threat cost ---------------------------------------------------------
 
 def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints) -> np.ndarray:
+    """Sum over segments and threats of a penalty in the horizontal distance
+    d from the cylinder axis to the segment: zero beyond the danger annulus,
+    linear inside it, infinite in the collision disc."""
     if len(threats) == 0:
         return np.zeros(paths.shape[0])
     # An infinite coordinate gives inf - inf and inf / inf below, a huge one
@@ -109,41 +109,16 @@ def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints)
         return np.ascontiguousarray(by_path).sum(axis=(1, 2))
 
 
-def segment_threat_penalty(seg_start, seg_end, threat: Threat, constraints: FlightConstraints) -> float:
-    """Penalty of one segment against one cylinder.
-
-    d is the minimum horizontal distance from the cylinder axis to the
-    segment's x-y projection: zero beyond the danger annulus, linear
-    inside it, infinite in the collision disc.
-    """
-    seg = np.vstack([np.asarray(seg_start, dtype=float), np.asarray(seg_end, dtype=float)])
-    return float(threat_cost_many(seg[None], [threat], constraints)[0])
-
-
-def threat_cost(waypoints, threats, constraints: FlightConstraints) -> float:
-    """Penalty summed over every segment and every threat."""
-    return float(threat_cost_many(_as_paths(waypoints), threats, constraints)[0])
-
-
 # --- F3: altitude cost -------------------------------------------------------
 
 def altitude_cost_many(paths: np.ndarray, terrain, constraints: FlightConstraints) -> np.ndarray:
+    """Sum of |height above ground - corridor midpoint| over the waypoints;
+    infinite once a waypoint leaves [h_min, h_max] or the map."""
     ground = terrain.heights(paths[..., 0], paths[..., 1])  # NaN off-map / nodata
     h = paths[..., 2] - ground
     in_corridor = (h >= constraints.h_min) & (h <= constraints.h_max)
     penalty = np.where(in_corridor, np.abs(h - constraints.corridor_mid), np.inf)
     return penalty.sum(axis=-1)
-
-
-def altitude_penalty(waypoint, terrain, constraints: FlightConstraints) -> float:
-    """Deviation from mid-corridor height above ground, or infinity when the
-    waypoint leaves the [h_min, h_max] band (or flies off the map)."""
-    p = np.asarray(waypoint, dtype=float).reshape(1, 1, 3)
-    return float(altitude_cost_many(p, terrain, constraints)[0])
-
-
-def altitude_cost(waypoints, terrain, constraints: FlightConstraints) -> float:
-    return float(altitude_cost_many(_as_paths(waypoints), terrain, constraints)[0])
 
 
 # --- F4: smoothness ----------------------------------------------------------
@@ -173,6 +148,8 @@ def _climb_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
 
 
 def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
+    """a1 * sum of turn angles + a2 * sum of |climb delta| over consecutive
+    segment pairs."""
     # As in F1 and F2, an infinite coordinate's inf - inf, or a huge one's
     # overflow, only makes the path's NaN or inf, which scores +inf.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -181,26 +158,6 @@ def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
         climbs = _climb_angles(steps, horiz)
         deltas = np.abs(np.diff(climbs, axis=-1)).sum(axis=-1)
         return weights.a1 * turns + weights.a2 * deltas
-
-
-def turn_angle(p0, p1, p2) -> float:
-    """Angle in [0, pi] between consecutive segments projected on the
-    horizontal plane; zero when either projection is degenerate."""
-    path = np.vstack([p0, p1, p2]).astype(float)
-    return float(_turn_angles(*_segments(path[None]))[0, 0])
-
-
-def climb_angle(p0, p1) -> float:
-    """Angle in [-pi/2, pi/2] between a segment and its horizontal
-    projection; vertical segments give +-pi/2, zero-length segments 0."""
-    path = np.vstack([p0, p1]).astype(float)
-    return float(_climb_angles(*_segments(path[None]))[0, 0])
-
-
-def smooth_cost(waypoints, weights) -> float:
-    """a1 * sum of turn angles + a2 * sum of |climb delta| over consecutive
-    segment pairs."""
-    return float(smooth_cost_many(_as_paths(waypoints), weights)[0])
 
 
 # --- total -------------------------------------------------------------------

@@ -222,26 +222,6 @@ def decode_spherical(genome, scenario: Scenario) -> np.ndarray:
     return path[0] if squeeze else path
 
 
-def encode_spherical(waypoints) -> np.ndarray:
-    """Inverse of decode_spherical for the N interior steps of a path.
-
-    Each step delta becomes (|delta|, atan2(hypot(dx, dy), dz),
-    atan2(dy, dx)); a pure vertical step gets azimuth 0 by atan2
-    convention.  Degenerate steps are rejected.
-    """
-    path = np.asarray(waypoints, dtype=float)
-    if path.ndim != 2 or path.shape[1] != 3 or path.shape[0] < 3:
-        raise ValueError("expected an (n, 3) path with n >= 3")
-    steps = np.diff(path[:-1], axis=0)  # start -> w1 -> ... -> wN
-    rho = np.linalg.norm(steps, axis=1)
-    if np.any(rho <= EPS_LEN):
-        raise ValueError("degenerate interior step; cannot encode")
-    horiz = np.hypot(steps[:, 0], steps[:, 1])
-    psi = np.arctan2(horiz, steps[:, 2])
-    phi = np.arctan2(steps[:, 1], steps[:, 0])
-    return np.stack([rho, psi, phi], axis=1).reshape(-1)
-
-
 # encoding kind -> (search space builder, decode)
 _ENCODINGS = {
     "cartesian": (cartesian_space, decode_cartesian),

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cost import threat_cost, total_cost
+from .cost import threat_cost_many, total_cost
 from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat
 from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic
 
@@ -167,7 +167,7 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
             continue
         if complicated:
             straight = np.vstack([start, goal])
-            if math.isfinite(threat_cost(straight, scenario.threats, constraints)):
+            if math.isfinite(threat_cost_many(straight[None], scenario.threats, constraints)[0]):
                 continue
         witness = _make_witness(rng, scenario)
         if witness is None:

@@ -39,6 +39,27 @@ def _bilinear_ground(terrain, x, y):
     return (1 - u) * (1 - v) * f00 + u * (1 - v) * f10 + (1 - u) * v * f01 + u * v * f11
 
 
+def encode_spherical(waypoints):
+    """Inverse of decode_spherical for the N interior steps of a path.
+
+    Each step from the start through the last interior waypoint becomes
+    (|delta|, atan2(hypot(dx, dy), dz), atan2(dy, dx)), flattened into a
+    3N genome; a pure vertical step gets azimuth 0 by atan2 convention.
+    Degenerate steps are rejected.
+    """
+    pts = [(float(p[0]), float(p[1]), float(p[2])) for p in waypoints]
+    if len(pts) < 3:
+        raise ValueError("expected an (n, 3) path with n >= 3")
+    genome = []
+    for (x0, y0, z0), (x1, y1, z1) in zip(pts[:-2], pts[1:-1]):
+        dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+        rho = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if rho <= EPS_LEN:
+            raise ValueError("degenerate interior step; cannot encode")
+        genome += [rho, math.atan2(math.hypot(dx, dy), dz), math.atan2(dy, dx)]
+    return genome
+
+
 def oracle_total_cost(waypoints, scenario):
     """Single-function re-derivation of the whole cost model.
 

@@ -2,7 +2,7 @@
 
 Each test prints one `ACCEPTANCE n: PASS/FAIL` line (run with `pytest -s`
 to see them).  The shared benchmark matrix (8 scenarios x {spso, pso,
-qpso} x 10 runs at swarm 100 / 100 iterations, equalized budgets) is
+qpso} x 10 runs at swarm 100 / 100 iterations, equal loop budgets) is
 computed once per session.
 """
 
@@ -17,12 +17,11 @@ from uavpath import SwarmConfig, run, total_cost
 from uavpath.cli import (
     BenchmarkSpec,
     main,
-    read_summary_csv,
     run_benchmark,
     summarize,
 )
 from uavpath.cost import evaluate_paths
-from uavpath.encodings import axis_bounds, decode_angle, decode_spherical, encode_spherical
+from uavpath.encodings import axis_bounds, decode_angle, decode_spherical
 from uavpath.optimizers import ALGORITHMS
 from uavpath.scenario import CostWeights, FlightConstraints, Scenario
 from uavpath.stats import Verdict, paired_t_test, t_two_sided_p
@@ -30,7 +29,8 @@ from uavpath.suite import build_benchmark_suite, is_complicated
 from uavpath.terrain import SyntheticTerrainSpec, generate_synthetic
 
 from conftest import random_feasibleish_path
-from oracles import oracle_total_cost
+from oracles import encode_spherical, oracle_total_cost
+from test_cli import read_summary_rows
 from test_cost import _random_scenario, random_paths_for
 
 SUITE_SEED = 0
@@ -232,7 +232,7 @@ def test_criterion_8_bench_determinism(tmp_path):
     code2 = main(args + ["--out", str(out2)])
     first = (out1 / "summary.csv").read_bytes()
     second = (out2 / "summary.csv").read_bytes()
-    ok = code1 == code2 == 0 and first == second and len(read_summary_csv(out1 / "summary.csv")) == 16
+    ok = code1 == code2 == 0 and first == second and len(read_summary_rows(out1 / "summary.csv")) == 16
     assert report(
         8, ok,
         f"repeated bench invocations byte-identical: {first == second} "

@@ -1,4 +1,5 @@
 import copy
+import csv
 import math
 from dataclasses import replace
 
@@ -13,9 +14,6 @@ from uavpath.cli import (
     export_waypoints_csv,
     main,
     mix_seed,
-    read_convergence_csv,
-    read_summary_csv,
-    read_waypoints_csv,
     run_benchmark,
 )
 
@@ -26,6 +24,19 @@ FLAT_CFG = {
     "threats": [{"x": 50.0, "y": 30.0, "r": 8.0}],
     "n_waypoints": 5,
 }
+
+
+def read_summary_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def read_convergence(path):
+    return np.array([float(r["best_fitness"]) for r in read_summary_rows(path)])
+
+
+def read_waypoints(path):
+    return np.array([[float(r[axis]) for axis in "xyz"] for r in read_summary_rows(path)])
 
 
 @pytest.fixture()
@@ -40,7 +51,7 @@ class TestExports:
         path = np.array([[0.0, 0.5, 1.25], [10.123456789, -3.0, 70.0], [20.0, 20.0, 80.0]])
         f = tmp_path / "wp.csv"
         export_waypoints_csv(path, f)
-        back = read_waypoints_csv(f)
+        back = read_waypoints(f)
         assert back.shape == path.shape
         assert np.abs(back - path).max() <= 1e-6
         header = f.read_text().splitlines()[0]
@@ -62,7 +73,7 @@ class TestExports:
         assert lines[0] == "iteration,best_fitness"
         assert lines[1] == "1,inf"
         assert len(lines) == 4
-        back = read_convergence_csv(f)
+        back = read_convergence(f)
         assert math.isinf(back[0]) and back[2] == 4.0
 
 
@@ -89,13 +100,13 @@ class TestPlan:
         assert code == 0
         printed = capsys.readouterr().out
         assert "feasible: True" in printed
-        waypoints = read_waypoints_csv(out / "waypoints.csv")
+        waypoints = read_waypoints(out / "waypoints.csv")
         scenario = load_scenario(flat_cfg_path)
         assert np.abs(waypoints[0] - scenario.start).max() <= 1e-6
         rows = {r["component"]: float(r["value"]) for r in read_summary_rows(out / "breakdown.csv")}
         direct = float(np.linalg.norm(scenario.goal - scenario.start))
         assert rows["f1"] <= 1.05 * direct
-        conv = read_convergence_csv(out / "convergence.csv")
+        conv = read_convergence(out / "convergence.csv")
         assert len(conv) == 60
         assert not np.any(conv[1:] > conv[:-1])
 
@@ -228,22 +239,12 @@ class TestPlan:
         ])
         assert code == 1
         assert "failed run" in capsys.readouterr().err
-        conv = read_convergence_csv(tmp_path / "o" / "convergence.csv")
+        conv = read_convergence(tmp_path / "o" / "convergence.csv")
         assert np.all(np.isinf(conv))
 
 
-def read_summary_rows(path):
-    import csv
-
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def records_from(out_dir):
-    import csv
-
-    with open(out_dir / "runs.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
+    return read_summary_rows(out_dir / "runs.csv")
 
 
 class TestBench:
@@ -266,7 +267,7 @@ class TestBench:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
-        rows = read_summary_csv(out1 / "summary.csv")
+        rows = read_summary_rows(out1 / "summary.csv")
         assert len(rows) == 4  # 2 scenarios x 2 algorithms
         runs = (out1 / "runs.csv").read_text().splitlines()
         assert len(runs) == 1 + 2 * 2 * 2  # header + k*m*r records
@@ -277,13 +278,10 @@ class TestBench:
                 assert row["verdict"] in ("D+", "D-", "N")
             assert row["mean"] != ""
         # each run wrote a re-parseable trace
-        import csv as _csv
-
-        with open(out1 / "runs.csv", newline="") as fh:
-            for rec in _csv.DictReader(fh):
-                conv = read_convergence_csv(rec["trace_path"])
-                assert len(conv) == 10
-                assert not np.any(conv[1:] > conv[:-1])
+        for rec in records_from(out1):
+            conv = read_convergence(rec["trace_path"])
+            assert len(conv) == 10
+            assert not np.any(conv[1:] > conv[:-1])
         # evaluation bookkeeping: each of the k*m*r optimizations really ran
         for rec in records_from(out1):
             assert int(rec["feasible"]) in (0, 1)
@@ -327,7 +325,7 @@ class TestBench:
             "--swarm", "16", "--iters", "5", "--out", str(out),
         ])
         assert code == 0
-        rows = read_summary_csv(out / "summary.csv")
+        rows = read_summary_rows(out / "summary.csv")
         assert all(row["verdict"] == "NA" for row in rows)
         assert all(row["std"] in ("", "0.000000") for row in rows)
 

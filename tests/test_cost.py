@@ -5,22 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavpath import (
-    CostWeights,
-    FlightConstraints,
-    Scenario,
-    Threat,
-    altitude_cost,
-    altitude_penalty,
-    climb_angle,
-    path_length_cost,
-    segment_threat_penalty,
-    smooth_cost,
-    threat_cost,
-    total_cost,
-    turn_angle,
-)
+from uavpath import CostWeights, FlightConstraints, Scenario, Threat, total_cost
 from uavpath.cost import (
+    _climb_angles,
+    _segments,
+    _turn_angles,
     _weighted_total,
     altitude_cost_many,
     cost_components,
@@ -38,24 +27,39 @@ from oracles import oracle_total_cost
 CONS = FlightConstraints(h_min=100.0, h_max=200.0, drone_diameter=1.0, danger_distance=5.0)
 
 
+def one(kernel, path, *args) -> float:
+    """A ``*_many`` kernel's value for one path, as a stack of one."""
+    return float(kernel(np.asarray(path, dtype=float)[None], *args)[0])
+
+
+def turn_at(p0, p1, p2) -> float:
+    """Turn angle at p1, straight from ``_turn_angles``."""
+    return float(_turn_angles(*_segments(np.array([[p0, p1, p2]], dtype=float)))[0, 0])
+
+
+def climb_of(p0, p1) -> float:
+    """Climb angle of the segment p0 -> p1, straight from ``_climb_angles``."""
+    return float(_climb_angles(*_segments(np.array([[p0, p1]], dtype=float)))[0, 0])
+
+
 class TestPathLength:
     def test_three_four_five(self):
-        assert path_length_cost([(0, 0, 0), (3, 4, 0)]) == 5.0
+        assert one(length_cost_many, [(0, 0, 0), (3, 4, 0)]) == 5.0
 
     def test_unit_steps(self):
-        assert path_length_cost([(0, 0, 0), (1, 0, 0), (1, 1, 0)]) == 2.0
+        assert one(length_cost_many, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]) == 2.0
 
     def test_repeated_waypoint_adds_nothing(self):
         base = [(0, 0, 0), (2, 0, 0), (2, 3, 1)]
         dup = [(0, 0, 0), (2, 0, 0), (2, 0, 0), (2, 3, 1)]
-        assert path_length_cost(dup) == path_length_cost(base)
+        assert one(length_cost_many, dup) == one(length_cost_many, base)
 
     def test_never_below_direct_distance(self, flat_scenario):
         rng = np.random.default_rng(0)
         direct = np.linalg.norm(flat_scenario.goal - flat_scenario.start)
         for _ in range(100):
             p = random_feasibleish_path(flat_scenario, rng)
-            assert path_length_cost(p) >= direct - 1e-12
+            assert one(length_cost_many, p) >= direct - 1e-12
 
 
 class TestThreatPenalty:
@@ -68,99 +72,99 @@ class TestThreatPenalty:
 
     def test_outside_danger_zone(self):
         a, b = self.seg_at(20.0)
-        assert segment_threat_penalty(a, b, self.threat, self.cons) == 0.0
+        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == 0.0
 
     def test_middle_branch(self):
         a, b = self.seg_at(12.0)
-        assert segment_threat_penalty(a, b, self.threat, self.cons) == pytest.approx(4.0)
+        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == pytest.approx(4.0)
 
     def test_collision(self):
         a, b = self.seg_at(10.0)
-        assert segment_threat_penalty(a, b, self.threat, self.cons) == math.inf
+        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == math.inf
 
     def test_distance_is_to_segment_not_endpoints(self):
         # endpoints far away but the segment passes right over the center
         a, b = (-100.0, 0.0, 50.0), (100.0, 0.0, 50.0)
-        assert segment_threat_penalty(a, b, self.threat, self.cons) == math.inf
+        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == math.inf
 
     def test_continuous_and_nonincreasing(self):
         ds = np.linspace(11.001, 25.0, 400)
         vals = [
-            segment_threat_penalty(*self.seg_at(d), self.threat, self.cons) for d in ds
+            one(threat_cost_many, self.seg_at(d), [self.threat], self.cons) for d in ds
         ]
         assert all(u >= v for u, v in zip(vals, vals[1:]))
         assert np.all(np.abs(np.diff(vals)) <= np.diff(ds) + 1e-12)
 
     def test_closest_distance_equal_to_collision_radius(self):
         a, b = self.seg_at(11.0)  # passes (11, 0): exactly collide_r away
-        assert segment_threat_penalty(a, b, self.threat, self.cons) == math.inf
+        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == math.inf
 
     def test_zero_length_segment_in_collision_disc(self):
         p = (5.0, 3.0, 50.0)
-        assert segment_threat_penalty(p, p, self.threat, self.cons) == math.inf
+        assert one(threat_cost_many, [p, p], [self.threat], self.cons) == math.inf
 
     def test_zero_length_segment_beyond_danger_ring(self):
         p = (12.0, 13.0, 50.0)  # 17.7 m from the centre, danger radius 16
-        assert segment_threat_penalty(p, p, self.threat, self.cons) == 0.0
+        assert one(threat_cost_many, [p, p], [self.threat], self.cons) == 0.0
 
     def test_empty_threat_list(self):
-        assert threat_cost([(0, 0, 0), (1, 1, 1), (2, 2, 2)], [], self.cons) == 0.0
+        assert one(threat_cost_many, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [], self.cons) == 0.0
 
     def test_two_threats_add(self):
         t1 = Threat(0.0, 12.0, 10.0)
         t2 = Threat(0.0, -12.0, 10.0)
         seg = [(-50.0, 0.0, 10.0), (50.0, 0.0, 10.0)]
-        assert threat_cost(seg, [t1, t2], self.cons) == pytest.approx(8.0)
+        assert one(threat_cost_many, seg, [t1, t2], self.cons) == pytest.approx(8.0)
 
 
 class TestAltitude:
     def test_midpoint_zero(self, flat_terrain):
-        assert altitude_penalty((50, 50, 150), flat_terrain, CONS) == 0.0
+        assert one(altitude_cost_many, [(50, 50, 150)], flat_terrain, CONS) == 0.0
 
     def test_offset(self, flat_terrain):
-        assert altitude_penalty((50, 50, 120), flat_terrain, CONS) == pytest.approx(30.0)
+        assert one(altitude_cost_many, [(50, 50, 120)], flat_terrain, CONS) == pytest.approx(30.0)
 
     def test_above_ceiling(self, flat_terrain):
-        assert altitude_penalty((50, 50, 250), flat_terrain, CONS) == math.inf
+        assert one(altitude_cost_many, [(50, 50, 250)], flat_terrain, CONS) == math.inf
 
     def test_outside_map_is_infinite(self, flat_terrain):
-        assert altitude_penalty((-5, 50, 150), flat_terrain, CONS) == math.inf
+        assert one(altitude_cost_many, [(-5, 50, 150)], flat_terrain, CONS) == math.inf
 
     def test_sums_over_waypoints(self, flat_terrain):
         path = [(10, 10, 160), (50, 50, 130), (90, 90, 150)]
-        assert altitude_cost(path, flat_terrain, CONS) == pytest.approx(10 + 20 + 0)
+        assert one(altitude_cost_many, path, flat_terrain, CONS) == pytest.approx(10 + 20 + 0)
 
     def test_one_bad_waypoint_absorbs(self, flat_terrain):
         path = [(10, 10, 150), (50, 50, 10), (90, 90, 150)]
-        assert altitude_cost(path, flat_terrain, CONS) == math.inf
+        assert one(altitude_cost_many, path, flat_terrain, CONS) == math.inf
 
 
 class TestAngles:
     def test_collinear_turn_zero(self):
-        assert turn_angle((0, 0, 0), (1, 0, 5), (2, 0, 9)) == 0.0
+        assert turn_at((0, 0, 0), (1, 0, 5), (2, 0, 9)) == 0.0
 
     def test_right_angle(self):
-        assert turn_angle((0, 0, 0), (1, 0, 0), (1, 1, 0)) == pytest.approx(math.pi / 2)
+        assert turn_at((0, 0, 0), (1, 0, 0), (1, 1, 0)) == pytest.approx(math.pi / 2)
 
     def test_three_quarter_turn(self):
         # directions (1,0) then (-1,1): atan2(|1*1-0*(-1)|, -1) = atan2(1, -1)
-        assert turn_angle((0, 0, 0), (1, 0, 0), (0, 1, 0)) == pytest.approx(3 * math.pi / 4)
+        assert turn_at((0, 0, 0), (1, 0, 0), (0, 1, 0)) == pytest.approx(3 * math.pi / 4)
 
     def test_vertical_segment_turns_zero(self):
-        assert turn_angle((0, 0, 0), (0, 0, 5), (1, 1, 5)) == 0.0
+        assert turn_at((0, 0, 0), (0, 0, 5), (1, 1, 5)) == 0.0
 
     def test_climb_45(self):
-        assert climb_angle((0, 0, 0), (1, 0, 1)) == pytest.approx(math.pi / 4)
+        assert climb_of((0, 0, 0), (1, 0, 1)) == pytest.approx(math.pi / 4)
 
     def test_climb_horizontal(self):
-        assert climb_angle((0, 0, 0), (3, 4, 0)) == 0.0
+        assert climb_of((0, 0, 0), (3, 4, 0)) == 0.0
 
     def test_climb_vertical(self):
-        assert climb_angle((0, 0, 0), (0, 0, 5)) == pytest.approx(math.pi / 2)
-        assert climb_angle((0, 0, 5), (0, 0, 0)) == pytest.approx(-math.pi / 2)
+        assert climb_of((0, 0, 0), (0, 0, 5)) == pytest.approx(math.pi / 2)
+        assert climb_of((0, 0, 5), (0, 0, 0)) == pytest.approx(-math.pi / 2)
 
     def test_climb_zero_length(self):
-        assert climb_angle((1, 1, 1), (1, 1, 1)) == 0.0
+        assert climb_of((1, 1, 1), (1, 1, 1)) == 0.0
 
     def test_climb_antisymmetric(self):
         rng = np.random.default_rng(5)
@@ -168,21 +172,21 @@ class TestAngles:
             p0, p1 = rng.uniform(-10, 10, (2, 3))
             if np.linalg.norm(p1 - p0) < 1e-6:
                 continue
-            assert climb_angle(p0, p1) == pytest.approx(-climb_angle(p1, p0), abs=1e-12)
+            assert climb_of(p0, p1) == pytest.approx(-climb_of(p1, p0), abs=1e-12)
 
     def test_turn_invariant_to_rotation_and_scaling(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             pts = rng.uniform(-5, 5, (3, 3))
-            base = turn_angle(*pts)
+            base = turn_at(*pts)
             theta = rng.uniform(0, 2 * math.pi)
             c, s = math.cos(theta), math.sin(theta)
             rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
             rotated = pts @ rot.T
-            assert turn_angle(*rotated) == pytest.approx(base, abs=1e-9)
+            assert turn_at(*rotated) == pytest.approx(base, abs=1e-9)
             scale = rng.uniform(0.1, 7.0)
             scaled = pts[1] + scale * (pts - pts[1])
-            assert turn_angle(*scaled) == pytest.approx(base, abs=1e-9)
+            assert turn_at(*scaled) == pytest.approx(base, abs=1e-9)
 
 
 class TestSmoothCost:
@@ -190,16 +194,16 @@ class TestSmoothCost:
 
     def test_straight_horizontal(self):
         p = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
-        assert smooth_cost(p, self.W) == 0.0
+        assert one(smooth_cost_many, p, self.W) == 0.0
 
     def test_single_right_angle(self):
         p = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
-        assert smooth_cost(p, self.W) == pytest.approx(math.pi / 2)
+        assert one(smooth_cost_many, p, self.W) == pytest.approx(math.pi / 2)
 
     def test_climb_then_level(self):
         p = [(0, 0, 0), (1, 0, 1), (2, 0, 1)]
         w = CostWeights(a1=0.0, a2=2.0)
-        assert smooth_cost(p, w) == pytest.approx(2 * math.pi / 4)
+        assert one(smooth_cost_many, p, w) == pytest.approx(2 * math.pi / 4)
 
 
 class TestTotalCost:

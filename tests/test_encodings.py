@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavpath import (
-    decode_angle,
-    decode_cartesian,
-    decode_spherical,
-    encode_spherical,
-)
+from uavpath import decode_angle, decode_cartesian, decode_spherical
 from uavpath.cost import EPS_LEN
 from uavpath.encodings import (
     SPSO_INIT_PHI_HALFWIDTH,
@@ -26,6 +21,7 @@ from uavpath.encodings import (
 from uavpath.suite import build_benchmark_suite
 
 from conftest import random_feasibleish_path
+from oracles import encode_spherical
 
 
 class TestDecodeCartesian:

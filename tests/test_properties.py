@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavpath import CostWeights, DemParseError, FlightConstraints, Threat, load_dem
-from uavpath.cost import path_length_cost, smooth_cost, threat_cost
+from uavpath.cost import length_cost_many, smooth_cost_many, threat_cost_many
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -55,10 +55,11 @@ def rel_close(a: float, b: float) -> bool:
 @PROPERTY_SETTINGS
 @given(path=paths(), shift=st.tuples(coord, coord, coord))
 def test_length_and_smoothness_translation_invariant(path, shift):
-    moved = path + np.asarray(shift)
-    weights = CostWeights()
-    assert rel_close(path_length_cost(path), path_length_cost(moved))
-    assert rel_close(smooth_cost(path, weights), smooth_cost(moved, weights))
+    stack = np.stack([path, path + np.asarray(shift)])  # the path and its shift
+    length = length_cost_many(stack)
+    smooth = smooth_cost_many(stack, CostWeights())
+    assert rel_close(length[0], length[1])
+    assert rel_close(smooth[0], smooth[1])
 
 
 threat = st.builds(Threat, coord, coord, st.floats(0.5, 300.0))
@@ -76,8 +77,8 @@ def test_threat_cost_monotone_in_radius(path, threats, data):
     grown = list(threats)
     grown[i] = Threat(threats[i].center_x, threats[i].center_y, threats[i].radius + growth)
     constraints = FlightConstraints()
-    before = threat_cost(path, threats, constraints)
-    after = threat_cost(path, grown, constraints)
+    before = threat_cost_many(path[None], threats, constraints)[0]
+    after = threat_cost_many(path[None], grown, constraints)[0]
     assert after >= before
     if math.isinf(before):
         assert math.isinf(after)

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from uavpath import ConfigError, CostWeights, FlightConstraints, Threat, load_scenario, save_scenario
-from uavpath.cost import threat_cost, total_cost
+from uavpath.cost import threat_cost_many, total_cost
 from uavpath.suite import build_benchmark_suite, is_complicated
 
 MINIMAL = {
@@ -124,7 +124,7 @@ class TestBenchmarkSuite:
             if not is_complicated(number):
                 continue
             straight = np.vstack([sc.start, sc.goal])
-            assert math.isinf(threat_cost(straight, sc.threats, sc.constraints))
+            assert math.isinf(threat_cost_many(straight[None], sc.threats, sc.constraints)[0])
 
     def test_witness_is_feasible(self, suite):
         for sc in suite:
