@@ -35,6 +35,12 @@ from .terrain import (
 )
 
 
+# Most waypoints a path may have, checked before any swarm is allocated: at
+# the default swarm of 500 each of a solver's (swarm, 3n) float64 arrays
+# takes 12 MB, and each of F2's (threats, swarm * n) ones 4 MB per threat.
+MAX_WAYPOINTS = 1000
+
+
 class ConfigError(ValueError):
     """Raised for schema violations and scenario invariant failures."""
 
@@ -137,6 +143,8 @@ def validate_scenario(sc: Scenario) -> None:
     """Check every Scenario invariant; raise ConfigError naming the field."""
     if sc.n_waypoints < 3:
         raise ConfigError(f"n_waypoints must be >= 3, got {sc.n_waypoints}")
+    if sc.n_waypoints > MAX_WAYPOINTS:
+        raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
     x_min, x_max, y_min, y_max = sc.terrain.bounds
     for label, p in (("start", sc.start), ("goal", sc.goal)):
         if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):

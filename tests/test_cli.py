@@ -161,6 +161,7 @@ class TestPlan:
             ("n_waypoints", math.inf, (), "n_waypoints"),
             ("n_waypoints", "abc", (), "n_waypoints"),
             ("n_waypoints", 4.7, (), "n_waypoints"),
+            ("n_waypoints", 10**13, (), "n_waypoints"),
             ("terrain.synthetic.n_cols", 11.5, (), "n_cols"),
             ("terrain.synthetic.n_hills", 2.5, (), "n_hills"),
             ("constraints", 5, (), "constraints"),
