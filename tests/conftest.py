@@ -1,5 +1,25 @@
-import numpy as np
-import pytest
+import os
+import sys
+
+# numpy's AVX-512 and AVX2 loops for exp, arctan2, arccos, log and tan
+# differ by a few ulp, and the golden hashes are bit-exact, so the whole
+# session runs numpy at one dispatch level: AVX2, which is what a host
+# without AVX-512 runs.  The variable is read once, when numpy is imported.
+NPY_DISABLE_CPU_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+if "numpy" not in sys.modules:
+    os.environ["NPY_DISABLE_CPU_FEATURES"] = NPY_DISABLE_CPU_FEATURES
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from numpy._core._multiarray_umath import __cpu_features__  # noqa: E402
+
+if any(__cpu_features__.get(name) for name in NPY_DISABLE_CPU_FEATURES.split()):
+    pytest.exit(
+        "numpy was imported before tests/conftest.py at a dispatch level above AVX2; "
+        f'set NPY_DISABLE_CPU_FEATURES="{NPY_DISABLE_CPU_FEATURES}" before numpy '
+        "is imported, so the golden hashes compare at their level",
+        returncode=4,
+    )
 
 from uavpath import (
     CostWeights,

@@ -5,7 +5,8 @@ change that alters traces on purpose copies the new hashes from the
 assertion messages of ``pytest tests/test_golden.py`` and says so in
 CHANGES.md.  The hashes cover the per-iteration best fitness, the decoded
 best path and the evaluation count, and were taken with numpy 2.x on
-x86-64.
+x86-64 at the AVX2 dispatch level that ``tests/conftest.py`` pins through
+``NPY_DISABLE_CPU_FEATURES``.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ GOLDEN_CONFIG = SwarmConfig(swarm_size=12, max_iterations=10, seed=5)
 
 GOLDEN = {
     "pso": "59569ef4b95117e314c09a9ee485e37914267208cdae103bb5818e9c6a6599f6",
-    "theta_pso": "54d4f0041bb2de2e3d2568f5c0ea7162a066da78c89fbec177411e9e6fc31232",
+    "theta_pso": "ab705e448aa00c366c3ffd3c9769ddecc78471ed6c8f7c01d8ff700836c64950",
     "qpso": "3e965d950c9c1e4fa0a4eada17eaa97d7d647e2242718efeda7dbced766185f8",
     "spso": "ca5013edd7d7847314526feb7846508ecc8ffc06a108fc6235e7a53eecc12598",
     "ga": "3a32a0c6b9f36fab9fdb6e35e10517314aeac8caaf4a0a0455f1297ad8df20b3",

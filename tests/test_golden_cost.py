@@ -8,7 +8,8 @@ sampler and uniform over the search box, plus hand-made edge cases
 threat centre).  A rewrite of a kernel that must keep its arithmetic keeps
 every hash below; a change that alters cost values on purpose copies the
 new hashes from the assertion messages and says so in CHANGES.md.  The
-hashes were taken with numpy 2.x on x86-64.
+hashes were taken with numpy 2.x on x86-64 at the AVX2 dispatch level that
+``tests/conftest.py`` pins through ``NPY_DISABLE_CPU_FEATURES``.
 """
 
 import hashlib
@@ -32,8 +33,8 @@ N_UNIFORM = 16  # genomes uniform over the search box, per encoding
 GOLDEN = {
     "length": "9ca3378502d2449140da94a5c007fcfa538094a2e082e6333c2e6d74836f9b75",
     "threat": "058084bb5f35c6d74476f3879feb03f0dcb04a6377a064da7ff3c8ae2c61f721",
-    "altitude": "97ce9ae6ec483bf6c23f915eddc9ce9fe49a83a11dda49ef6d55a38f4bb8f2e4",
-    "smooth": "0730f3e0d524806b2c089a1dc2bf538e49231db63a70d76cfa53379bd85abfa4",
+    "altitude": "6c10f9553434048aeb1a4cefd7c277cc9107597389dfa3dfb930fbab02f6cf06",
+    "smooth": "eccd7aca7ad5c87fc4890ad4531cddb04ffef848f33e088ba86139753ff26a90",
     "total": "ec0bbcd707b50f2ce90b8bb70ea11e6ecb50c196be086a479c0b6c4c5c6f6be4",
     "threat_segment": "38d71eeebfa4ef0dde140d54cafec4f01f089fac3509b893cfb0077a06e1789f",
 }

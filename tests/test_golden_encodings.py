@@ -11,7 +11,9 @@ over the hole.  Each hash covers the shape and the float64 bytes of every
 output, NaN payloads included.  A rewrite that must keep its arithmetic
 keeps every hash below; a change that alters these values on purpose
 copies the new hashes from the assertion messages and says so in
-CHANGES.md.  The hashes were taken with numpy 2.x on x86-64.
+CHANGES.md.  The hashes were taken with numpy 2.x on x86-64 at the AVX2
+dispatch level that ``tests/conftest.py`` pins through
+``NPY_DISABLE_CPU_FEATURES``.
 """
 
 import hashlib
@@ -44,15 +46,15 @@ SPECIAL_ANGLES = np.array([
 ])
 
 GOLDEN = {
-    "decode_cartesian": "ecb50d1e0706a262bda30bd74049ed5ac679605ea0971e88cd8006284c1a9959",
-    "decode_angle": "bd133361722aff4730a367d95a76420ebdf92a87cc694fef12da50bc96bd891a",
+    "decode_cartesian": "492634499a0be7e7b748625fd66ac49e032d54cab90952435a09233dd0cd713a",
+    "decode_angle": "02e5d9a7cf351ac9550c30463ad601caf2f35b9465be41df9549486644170e63",
     "decode_spherical": "b1ea9f370bebc1a901feb7b14f5c810b2314e3d959bba23d7aa5e28883793ed5",
     "assemble_path": "b4584cf3bd7b01f5b113d38f3597624a748bccced14c35e263444d9e207f617c",
     "wrap_to_pi": "f98f0da06993efe952f92fada9ab830f189402fdd57b7ad944a032919e6e2ff6",
-    "wrap_difference": "471cd0238011c2528e92c8b78bf956f715ae4d639d5650ac26e5e1f1c1726a21",
-    "clamp_wrap": "3c6dd1b83428536428bb4ba9a16725f21f873efa8e4ef1aa5ddf93b8c4c566b0",
-    "clamp_velocity": "e6326571d46d4d34eb829f1e997a7dadfe3f508a49084207c9423c80a6a03896",
-    "heights": "a4c33f6f762bf5225a194a3d39c3be3e7c438687f17c98efc84b34b755e14f36",
+    "wrap_difference": "55024bf877793b8fb6e59267e7d441a1ac1abd2cfbc4a8729909aeedf41bf526",
+    "clamp_wrap": "897e05b2e7b098283868c18b0dc9ef9aca9bedcac7a07d8951e593d5d0e7c177",
+    "clamp_velocity": "71537a66fe0984a29f0dc7fe14f488639ab017ccf20ac4757f13341c907a3be2",
+    "heights": "db979da7f83b4927c18e42685803af8b999aa59ccca19c51cadf9c1a5eae6dfd",
 }
 
 
