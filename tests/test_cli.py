@@ -161,7 +161,6 @@ class TestPlan:
             ("n_waypoints", math.inf, (), "n_waypoints"),
             ("n_waypoints", "abc", (), "n_waypoints"),
             ("n_waypoints", 4.7, (), "n_waypoints"),
-            ("n_waypoints", 10**13, (), "n_waypoints"),
             ("terrain.synthetic.n_cols", 11.5, (), "n_cols"),
             ("terrain.synthetic.n_hills", 2.5, (), "n_hills"),
             ("constraints", 5, (), "constraints"),
@@ -176,6 +175,7 @@ class TestPlan:
             # The smallest n_cols over MAX_GRID_NODES at the table's n_rows: 11.
             ("terrain.synthetic.n_cols", 1525202, (), "n_cols"),
             ("weights", {"a1": -1.0}, (), "a1"),
+            ("n_waypoints", 10**13, (), "n_waypoints"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):
@@ -244,10 +244,6 @@ class TestPlan:
         assert np.all(np.isinf(conv))
 
 
-def records_from(out_dir):
-    return read_summary_rows(out_dir / "runs.csv")
-
-
 class TestBench:
     def make_two_configs(self, tmp_path):
         paths = []
@@ -279,12 +275,12 @@ class TestBench:
                 assert row["verdict"] in ("D+", "D-", "N")
             assert row["mean"] != ""
         # each run wrote a re-parseable trace
-        for rec in records_from(out1):
+        for rec in read_summary_rows(out1 / "runs.csv"):
             conv = read_convergence(rec["trace_path"])
             assert len(conv) == 10
             assert not np.any(conv[1:] > conv[:-1])
         # evaluation bookkeeping: each of the k*m*r optimizations really ran
-        for rec in records_from(out1):
+        for rec in read_summary_rows(out1 / "runs.csv"):
             assert int(rec["feasible"]) in (0, 1)
             assert float(rec["final_fitness"]) > 0
 
