@@ -50,7 +50,7 @@ def length_cost_many(paths: np.ndarray) -> np.ndarray:
     # the square; the NaN or inf that follows scores the path +inf, so the
     # warning adds nothing.
     with np.errstate(invalid="ignore", over="ignore"):
-        steps = np.diff(paths, axis=-2)
+        steps = paths[..., 1:, :] - paths[..., :-1, :]
         return np.sqrt((steps**2).sum(axis=-1)).sum(axis=-1)
 
 
@@ -125,7 +125,7 @@ def altitude_cost_many(paths: np.ndarray, terrain, constraints: FlightConstraint
 
 def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment vectors (M, n-1, 3) and their horizontal lengths (M, n-1)."""
-    steps = np.diff(paths, axis=-2)
+    steps = paths[..., 1:, :] - paths[..., :-1, :]
     return steps, np.hypot(steps[..., 0], steps[..., 1])
 
 
@@ -156,7 +156,7 @@ def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
         steps, horiz = _segments(paths)
         turns = _turn_angles(steps, horiz).sum(axis=-1)
         climbs = _climb_angles(steps, horiz)
-        deltas = np.abs(np.diff(climbs, axis=-1)).sum(axis=-1)
+        deltas = np.abs(climbs[..., 1:] - climbs[..., :-1]).sum(axis=-1)
         return weights.a1 * turns + weights.a2 * deltas
 
 
@@ -193,18 +193,24 @@ def evaluate_paths(paths, scenario: Scenario) -> np.ndarray:
 
     Feasibility first: F3 runs on every path, F2 on the paths F3 left
     finite, F1 and F4 on the paths both left finite, and every other path
-    scores +inf, as its weighted total would.  The kernels work row by row,
-    so each surviving total is bit-identical to that of the full batch.
+    scores +inf, as its weighted total would.  Once no path is left in the
+    running the call returns, so F2, F1 and F4 never run on an empty stack.
+    The kernels work row by row, so each surviving total is bit-identical
+    to that of the full batch.
     """
     paths = _as_paths(paths)
     weights, cons = scenario.weights, scenario.constraints
+    total = np.full(paths.shape[0], np.inf)
     f3 = altitude_cost_many(paths, scenario.terrain, cons)
     rows = np.flatnonzero(_in_running(f3, weights.b3))
+    if rows.size == 0:
+        return total
     f2 = threat_cost_many(paths[rows], scenario.threats, cons)
     keep = _in_running(f2, weights.b2)
     rows, f2 = rows[keep], f2[keep]
+    if rows.size == 0:
+        return total
     live = paths[rows]
-    total = np.full(paths.shape[0], np.inf)
     total[rows] = _weighted_total(
         length_cost_many(live), f2, f3[rows], smooth_cost_many(live, weights), weights
     )

@@ -386,14 +386,18 @@ def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
     m, d = x.shape
     if m < 4:
         raise ValueError("DE needs a population of at least 4")
-    trials = np.empty_like(x)
+    # The loop only draws, in the order a per-member update would; the
+    # arithmetic then runs once on (m, d) arrays, with the same bits.
+    partners, draws, forced = [], np.empty((m, d)), []
     for i in range(m):
-        r1, r2, r3 = _distinct_indices(m, i, 3, rng)
-        mutant = x[r1] + DE_F * (x[r2] - x[r3])
-        cross = rng.random(d) < DE_CR
-        cross[int(rng.integers(d))] = True  # at least one mutant dimension
-        trials[i] = np.where(cross, mutant, x[i])
-    trials = clamp_wrap(trials, population.space)
+        partners.append(_distinct_indices(m, i, 3, rng))
+        draws[i] = rng.random(d)
+        forced.append(rng.integers(d))
+    r1, r2, r3 = np.array(partners).T
+    mutants = x[r1] + DE_F * (x[r2] - x[r3])
+    cross = draws < DE_CR
+    cross[np.arange(m), forced] = True  # at least one mutant dimension
+    trials = clamp_wrap(np.where(cross, mutants, x), population.space)
     trial_fitness = population.evaluate(trials)
     accept = trial_fitness <= population.fitness
     population.members = np.where(accept[:, None], trials, x)
@@ -438,14 +442,17 @@ def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_
 def _abc_candidates(sources: np.ndarray, picks: np.ndarray, rng) -> np.ndarray:
     """One-dimension neighbor moves v = x + phi (x - x_partner)."""
     s, d = sources.shape
-    cands = sources[picks].copy()
-    for row, i in enumerate(picks):
-        j = int(rng.integers(d))
+    # The loop only draws; -1 + 2u is the arithmetic Generator.uniform(-1, 1)
+    # does on the same stream value u.
+    dims, partners, phis = [], [], []
+    for i in picks:
+        dims.append(int(rng.integers(d)))
         k = int(rng.integers(s - 1))
-        if k >= i:
-            k += 1
-        phi = rng.uniform(-1.0, 1.0)
-        cands[row, j] = sources[i, j] + phi * (sources[i, j] - sources[k, j])
+        partners.append(k + 1 if k >= i else k)
+        phis.append(-1.0 + 2.0 * rng.random())
+    x = sources[picks, dims]
+    cands = sources[picks]
+    cands[np.arange(len(picks)), dims] = x + np.array(phis) * (x - sources[partners, dims])
     return cands
 
 

@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written from scratch in scalar Python on top of the
-math module; none of it calls into uavpath.cost, so a disagreement points
-at a real defect in one of the two sides.
+The cost references are written from scratch in scalar Python on top of
+the math module; none of it calls into uavpath.cost, so a disagreement
+points at a real defect in one of the two sides.  The solver-step
+references build DE trials and ABC candidates one member at a time, each
+draw followed by its own arithmetic, as a per-member loop reads.
 """
 
 import math
+
+import numpy as np
 
 EPS_LEN = 1e-9
 
@@ -123,3 +127,38 @@ def oracle_total_cost(waypoints, scenario):
         if b > 0:
             total += b * f
     return f1, f2, f3, f4, total
+
+
+def de_trials_reference(x, rng, f, cr):
+    """DE/rand/1/bin trials, member by member and before clamping: three
+    distinct partners other than the member (rejection-sampled), a crossover
+    draw per dimension and one forced mutant dimension."""
+    m, d = x.shape
+    trials = np.empty_like(x)
+    for i in range(m):
+        partners = []
+        while len(partners) < 3:
+            r = int(rng.integers(m))
+            if r != i and r not in partners:
+                partners.append(r)
+        r1, r2, r3 = partners
+        mutant = x[r1] + f * (x[r2] - x[r3])
+        cross = rng.random(d) < cr
+        cross[int(rng.integers(d))] = True
+        trials[i] = np.where(cross, mutant, x[i])
+    return trials
+
+
+def abc_candidates_reference(sources, picks, rng):
+    """ABC neighbour moves v = x + phi (x - x_partner), row by row: one
+    dimension, one partner other than the source, phi ~ U(-1, 1)."""
+    s, d = sources.shape
+    cands = sources[picks].copy()
+    for row, i in enumerate(picks):
+        j = int(rng.integers(d))
+        k = int(rng.integers(s - 1))
+        if k >= i:
+            k += 1
+        phi = rng.uniform(-1.0, 1.0)
+        cands[row, j] = sources[i, j] + phi * (sources[i, j] - sources[k, j])
+    return cands

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavpath import CostWeights, FlightConstraints, Scenario, Threat, total_cost
+from uavpath import CostWeights, FlightConstraints, Scenario, Threat, cost, total_cost
 from uavpath.cost import (
     _climb_angles,
     _segments,
@@ -335,8 +335,9 @@ class TestTotalCost:
 
 
 class TestFeasibilityFirst:
-    """evaluate_paths skips terms on rows an earlier term made infinite;
-    its totals must equal the weighted total of the full breakdown."""
+    """evaluate_paths skips terms on rows an earlier term made infinite,
+    and runs no later kernel once no row is left; its totals must equal the
+    weighted total of the full breakdown."""
 
     @staticmethod
     def mixed_batch(scenario):
@@ -373,6 +374,60 @@ class TestFeasibilityFirst:
         assert finite["collision"] == ("b2" in weights)
         assert finite["corridor"] == finite["off_map"] == ("b3" in weights)
         assert np.isfinite(got[len(names):]).sum() >= 10
+
+
+    @staticmethod
+    def evaluate_watched(paths, scenario, monkeypatch):
+        """evaluate_paths with F2, F1 and F4 wrapped; returns the totals and
+        the row count of each kernel call."""
+        rows_seen = {}
+        for name in ("threat_cost_many", "length_cost_many", "smooth_cost_many"):
+            def watched(stack, *args, _kernel=getattr(cost, name), _name=name):
+                rows_seen.setdefault(_name, []).append(len(stack))
+                return _kernel(stack, *args)
+
+            monkeypatch.setattr(cost, name, watched)
+        return evaluate_paths(paths, scenario), rows_seen
+
+    @staticmethod
+    def jittered(path, count, seed):
+        """``count`` copies of ``path`` with its interior moved by up to 1 cm."""
+        rng = np.random.default_rng(seed)
+        paths = np.repeat(path[None], count, axis=0)
+        paths[:, 1:-1] += rng.uniform(-0.01, 0.01, paths[:, 1:-1].shape)
+        return paths
+
+    def test_no_kernel_after_f3_rules_out_every_row(self, monkeypatch):
+        scenario = build_benchmark_suite(0)[3]
+        corridor = scenario.witness.copy()
+        corridor[2, 2] += 500.0
+        paths = self.jittered(corridor, 6, 1)
+        assert not np.isfinite(altitude_cost_many(paths, scenario.terrain, scenario.constraints)).any()
+        want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
+        got, rows_seen = self.evaluate_watched(paths, scenario, monkeypatch)
+        assert got.tobytes() == want.tobytes()
+        assert rows_seen == {}
+
+    def test_no_f1_f4_after_f2_rules_out_every_row(self, monkeypatch):
+        scenario = build_benchmark_suite(0)[3]
+        threat = scenario.threats[0]
+        collision = scenario.witness.copy()
+        collision[2, :2] = threat.center_x, threat.center_y
+        paths = self.jittered(collision, 6, 2)
+        assert np.isfinite(altitude_cost_many(paths, scenario.terrain, scenario.constraints)).all()
+        assert not np.isfinite(threat_cost_many(paths, scenario.threats, scenario.constraints)).any()
+        want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
+        got, rows_seen = self.evaluate_watched(paths, scenario, monkeypatch)
+        assert got.tobytes() == want.tobytes()
+        assert rows_seen == {"threat_cost_many": [6]}
+
+    def test_empty_stack(self, monkeypatch):
+        scenario = build_benchmark_suite(0)[3]
+        paths = np.empty((0, scenario.n_waypoints, 3))
+        want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
+        got, rows_seen = self.evaluate_watched(paths, scenario, monkeypatch)
+        assert got.shape == (0,) and got.tobytes() == want.tobytes()
+        assert rows_seen == {}
 
 
 def _random_scenario(seed):

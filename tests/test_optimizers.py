@@ -14,6 +14,7 @@ from uavpath import (
 from uavpath import optimizers
 from uavpath.cost import evaluate_paths
 from uavpath.encodings import SearchSpace
+from uavpath.encodings import clamp_wrap
 from uavpath.optimizers import (
     ALGORITHMS,
     AbcColony,
@@ -34,6 +35,8 @@ from uavpath.optimizers import (
     qpso_step,
     _streams,
 )
+
+from oracles import abc_candidates_reference, de_trials_reference
 
 
 @pytest.fixture()
@@ -59,11 +62,10 @@ class OnesRng:
 class ScriptedRng:
     """Returns pre-scripted values for successive draws."""
 
-    def __init__(self, randoms=(), integers=(), normals=None, uniforms=()):
+    def __init__(self, randoms=(), integers=(), normals=None):
         self._randoms = list(randoms)
         self._integers = list(integers)
         self._normals = normals
-        self._uniforms = list(uniforms)
 
     def random(self, shape=None):
         v = self._randoms.pop(0)
@@ -78,12 +80,6 @@ class ScriptedRng:
         if self._normals is not None:
             return np.asarray(self._normals, dtype=float)
         return np.zeros(size)
-
-    def uniform(self, lo, hi, size=None):
-        v = self._uniforms.pop(0)
-        if size is None:
-            return float(v)
-        return np.broadcast_to(np.asarray(v, dtype=float), size).copy()
 
 
 def stub_swarm(positions, velocities, best_positions, best_fitness, inertia=1.0, wrap=None):
@@ -302,7 +298,7 @@ class TestAbc:
     def test_null_move_increments_trial(self, one_node_scenario):
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         picks = np.array([0])
-        rng = ScriptedRng(integers=[1, 0], uniforms=[0.0])  # dim 1, partner 1, phi=0
+        rng = ScriptedRng(integers=[1, 0], randoms=[0.5])  # dim 1, partner 1, phi=0
         cands = _abc_candidates(colony.sources, picks, rng)
         assert np.array_equal(cands[0], colony.sources[0])
         _abc_greedy(colony, picks, cands)
@@ -329,6 +325,49 @@ class TestAbc:
         colony.trials[:] = [3, 7]
         _scout_phase(colony)
         assert np.array_equal(colony.sources, before)
+
+
+class TestStepsEqualPerMemberReference:
+    """de_step and _abc_candidates draw member by member and do their
+    arithmetic on whole arrays; trials, candidates and the generator state
+    they leave must equal the per-member loops of tests/oracles.py."""
+
+    SPACE = SearchSpace("cartesian", np.full(30, 0.0), np.full(30, 200.0), np.zeros(30, bool))
+
+    @pytest.mark.parametrize("m", [4, 20, 50])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_de_trials(self, m, seed):
+        x = np.random.default_rng(100 + m).uniform(0.0, 200.0, (m, 30))
+        pop = DePopulation(scenario=None, space=self.SPACE, members=x.copy(), fitness=np.zeros(m))
+        seen = []
+        pop.evaluate = lambda trials: seen.append(trials.copy()) or np.ones(len(trials))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        de_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng)
+        want = clamp_wrap(de_trials_reference(x, ref_rng, optimizers.DE_F, optimizers.DE_CR), self.SPACE)
+        assert np.array_equal(seen[0], want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("m", [4, 20, 50])
+    @pytest.mark.parametrize("onlookers", [False, True])
+    def test_abc_candidates(self, m, onlookers):
+        sources = np.random.default_rng(200 + m).uniform(0.0, 200.0, (m, 30))
+        picks = np.arange(m)
+        if onlookers:
+            picks = np.random.default_rng(m).integers(m, size=m)
+            assert len(np.unique(picks)) < m  # some source is picked twice
+        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+        got = _abc_candidates(sources, picks, rng)
+        assert np.array_equal(got, abc_candidates_reference(sources, picks, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_phi_draw_equals_generator_uniform(self, seed):
+        """_abc_candidates scales ``rng.random`` itself; a numpy whose
+        ``Generator.uniform(-1, 1)`` computes ``-1 + 2 u`` differently
+        breaks this identity, and with it the abc golden traces."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [-1.0 + 2.0 * rng.random() for _ in range(500)]
+        assert got == [ref_rng.uniform(-1.0, 1.0) for _ in range(500)]
 
 
 class TestRun:
