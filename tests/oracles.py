@@ -4,7 +4,8 @@ The cost references are written from scratch in scalar Python on top of
 the math module; none of it calls into uavpath.cost, so a disagreement
 points at a real defect in one of the two sides.  The solver-step
 references build DE trials and ABC candidates one member at a time, each
-draw followed by its own arithmetic, as a per-member loop reads.
+draw followed by its own arithmetic, as a per-member loop reads, and the
+initial population one redraw round at a time.
 """
 
 import math
@@ -162,3 +163,21 @@ def abc_candidates_reference(sources, picks, rng):
         phi = rng.uniform(-1.0, 1.0)
         cands[row, j] = sources[i, j] + phi * (sources[i, j] - sources[k, j])
     return cands
+
+
+def sample_reference(draw, evaluate, streams, retries):
+    """Initial population, round by round: one genome per stream, then each
+    infeasible one redrawn from its own stream, ``retries`` draws at most.
+    ``draw(streams)`` gives one genome per stream and ``evaluate(genomes)``
+    their fitness; returns (genomes, fitness, evaluations)."""
+    genomes = draw(streams)
+    fitness = evaluate(genomes)
+    evaluations = len(genomes)
+    for _ in range(retries - 1):
+        bad = np.flatnonzero(~np.isfinite(fitness))
+        if bad.size == 0:
+            break
+        genomes[bad] = draw([streams[i] for i in bad])
+        fitness[bad] = evaluate(genomes[bad])
+        evaluations += bad.size
+    return genomes, fitness, evaluations

@@ -14,7 +14,7 @@ from uavpath import (
 from uavpath import optimizers
 from uavpath.cost import evaluate_paths
 from uavpath.encodings import SearchSpace
-from uavpath.encodings import clamp_wrap
+from uavpath.encodings import clamp_wrap, decode, random_genomes
 from uavpath.optimizers import (
     ALGORITHMS,
     AbcColony,
@@ -35,8 +35,9 @@ from uavpath.optimizers import (
     qpso_step,
     _streams,
 )
+from uavpath.suite import build_benchmark_suite
 
-from oracles import abc_candidates_reference, de_trials_reference
+from oracles import abc_candidates_reference, de_trials_reference, sample_reference
 
 
 @pytest.fixture()
@@ -370,6 +371,72 @@ class TestStepsEqualPerMemberReference:
         assert got == [ref_rng.uniform(-1.0, 1.0) for _ in range(500)]
 
 
+def _threat_ring(terrain):
+    """A tight ring of overlapping cylinders walls off the goal at its centre."""
+    ring = tuple(
+        Threat(50.0 + 25.0 * math.cos(a), 50.0 + 25.0 * math.sin(a), 12.0)
+        for a in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+    )
+    return Scenario(
+        terrain=terrain,
+        threats=ring,
+        start=[10.0, 10.0, 70.0],
+        goal=[50.0, 50.0, 70.0],
+        constraints=FlightConstraints(),
+        weights=CostWeights(),
+        n_waypoints=5,
+    )
+
+
+class TestInitEqualsPerRoundReference:
+    """The initial population, its fitness and the evaluation count must
+    equal the round-by-round redraw of tests/oracles.py, however the
+    sampler groups a stream's tries.  On s3 and s7 most particles of every
+    algorithm exhaust their retries."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return build_benchmark_suite(0)
+
+    def check(self, algorithm, scenario, swarm):
+        space_of, _ = optimizers._SOLVERS[algorithm]
+        space = space_of(scenario)
+        streams, _ = _streams(3, algorithm, swarm)
+        state, genomes, fitness = optimizers._sample(algorithm, scenario, streams)
+        want_genomes, want_fitness, want_evaluations = sample_reference(
+            lambda batch: random_genomes(space, scenario, batch),
+            lambda g: evaluate_paths(decode(space.kind, g, scenario), scenario),
+            _streams(3, algorithm, swarm)[0],
+            optimizers.INIT_RETRIES,
+        )
+        assert np.array_equal(genomes, want_genomes)
+        assert np.array_equal(fitness, want_fitness)
+        assert state.evaluations == want_evaluations
+        return state, fitness
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("index", [2, 6])
+    @pytest.mark.parametrize("swarm", [12, 37])
+    def test_suite(self, suite, algorithm, index, swarm):
+        _, fitness = self.check(algorithm, suite[index], swarm)
+        assert np.isinf(fitness).any()  # some particle used every retry
+
+    @pytest.mark.parametrize("retries", [1, 7])
+    @pytest.mark.parametrize("algorithm", ["pso", "spso", "theta_pso"])
+    def test_retry_counts(self, suite, algorithm, retries, monkeypatch):
+        monkeypatch.setattr(optimizers, "INIT_RETRIES", retries)
+        state, _ = self.check(algorithm, suite[6], 37)
+        assert state.evaluations <= 37 * retries
+
+    @pytest.mark.parametrize("retries", [7, 20])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_closed_ring_uses_every_retry(self, flat_terrain, algorithm, retries, monkeypatch):
+        monkeypatch.setattr(optimizers, "INIT_RETRIES", retries)
+        state, fitness = self.check(algorithm, _threat_ring(flat_terrain), 12)
+        assert np.all(np.isinf(fitness))
+        assert state.evaluations == 12 * retries
+
+
 class TestRun:
     def test_unknown_algorithm(self, flat_scenario):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -406,21 +473,7 @@ class TestRun:
             prev = swarm.best_fitness.copy()
 
     def test_impossible_scenario_reports_failure(self, flat_terrain):
-        # a tight ring of overlapping cylinders walls off the goal
-        ring = tuple(
-            Threat(50.0 + 25.0 * math.cos(a), 50.0 + 25.0 * math.sin(a), 12.0)
-            for a in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
-        )
-        scenario = Scenario(
-            terrain=flat_terrain,
-            threats=ring,
-            start=[10.0, 10.0, 70.0],
-            goal=[50.0, 50.0, 70.0],
-            constraints=FlightConstraints(),
-            weights=CostWeights(),
-            n_waypoints=5,
-        )
-        trace = run("pso", scenario, SwarmConfig(swarm_size=10, max_iterations=5, seed=0))
+        trace = run("pso", _threat_ring(flat_terrain), SwarmConfig(swarm_size=10, max_iterations=5, seed=0))
         assert not trace.feasible
         assert math.isinf(trace.final_fitness)
         assert np.all(np.isinf(trace.best_fitness))
