@@ -237,10 +237,12 @@ def decode(kind: str, genome, scenario: Scenario) -> np.ndarray:
 
 # --- random genomes -------------------------------------------------------------
 
-def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarray:
-    """Sample one genome per generator in ``streams``, within the bounds of
-    ``space`` (the scenario's search space of one encoding); returns a
-    (len(streams), 3N) batch.
+def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries=None) -> np.ndarray:
+    """Sample genomes from each generator in ``streams``, within the bounds
+    of ``space`` (the scenario's search space of one encoding).  Returns a
+    (len(streams), 3N) batch, one genome per stream; given ``tries``, a
+    (len(streams), tries, 3N) block whose try t of a stream is the genome
+    the t-th of ``tries`` successive one-genome calls would draw from it.
 
     Horizontal coordinates (and angles) are uniform over their intervals.
     Waypoint altitudes are sampled relative to the ground under the drawn
@@ -250,16 +252,27 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarra
     nearly horizontal so the non-descending chain stays inside the
     corridor too.  Row i depends on ``streams[i]`` alone, whatever the
     batch.
+
+    Each stream fills its (tries, width) draws in one ``rng.random`` call.
+    A try's ``width`` values are its 3N genome values, then, for cartesian
+    and angle genomes, one altitude offset per node (4N in all).
+    ``Generator.random`` spends one 64-bit word per double and buffers
+    none, so a block of tries holds the values successive calls would
+    draw.  At MAX_WAYPOINTS and a swarm of 500, a block of 4 tries takes
+    64 MB of draws and 48 MB of genomes.
     """
-    # Each draw is ``lo + (hi - lo) * rng.random(n)``, the arithmetic of
-    # ``rng.uniform(lo, hi, n)`` on the same stream values, without the
+    # Each value is ``lo + (hi - lo) * u``, the arithmetic of
+    # ``rng.uniform(lo, hi)`` on the same stream value u, without the
     # Python-level bound checks ``Generator.uniform`` makes on every call.
     # The golden hashes and test_sampler_draws_equal_generator_uniform
     # guard that equivalence against a numpy that computes it differently.
     kind = space.kind
     cons = scenario.constraints
+    n = scenario.n_interior
+    draws = np.empty((len(streams), tries or 1, 3 * n if kind == "spherical" else 4 * n))
+    for rng, out in zip(streams, draws):
+        rng.random(out=out)
     if kind == "spherical":
-        n = scenario.n_interior
         bearing = math.atan2(
             scenario.goal[1] - scenario.start[1], scenario.goal[0] - scenario.start[0]
         )
@@ -267,25 +280,22 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams) -> np.ndarra
             [EPS_LEN, math.pi / 2 - SPSO_INIT_PSI_BAND, bearing - SPSO_INIT_PHI_HALFWIDTH], n
         )
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
-        draws = np.stack([rng.random(lo.size) for rng in streams])
-        return clamp_wrap(lo + (hi - lo) * draws, space)
+        genomes = clamp_wrap(lo + (hi - lo) * draws, space)
+        return genomes if tries is not None else genomes[:, 0]
     bounds = axis_bounds(scenario)
-    draws = np.stack([rng.random(space.dims) for rng in streams])
-    genomes = space.lower + (space.upper - space.lower) * draws
+    genomes = space.lower + (space.upper - space.lower) * draws[..., : 3 * n]
     if kind == "angle":
-        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())
-        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[:, 1::3]) + bounds[1].sum())
+        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[..., 0::3]) + bounds[0].sum())
+        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[..., 1::3]) + bounds[1].sum())
     else:
-        xs, ys = genomes[:, 0::3], genomes[:, 1::3]
+        xs, ys = genomes[..., 0::3], genomes[..., 1::3]
     ground = scenario.terrain.heights(xs, ys)
-    draws = np.stack([rng.random(xs.shape[1]) for rng in streams])
-    z = ground + (cons.h_min + (cons.h_max - cons.h_min) * draws)
+    z = ground + (cons.h_min + (cons.h_max - cons.h_min) * draws[..., 3 * n :])
     if kind == "angle":
         lo_z, hi_z = bounds[2]
         z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
     else:
         z_genes = np.clip(z, space.lower[2::3], space.upper[2::3])
     # Nodata ground (possible on real DEMs) falls back to the box-uniform z.
-    genomes[:, 2::3] = np.where(np.isnan(z), genomes[:, 2::3], z_genes)
-    return genomes
-
+    genomes[..., 2::3] = np.where(np.isnan(z), genomes[..., 2::3], z_genes)
+    return genomes if tries is not None else genomes[:, 0]

@@ -38,6 +38,7 @@ from .scenario import Scenario
 ALGORITHMS = ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
 
 INIT_RETRIES = 20  # attempts per particle to find a finite-fitness genome
+INIT_BLOCK = 4  # attempts drawn per particle in one sampler call
 
 # Solver constants fixed by the paper, read where they are used, so that
 # patching one changes the next step.
@@ -128,17 +129,30 @@ class _State:
 
 def _sample(algorithm: str, scenario: Scenario, streams):
     """One scored genome per stream, infeasible ones redrawn from their own
-    stream a bounded number of times; returns (bare state, genomes, fitness)."""
+    stream a bounded number of times; returns (bare state, genomes, fitness).
+
+    Every INIT_BLOCK-th round draws the next INIT_BLOCK tries of each stream
+    still infeasible in one sampler call, and each round scores its try
+    from that block: the genomes, scores and evaluation count of drawing
+    one try per round.  No stream is read after init, so the tries left
+    over once a particle is feasible change nothing."""
     space_of, _ = _SOLVERS[algorithm]
     base = _State(scenario, space_of(scenario))
-    genomes = encodings.random_genomes(base.space, scenario, streams)
-    fitness = base.evaluate(genomes)
-    for _ in range(INIT_RETRIES - 1):
+    genomes = np.empty((len(streams), base.space.dims))
+    fitness = np.empty(len(streams))
+    bad = np.arange(len(streams))
+    for r in range(INIT_RETRIES):
+        if r % INIT_BLOCK == 0:
+            drawn = bad  # the particle of each block row, ascending
+            block = encodings.random_genomes(
+                base.space, scenario, [streams[i] for i in bad], min(INIT_BLOCK, INIT_RETRIES - r)
+            )
+        batch = block[np.searchsorted(drawn, bad), r % INIT_BLOCK]
+        genomes[bad] = batch
+        fitness[bad] = base.evaluate(batch)
         bad = np.flatnonzero(~np.isfinite(fitness))
         if bad.size == 0:
             break
-        genomes[bad] = encodings.random_genomes(base.space, scenario, [streams[i] for i in bad])
-        fitness[bad] = base.evaluate(genomes[bad])
     return base, genomes, fitness
 
 
@@ -264,10 +278,12 @@ class GaPopulation(_State):
     def evaluate_members(self, members) -> np.ndarray:
         """Batch-evaluate a mixed-length population grouped by node count."""
         fitness = np.empty(len(members))
-        lengths = np.array([len(m) for m in members])
-        for k in np.unique(lengths):
-            idx = np.flatnonzero(lengths == k)
-            fitness[idx] = self.evaluate(np.stack([members[i] for i in idx]))
+        groups: dict[int, list[int]] = {}
+        for i, nodes in enumerate(members):
+            groups.setdefault(len(nodes), []).append(i)
+        for k in sorted(groups):
+            idx = groups[k]
+            fitness[idx] = self.evaluate(np.array([members[i] for i in idx]))
         return fitness
 
     def best(self) -> tuple[float, np.ndarray]:
@@ -294,8 +310,8 @@ def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, rng):
         return p1.copy(), p2.copy()
     c1 = int(rng.integers(1, len(p1)))
     c2 = int(rng.integers(1, len(p2)))
-    child1 = np.vstack([p1[:c1], p2[c2:]])[:max_nodes]
-    child2 = np.vstack([p2[:c2], p1[c1:]])[:max_nodes]
+    child1 = np.concatenate((p1[:c1], p2[c2:]))[:max_nodes]
+    child2 = np.concatenate((p2[:c2], p1[c1:]))[:max_nodes]
     return child1, child2
 
 
@@ -307,20 +323,22 @@ def ga_mutate(nodes: np.ndarray, scenario: Scenario, space: SearchSpace, rng) ->
     if op == 0:  # add: midpoint of a random segment of the full path, jittered
         if len(nodes) >= 2 * scenario.n_interior:
             return nodes
-        full = assemble_path(nodes, scenario)
-        seg = int(rng.integers(len(full) - 1))
-        mid = 0.5 * (full[seg] + full[seg + 1]) + rng.normal(0.0, scenario.terrain.cell_size, 3)
-        return np.insert(nodes, seg, np.clip(mid, lo, hi), axis=0)
+        seg = int(rng.integers(len(nodes) + 1))  # of the len(nodes) + 1 segments
+        a = nodes[seg - 1] if seg > 0 else scenario.start
+        b = nodes[seg] if seg < len(nodes) else scenario.goal
+        mid = 0.5 * (a + b) + rng.normal(0.0, scenario.terrain.cell_size, 3)
+        return np.concatenate((nodes[:seg], np.clip(mid, lo, hi)[None], nodes[seg:]))
     if op == 1:  # delete a random node, keeping at least one
         if len(nodes) <= 1:
             return nodes
-        return np.delete(nodes, int(rng.integers(len(nodes))), axis=0)
+        i = int(rng.integers(len(nodes)))
+        return np.concatenate((nodes[:i], nodes[i + 1:]))
     # merge two adjacent nodes into their midpoint
     if len(nodes) < 2:
         return nodes
     i = int(rng.integers(len(nodes) - 1))
     mid = 0.5 * (nodes[i] + nodes[i + 1])
-    return np.vstack([nodes[:i], mid[None], nodes[i + 2:]])
+    return np.concatenate((nodes[:i], mid[None], nodes[i + 2:]))
 
 
 def _tournament(fitness: np.ndarray, rng) -> int:

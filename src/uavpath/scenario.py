@@ -37,7 +37,8 @@ from .terrain import (
 
 # Most waypoints a path may have, checked before any swarm is allocated: at
 # the default swarm of 500 each of a solver's (swarm, 3n) float64 arrays
-# takes 12 MB, and each of F2's (threats, swarm * n) ones 4 MB per threat.
+# takes 12 MB, each of F2's (threats, swarm * n) ones 4 MB per threat, and
+# init's block of 4 tries per particle 64 MB of draws and 48 MB of genomes.
 MAX_WAYPOINTS = 1000
 
 

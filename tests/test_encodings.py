@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from uavpath import decode_angle, decode_cartesian, decode_spherical
+from uavpath import (
+    CostWeights, FlightConstraints, Scenario, TerrainMap, decode_angle, decode_cartesian,
+    decode_spherical,
+)
 from uavpath.cost import EPS_LEN
 from uavpath.encodings import (
     SPSO_INIT_PHI_HALFWIDTH,
@@ -12,6 +15,7 @@ from uavpath.encodings import (
     axis_bounds,
     cartesian_space,
     clamp_wrap,
+    decode,
     random_genomes,
     rho_max,
     spherical_space,
@@ -280,3 +284,57 @@ def test_sampler_draws_equal_generator_uniform(space_of, index):
     seeds = range(40, 56)
     got = random_genomes(space, scenario, [np.random.default_rng(seed) for seed in seeds])
     assert np.array_equal(got, _uniform_reference(space, scenario, seeds))
+
+
+@pytest.fixture(scope="module")
+def holed_scenario():
+    """A 12 x 10 grid with three nodata nodes, so some sampled (x, y) have
+    no ground and take the box-uniform altitude."""
+    elev = np.random.default_rng(3).uniform(0.0, 40.0, (10, 12))
+    elev[4, 5] = elev[7, 2] = elev[2, 9] = np.nan
+    terrain = TerrainMap(
+        n_cols=12, n_rows=10, origin_x=0.0, origin_y=0.0, cell_size=10.0,
+        nodata_value=-9999.0, elevations=elev,
+    )
+    return Scenario(
+        terrain=terrain,
+        threats=(),
+        start=[5.0, 5.0, 90.0],
+        goal=[105.0, 85.0, 90.0],
+        constraints=FlightConstraints(),
+        weights=CostWeights(),
+        n_waypoints=7,
+    )
+
+
+class TestSamplerBlocks:
+    """A block of tries per stream is what successive one-genome calls on
+    the same streams draw, and a one-genome call leaves each stream where
+    the genome box and the altitude offsets, drawn in two calls, left it."""
+
+    @pytest.mark.parametrize("space_of", [cartesian_space, angle_space, spherical_space])
+    @pytest.mark.parametrize("tries", [1, 4, 7])
+    def test_block_equals_successive_single_tries(self, holed_scenario, space_of, tries):
+        space = space_of(holed_scenario)
+        seeds = range(10, 15)
+        block = random_genomes(
+            space, holed_scenario, [np.random.default_rng(seed) for seed in seeds], tries
+        )
+        assert block.shape == (len(seeds), tries, space.dims)
+        clones = [np.random.default_rng(seed) for seed in seeds]
+        for t in range(tries):
+            assert np.array_equal(block[:, t], random_genomes(space, holed_scenario, clones))
+        if space.kind != "spherical" and tries > 1:
+            nodes = decode(space.kind, block.reshape(-1, space.dims), holed_scenario)[:, 1:-1]
+            assert np.isnan(holed_scenario.terrain.heights(nodes[..., 0], nodes[..., 1])).any()
+
+    @pytest.mark.parametrize("space_of", [cartesian_space, angle_space, spherical_space])
+    def test_one_try_leaves_stream_after_its_draws(self, holed_scenario, space_of):
+        space = space_of(holed_scenario)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        random_genomes(space, holed_scenario, [rng])
+        ref.random(space.dims)
+        if space.kind != "spherical":
+            ref.random(holed_scenario.n_interior)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
