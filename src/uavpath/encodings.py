@@ -269,7 +269,8 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries=None) 
     kind = space.kind
     cons = scenario.constraints
     n = scenario.n_interior
-    draws = np.empty((len(streams), tries or 1, 3 * n if kind == "spherical" else 4 * n))
+    width = 3 * n if kind == "spherical" else 4 * n
+    draws = np.empty((len(streams), 1 if tries is None else tries, width))
     for rng, out in zip(streams, draws):
         rng.random(out=out)
     if kind == "spherical":
