@@ -391,7 +391,7 @@ def _threat_ring(terrain):
 class TestInitEqualsPerRoundReference:
     """The initial population, its fitness and the evaluation count must
     equal the round-by-round redraw of tests/oracles.py, however the
-    sampler groups a stream's tries.  On s3 and s7 most particles of every
+    sampler groups a stream's tries.  On s3 and s7 some particles of every
     algorithm exhaust their retries."""
 
     @pytest.fixture(scope="class")
