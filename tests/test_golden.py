@@ -45,3 +45,17 @@ def test_golden_trace(algorithm, hilly_scenario, monkeypatch):
     trace = run(algorithm, hilly_scenario, GOLDEN_CONFIG)
     digest = trace_digest(trace)
     assert digest == GOLDEN[algorithm], f"{algorithm}: {digest}"
+
+
+# At GOLDEN_CONFIG de's best never moves from its initial member, so its
+# hash pins init alone.  At seed 6 the best improves within the ten
+# iterations, so this hash pins de_step too.
+DE_STEP_CONFIG = SwarmConfig(swarm_size=12, max_iterations=10, seed=6)
+DE_STEP_GOLDEN = "e0170c56d792e49d7fff93eb81c467447395b635e4282988c28ea47a8cdd6a9a"
+
+
+def test_golden_de_step(hilly_scenario):
+    trace = run("de", hilly_scenario, DE_STEP_CONFIG)
+    assert trace.best_fitness[-1] < trace.best_fitness[0]
+    digest = trace_digest(trace)
+    assert digest == DE_STEP_GOLDEN, f"de seed 6: {digest}"
