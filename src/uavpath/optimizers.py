@@ -95,16 +95,32 @@ class EvolutionTrace:
         return math.isfinite(self.final_fitness)
 
 
-def _streams(seed: int, algorithm: str, swarm_size: int):
-    """Named RNG streams: one per particle for initialization, one for the
-    swarm-level iteration draws."""
-    algo_id = ALGORITHMS.index(algorithm)
-    particle = [
-        np.random.default_rng(np.random.SeedSequence((seed, algo_id, 0, i)))
-        for i in range(swarm_size)
-    ]
-    swarm = np.random.default_rng(np.random.SeedSequence((seed, algo_id, 1)))
-    return particle, swarm
+def _entropy(seed: int, algorithm: str, *key: int) -> np.ndarray:
+    """The uint32 words ``SeedSequence((seed, algorithm id, *key))`` coerces
+    its tuple to: the seed as little-endian 32-bit words (at least one), then
+    one word per entry.  A sequence given these words as an array has the
+    same pool, and skips that coercion in Python."""
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return np.array(words + [ALGORITHMS.index(algorithm), *key], dtype=np.uint32)
+
+
+def _rng(seed: int, algorithm: str, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(_entropy(seed, algorithm, *key)))
+
+
+def _particle_streams(seed: int, algorithm: str, count: int) -> list:
+    """One RNG stream per particle, key (0, i); only initialization reads them."""
+    entropy = np.tile(_entropy(seed, algorithm, 0, 0), (count, 1))
+    entropy[:, -1] = np.arange(count)
+    return [np.random.default_rng(np.random.SeedSequence(row)) for row in entropy]
+
+
+def _swarm_stream(seed: int, algorithm: str) -> np.random.Generator:
+    """The stream of the swarm-level iteration draws, key (1,)."""
+    return _rng(seed, algorithm, 1)
 
 
 # --- shared state ----------------------------------------------------------------
@@ -189,8 +205,9 @@ class Swarm(_State):
         return float(self.best_fitness[i]), self.best_positions[i]
 
 
-def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> Swarm:
-    base, positions, fitness = _sample(algorithm, scenario, particle_streams)
+def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm:
+    streams = _particle_streams(config.seed, algorithm, config.swarm_size)
+    base, positions, fitness = _sample(algorithm, scenario, streams)
     return Swarm(
         **vars(base),
         positions=positions,
@@ -290,8 +307,9 @@ class GaPopulation(_State):
         return self.best_fitness, self.best_genome
 
 
-def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> GaPopulation:
-    base, genomes, fitness = _sample(algorithm, scenario, particle_streams)
+def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig) -> GaPopulation:
+    streams = _particle_streams(config.seed, algorithm, config.swarm_size)
+    base, genomes, fitness = _sample(algorithm, scenario, streams)
     members = [g.reshape(-1, 3) for g in genomes]
     i = int(np.argmin(fitness))
     return GaPopulation(
@@ -384,8 +402,9 @@ class DePopulation(_State):
         return float(self.fitness[i]), self.members[i]
 
 
-def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> DePopulation:
-    base, genomes, fitness = _sample(algorithm, scenario, particle_streams)
+def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> DePopulation:
+    streams = _particle_streams(config.seed, algorithm, config.swarm_size)
+    base, genomes, fitness = _sample(algorithm, scenario, streams)
     return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
 
@@ -441,11 +460,11 @@ class AbcColony(_State):
         return self.best_fitness, self.best_genome
 
 
-def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_streams) -> AbcColony:
+def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig) -> AbcColony:
     n_sources = max(2, config.swarm_size // 2)
-    base, genomes, fitness = _sample(algorithm, scenario, particle_streams[:n_sources])
+    streams = _particle_streams(config.seed, algorithm, n_sources)
+    base, genomes, fitness = _sample(algorithm, scenario, streams)
     i = int(np.argmin(fitness))
-    scout_seq = np.random.SeedSequence((config.seed, ALGORITHMS.index("abc"), 2))
     return AbcColony(
         **vars(base),
         sources=genomes,
@@ -453,7 +472,7 @@ def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig, particle_
         trials=np.zeros(n_sources, dtype=int),
         best_genome=genomes[i].copy(),
         best_fitness=float(fitness[i]),
-        scout_stream=np.random.default_rng(scout_seq),
+        scout_stream=_rng(config.seed, "abc", 2),
     )
 
 
@@ -558,10 +577,10 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    particle_streams, swarm_stream = _streams(config.seed, algorithm, config.swarm_size)
+    swarm_stream = _swarm_stream(config.seed, algorithm)
     _, init = _SOLVERS[algorithm]
     step = _STEP[algorithm]
-    state = init(algorithm, scenario, config, particle_streams)
+    state = init(algorithm, scenario, config)
     trace = np.empty(config.max_iterations)
     # best() only improves (local and kept bests, DE's greedy members): the best so far.
     for k in range(config.max_iterations):

@@ -33,7 +33,8 @@ from uavpath.optimizers import (
     init_swarm,
     onlooker_weights,
     qpso_step,
-    _streams,
+    _particle_streams,
+    _swarm_stream,
 )
 from uavpath.suite import build_benchmark_suite
 
@@ -198,8 +199,8 @@ class TestStationarity:
         monkeypatch.setattr(optimizers, "COGNITIVE", 0.0)
         monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
         config = SwarmConfig(swarm_size=8, max_iterations=5, seed=3)
-        particle_streams, swarm_stream = _streams(config.seed, algorithm, config.swarm_size)
-        swarm = init_swarm(algorithm, hilly_scenario, config, particle_streams)
+        swarm_stream = _swarm_stream(config.seed, algorithm)
+        swarm = init_swarm(algorithm, hilly_scenario, config)
         initial = swarm.positions.copy()
         step = {"pso": pso_step, "theta_pso": theta_pso_step, "spso": spso_step}[algorithm]
         for _ in range(5):
@@ -371,6 +372,24 @@ class TestStepsEqualPerMemberReference:
         assert got == [ref_rng.uniform(-1.0, 1.0) for _ in range(500)]
 
 
+class TestStreams:
+    """Each stream's SeedSequence gets its entropy as uint32 words; its pool
+    must be the one the tuple (seed, algorithm id, *key) gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1])
+    @pytest.mark.parametrize("algorithm", ["pso", "abc"])
+    def test_equal_to_tuple_entropy(self, seed, algorithm):
+        streams = _particle_streams(seed, algorithm, 3) + [
+            _swarm_stream(seed, algorithm),
+            optimizers._rng(seed, algorithm, 2),  # ABC's scout stream
+        ]
+        keys = [(0, 0), (0, 1), (0, 2), (1,), (2,)]
+        for stream, key in zip(streams, keys):
+            want = np.random.SeedSequence((seed, ALGORITHMS.index(algorithm), *key))
+            assert np.array_equal(stream.bit_generator.seed_seq.generate_state(4), want.generate_state(4))
+            assert np.array_equal(stream.random(5), np.random.default_rng(want).random(5))
+
+
 def _threat_ring(terrain):
     """A tight ring of overlapping cylinders walls off the goal at its centre."""
     ring = tuple(
@@ -401,12 +420,12 @@ class TestInitEqualsPerRoundReference:
     def check(self, algorithm, scenario, swarm):
         space_of, _ = optimizers._SOLVERS[algorithm]
         space = space_of(scenario)
-        streams, _ = _streams(3, algorithm, swarm)
+        streams = _particle_streams(3, algorithm, swarm)
         state, genomes, fitness = optimizers._sample(algorithm, scenario, streams)
         want_genomes, want_fitness, want_evaluations = sample_reference(
             lambda batch: random_genomes(space, scenario, batch),
             lambda g: evaluate_paths(decode(space.kind, g, scenario), scenario),
-            _streams(3, algorithm, swarm)[0],
+            _particle_streams(3, algorithm, swarm),
             optimizers.INIT_RETRIES,
         )
         assert np.array_equal(genomes, want_genomes)
@@ -464,8 +483,8 @@ class TestRun:
 
     def test_local_bests_never_increase(self, hilly_scenario):
         config = SwarmConfig(swarm_size=10, max_iterations=1, seed=9)
-        particle_streams, swarm_stream = _streams(config.seed, "spso", config.swarm_size)
-        swarm = init_swarm("spso", hilly_scenario, config, particle_streams)
+        swarm_stream = _swarm_stream(config.seed, "spso")
+        swarm = init_swarm("spso", hilly_scenario, config)
         prev = swarm.best_fitness.copy()
         for _ in range(25):
             spso_step(swarm, config, swarm_stream)
