@@ -359,30 +359,33 @@ def ga_mutate(nodes: np.ndarray, scenario: Scenario, space: SearchSpace, rng) ->
     return np.concatenate((nodes[:i], mid[None], nodes[i + 2:]))
 
 
-def _tournament(fitness: np.ndarray, rng) -> int:
-    i, j = rng.integers(len(fitness)), rng.integers(len(fitness))
-    return int(i) if fitness[i] <= fitness[j] else int(j)
-
-
 def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> GaPopulation:
     """Tournament selection, one-point crossover, structural mutation,
-    elitism of one."""
+    elitism of one.
+
+    Each generation draws its m // 2 parent pairs as binary tournaments
+    (the fitter of two uniform picks, a tie to the first), one crossover
+    coin per pair and one mutation coin per child it keeps, as arrays.  The
+    cut points and mutations are drawn per child, since lengths vary."""
     m = len(population.members)
-    elite_idx = int(np.argmin(population.fitness))
-    new_members = [population.members[elite_idx].copy()]
-    while len(new_members) < m:
-        p1 = population.members[_tournament(population.fitness, rng)]
-        p2 = population.members[_tournament(population.fitness, rng)]
-        if rng.random() < GA_CROSSOVER_RATE:
-            c1, c2 = ga_crossover(p1, p2, population.max_nodes, rng)
+    fitness = population.fitness
+    picks = rng.integers(m, size=(m // 2, 2, 2))  # pair, parent, pick
+    first, second = picks[..., 0], picks[..., 1]
+    parents = np.where(fitness[first] <= fitness[second], first, second)
+    crossed = rng.random(m // 2) < GA_CROSSOVER_RATE
+    mutated = rng.random(m - 1) < GA_MUTATION_RATE
+    children = []
+    for (i, j), cross in zip(parents, crossed):
+        p1, p2 = population.members[i], population.members[j]
+        if cross:
+            children += ga_crossover(p1, p2, population.max_nodes, rng)
         else:
-            c1, c2 = p1.copy(), p2.copy()
-        for child in (c1, c2):
-            if len(new_members) >= m:
-                break
-            if rng.random() < GA_MUTATION_RATE:
-                child = ga_mutate(child, population.scenario, population.space, rng)
-            new_members.append(child)
+            children += (p1.copy(), p2.copy())
+    new_members = [population.members[int(np.argmin(fitness))].copy()]
+    for child, mutate in zip(children, mutated):  # drops the m-th child of an even m
+        if mutate:
+            child = ga_mutate(child, population.scenario, population.space, rng)
+        new_members.append(child)
     population.members = new_members
     population.fitness = population.evaluate_members(new_members)
     _keep_best(population, population.fitness, new_members)
@@ -408,13 +411,14 @@ def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> DePopul
     return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
 
-def _distinct_indices(m: int, exclude: int, count: int, rng) -> list[int]:
-    chosen: list[int] = []
-    while len(chosen) < count:
-        i = int(rng.integers(m))
-        if i != exclude and i not in chosen:
-            chosen.append(i)
-    return chosen
+def _de_partners(m: int, rng) -> np.ndarray:
+    """(m, 3) partners r1, r2, r3 of each member: distinct, none the member
+    itself, every ordered triple equally likely, as when drawn one by one
+    with repeats rejected.  Sorting a row of uniform keys, the member's own
+    key set to +inf, orders the other m - 1 members uniformly at random."""
+    keys = rng.random((m, m))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1)[:, :3]
 
 
 def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
@@ -423,17 +427,10 @@ def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
     m, d = x.shape
     if m < 4:
         raise ValueError("DE needs a population of at least 4")
-    # The loop only draws, in the order a per-member update would; the
-    # arithmetic then runs once on (m, d) arrays, with the same bits.
-    partners, draws, forced = [], np.empty((m, d)), []
-    for i in range(m):
-        partners.append(_distinct_indices(m, i, 3, rng))
-        draws[i] = rng.random(d)
-        forced.append(rng.integers(d))
-    r1, r2, r3 = np.array(partners).T
+    r1, r2, r3 = _de_partners(m, rng).T
     mutants = x[r1] + DE_F * (x[r2] - x[r3])
-    cross = draws < DE_CR
-    cross[np.arange(m), forced] = True  # at least one mutant dimension
+    cross = rng.random((m, d)) < DE_CR
+    cross[np.arange(m), rng.integers(d, size=m)] = True  # at least one mutant dimension
     trials = clamp_wrap(np.where(cross, mutants, x), population.space)
     trial_fitness = population.evaluate(trials)
     accept = trial_fitness <= population.fitness
@@ -477,19 +474,18 @@ def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig) -> AbcCol
 
 
 def _abc_candidates(sources: np.ndarray, picks: np.ndarray, rng) -> np.ndarray:
-    """One-dimension neighbor moves v = x + phi (x - x_partner)."""
+    """One-dimension neighbor moves v = x + phi (x - x_partner): per pick a
+    uniform dimension, a uniform partner other than the source and
+    phi ~ U(-1, 1), each drawn for all picks at once."""
     s, d = sources.shape
-    # The loop only draws; -1 + 2u is the arithmetic Generator.uniform(-1, 1)
-    # does on the same stream value u.
-    dims, partners, phis = [], [], []
-    for i in picks:
-        dims.append(int(rng.integers(d)))
-        k = int(rng.integers(s - 1))
-        partners.append(k + 1 if k >= i else k)
-        phis.append(-1.0 + 2.0 * rng.random())
+    n = len(picks)
+    dims = rng.integers(d, size=n)
+    k = rng.integers(s - 1, size=n)
+    partners = k + (k >= picks)  # skips the source itself
+    phi = -1.0 + 2.0 * rng.random(n)
     x = sources[picks, dims]
     cands = sources[picks]
-    cands[np.arange(len(picks)), dims] = x + np.array(phis) * (x - sources[partners, dims])
+    cands[np.arange(n), dims] = x + phi * (x - sources[partners, dims])
     return cands
 
 

@@ -3,9 +3,9 @@
 The cost references are written from scratch in scalar Python on top of
 the math module; none of it calls into uavpath.cost, so a disagreement
 points at a real defect in one of the two sides.  The solver-step
-references build DE trials and ABC candidates one member at a time, each
-draw followed by its own arithmetic, as a per-member loop reads, and the
-initial population one redraw round at a time.
+references build DE trials and ABC candidates one member at a time from
+the arrays the step draws for its whole generation, and the initial
+population one redraw round at a time.
 """
 
 import math
@@ -131,37 +131,39 @@ def oracle_total_cost(waypoints, scenario):
 
 
 def de_trials_reference(x, rng, f, cr):
-    """DE/rand/1/bin trials, member by member and before clamping: three
-    distinct partners other than the member (rejection-sampled), a crossover
-    draw per dimension and one forced mutant dimension."""
+    """DE/rand/1/bin trials, member by member and before clamping, from the
+    arrays de_step draws, in its order: (m, m) partner keys, an (m, d)
+    crossover draw and m forced mutant dimensions.  Member i's partners are
+    the three other members with the lowest keys in row i, in key order."""
     m, d = x.shape
+    keys = rng.random((m, m))
+    draws = rng.random((m, d))
+    forced = rng.integers(d, size=m)
     trials = np.empty_like(x)
     for i in range(m):
-        partners = []
-        while len(partners) < 3:
-            r = int(rng.integers(m))
-            if r != i and r not in partners:
-                partners.append(r)
-        r1, r2, r3 = partners
+        r1, r2, r3 = sorted((j for j in range(m) if j != i), key=lambda j: keys[i, j])[:3]
         mutant = x[r1] + f * (x[r2] - x[r3])
-        cross = rng.random(d) < cr
-        cross[int(rng.integers(d))] = True
+        cross = draws[i] < cr
+        cross[forced[i]] = True
         trials[i] = np.where(cross, mutant, x[i])
     return trials
 
 
 def abc_candidates_reference(sources, picks, rng):
-    """ABC neighbour moves v = x + phi (x - x_partner), row by row: one
-    dimension, one partner other than the source, phi ~ U(-1, 1)."""
+    """ABC neighbour moves v = x + phi (x - x_partner), row by row, from the
+    arrays _abc_candidates draws, in its order: one dimension per row, one
+    index k < s - 1 per row that skips the source itself, then phi ~ U(-1, 1)
+    per row."""
     s, d = sources.shape
+    dims = rng.integers(d, size=len(picks))
+    ks = rng.integers(s - 1, size=len(picks))
+    phis = rng.uniform(-1.0, 1.0, len(picks))
     cands = sources[picks].copy()
     for row, i in enumerate(picks):
-        j = int(rng.integers(d))
-        k = int(rng.integers(s - 1))
+        j, k = dims[row], ks[row]
         if k >= i:
             k += 1
-        phi = rng.uniform(-1.0, 1.0)
-        cands[row, j] = sources[i, j] + phi * (sources[i, j] - sources[k, j])
+        cands[row, j] = sources[i, j] + phis[row] * (sources[i, j] - sources[k, j])
     return cands
 
 

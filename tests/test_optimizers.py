@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from uavpath.optimizers import (
     ALGORITHMS,
     AbcColony,
     DePopulation,
+    GaPopulation,
     Swarm,
     _abc_candidates,
     _abc_greedy,
@@ -27,6 +30,7 @@ from uavpath.optimizers import (
     de_step,
     ga_crossover,
     ga_mutate,
+    ga_step,
     inertial_step as pso_step,
     inertial_step as spso_step,
     inertial_step as theta_pso_step,
@@ -330,9 +334,10 @@ class TestAbc:
 
 
 class TestStepsEqualPerMemberReference:
-    """de_step and _abc_candidates draw member by member and do their
-    arithmetic on whole arrays; trials, candidates and the generator state
-    they leave must equal the per-member loops of tests/oracles.py."""
+    """de_step and _abc_candidates draw each generation's numbers as arrays
+    and do their arithmetic on whole arrays; trials, candidates and the
+    generator state they leave must equal the per-member loops of
+    tests/oracles.py over the same draws."""
 
     SPACE = SearchSpace("cartesian", np.full(30, 0.0), np.full(30, 200.0), np.zeros(30, bool))
 
@@ -364,12 +369,80 @@ class TestStepsEqualPerMemberReference:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_phi_draw_equals_generator_uniform(self, seed):
-        """_abc_candidates scales ``rng.random`` itself; a numpy whose
-        ``Generator.uniform(-1, 1)`` computes ``-1 + 2 u`` differently
-        breaks this identity, and with it the abc golden traces."""
+        """_abc_candidates scales ``rng.random`` itself and the oracle calls
+        ``Generator.uniform(-1, 1)``; a numpy that computes ``-1 + 2 u``
+        differently breaks this identity, and with it the oracle test."""
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [-1.0 + 2.0 * rng.random() for _ in range(500)]
-        assert got == [ref_rng.uniform(-1.0, 1.0) for _ in range(500)]
+        assert np.array_equal(-1.0 + 2.0 * rng.random(500), ref_rng.uniform(-1.0, 1.0, 500))
+
+
+class TestGenerationDraws:
+    """Laws of the per-generation array draws, over many generations."""
+
+    @pytest.mark.parametrize("m", [4, 5, 20, 50])
+    def test_de_partners_distinct_and_not_self(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(200):
+            partners = optimizers._de_partners(m, rng)
+            assert partners.shape == (m, 3)
+            triples = np.column_stack([np.arange(m), partners])
+            assert all(len(set(row)) == 4 for row in triples.tolist())
+
+    def test_de_partner_triples_uniform(self):
+        """At m = 4 each member has 3! = 6 ordered partner triples, each with
+        probability 1/6; chi-square over 60 000 draws, 5 degrees of
+        freedom, below its 0.999 quantile (20.52)."""
+        m, n = 4, 60_000
+        rng = np.random.default_rng(2024)
+        draws = np.stack([optimizers._de_partners(m, rng) for _ in range(n)])  # (n, m, 3)
+        for i in range(m):
+            others = [j for j in range(m) if j != i]
+            triples = {t: 0 for t in itertools.permutations(others)}
+            for t, count in zip(*np.unique(draws[:, i], axis=0, return_counts=True)):
+                triples[tuple(t.tolist())] += count
+            counts = np.array(list(triples.values()))
+            assert len(triples) == 6
+            chi2 = ((counts - n / 6) ** 2 / (n / 6)).sum()
+            assert chi2 < 20.52, (i, counts)
+
+    @pytest.mark.parametrize("s", [2, 3, 20])
+    def test_abc_partner_differs_one_dimension_moves(self, s):
+        rng = np.random.default_rng(s)
+        for _ in range(200):
+            sources = rng.uniform(0.0, 200.0, (s, 6))  # distinct in every dimension
+            picks = rng.integers(s, size=s)
+            cands = _abc_candidates(sources, picks, rng)
+            # A partner equal to its source would leave its row unchanged.
+            assert np.all((cands != sources[picks]).sum(axis=1) == 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 11])
+    def test_ga_winner_is_fitter_of_pair(self, m, flat_scenario, monkeypatch):
+        """With no crossover or mutation the children are the tournament
+        winners: the fitter of each pair of picks, a tie to the first."""
+        monkeypatch.setattr(optimizers, "GA_CROSSOVER_RATE", 0.0)
+        monkeypatch.setattr(optimizers, "GA_MUTATION_RATE", 0.0)
+        fitness_rng = np.random.default_rng(m)
+        pop = GaPopulation(
+            scenario=flat_scenario,
+            space=None,
+            members=[],
+            fitness=np.empty(0),
+            best_genome=np.zeros((1, 3)),
+            best_fitness=math.inf,
+        )
+        # Few distinct values, so many pairs tie.
+        pop.evaluate_members = lambda members: fitness_rng.choice([1.0, 2.0, 3.0, math.inf], len(members))
+        rng = np.random.default_rng(100 + m)
+        for _ in range(100):
+            pop.members = [np.full((1, 3), float(i)) for i in range(m)]  # member i holds i
+            pop.fitness = pop.evaluate_members(pop.members)
+            fitness = pop.fitness.copy()
+            picks = copy.deepcopy(rng).integers(m, size=(m // 2, 2, 2)).reshape(-1, 2)[: m - 1]
+            ga_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng)
+            got = [int(c[0, 0]) for c in pop.members]
+            assert got[0] == int(np.argmin(fitness))  # the elite
+            for (a, b), winner in zip(picks.tolist(), got[1:]):
+                assert winner == (a if fitness[a] <= fitness[b] else b)
 
 
 class TestStreams:
