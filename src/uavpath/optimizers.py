@@ -19,8 +19,8 @@ candidates, and has one ``best()``: the best (fitness, genome) it ever held.
 Fitness is always the scenario's total path cost; infeasible candidates
 carry infinite fitness, stay in the population, and are never admitted as
 a best while a finite particle exists.  Every stochastic draw flows from
-named streams derived from (seed, algorithm, particle index), so traces
-are bit-reproducible.
+named streams derived from (seed, algorithm, key) (see ``_rng``), so
+traces are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -108,19 +108,17 @@ def _entropy(seed: int, algorithm: str, *key: int) -> np.ndarray:
 
 
 def _rng(seed: int, algorithm: str, *key: int) -> np.random.Generator:
+    """The stream of (seed, algorithm, key).  Keys: (0, i) is particle i's
+    initialization stream, (1,) the swarm-level iteration draws and (2,)
+    ABC's scouts."""
     return np.random.default_rng(np.random.SeedSequence(_entropy(seed, algorithm, *key)))
 
 
 def _particle_streams(seed: int, algorithm: str, count: int) -> list:
-    """One RNG stream per particle, key (0, i); only initialization reads them."""
+    """``_rng(seed, algorithm, 0, i)`` for i < count."""
     entropy = np.tile(_entropy(seed, algorithm, 0, 0), (count, 1))
     entropy[:, -1] = np.arange(count)
     return [np.random.default_rng(np.random.SeedSequence(row)) for row in entropy]
-
-
-def _swarm_stream(seed: int, algorithm: str) -> np.random.Generator:
-    """The stream of the swarm-level iteration draws, key (1,)."""
-    return _rng(seed, algorithm, 1)
 
 
 # --- shared state ----------------------------------------------------------------
@@ -143,20 +141,22 @@ class _State:
         return evaluate_paths(self.decode(genomes), self.scenario)
 
 
-def _sample(algorithm: str, scenario: Scenario, streams):
-    """One scored genome per stream, infeasible ones redrawn from their own
-    stream a bounded number of times; returns (bare state, genomes, fitness).
+def _sample(algorithm: str, scenario: Scenario, seed: int, count: int):
+    """One scored genome for each of ``count`` particle streams, infeasible
+    ones redrawn from their own stream a bounded number of times; returns
+    (bare state, genomes, fitness).
 
     Every INIT_BLOCK-th round draws the next INIT_BLOCK tries of each stream
     still infeasible in one sampler call, and each round scores its try
     from that block: the genomes, scores and evaluation count of drawing
     one try per round.  No stream is read after init, so the tries left
     over once a particle is feasible change nothing."""
+    streams = _particle_streams(seed, algorithm, count)
     space_of, _ = _SOLVERS[algorithm]
     base = _State(scenario, space_of(scenario))
-    genomes = np.empty((len(streams), base.space.dims))
-    fitness = np.empty(len(streams))
-    bad = np.arange(len(streams))
+    genomes = np.empty((count, base.space.dims))
+    fitness = np.empty(count)
+    bad = np.arange(count)
     for r in range(INIT_RETRIES):
         if r % INIT_BLOCK == 0:
             drawn = bad  # the particle of each block row, ascending
@@ -206,8 +206,7 @@ class Swarm(_State):
 
 
 def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm:
-    streams = _particle_streams(config.seed, algorithm, config.swarm_size)
-    base, positions, fitness = _sample(algorithm, scenario, streams)
+    base, positions, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
     return Swarm(
         **vars(base),
         positions=positions,
@@ -308,8 +307,7 @@ class GaPopulation(_State):
 
 
 def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig) -> GaPopulation:
-    streams = _particle_streams(config.seed, algorithm, config.swarm_size)
-    base, genomes, fitness = _sample(algorithm, scenario, streams)
+    base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
     members = [g.reshape(-1, 3) for g in genomes]
     i = int(np.argmin(fitness))
     return GaPopulation(
@@ -406,8 +404,7 @@ class DePopulation(_State):
 
 
 def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> DePopulation:
-    streams = _particle_streams(config.seed, algorithm, config.swarm_size)
-    base, genomes, fitness = _sample(algorithm, scenario, streams)
+    base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
     return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
 
@@ -459,8 +456,7 @@ class AbcColony(_State):
 
 def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig) -> AbcColony:
     n_sources = max(2, config.swarm_size // 2)
-    streams = _particle_streams(config.seed, algorithm, n_sources)
-    base, genomes, fitness = _sample(algorithm, scenario, streams)
+    base, genomes, fitness = _sample(algorithm, scenario, config.seed, n_sources)
     i = int(np.argmin(fitness))
     return AbcColony(
         **vars(base),
@@ -573,7 +569,7 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    swarm_stream = _swarm_stream(config.seed, algorithm)
+    swarm_stream = _rng(config.seed, algorithm, 1)
     _, init = _SOLVERS[algorithm]
     step = _STEP[algorithm]
     state = init(algorithm, scenario, config)

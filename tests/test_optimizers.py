@@ -38,7 +38,7 @@ from uavpath.optimizers import (
     onlooker_weights,
     qpso_step,
     _particle_streams,
-    _swarm_stream,
+    _rng,
 )
 from uavpath.suite import build_benchmark_suite
 
@@ -203,7 +203,7 @@ class TestStationarity:
         monkeypatch.setattr(optimizers, "COGNITIVE", 0.0)
         monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
         config = SwarmConfig(swarm_size=8, max_iterations=5, seed=3)
-        swarm_stream = _swarm_stream(config.seed, algorithm)
+        swarm_stream = _rng(config.seed, algorithm, 1)
         swarm = init_swarm(algorithm, hilly_scenario, config)
         initial = swarm.positions.copy()
         step = {"pso": pso_step, "theta_pso": theta_pso_step, "spso": spso_step}[algorithm]
@@ -452,10 +452,7 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1])
     @pytest.mark.parametrize("algorithm", ["pso", "abc"])
     def test_equal_to_tuple_entropy(self, seed, algorithm):
-        streams = _particle_streams(seed, algorithm, 3) + [
-            _swarm_stream(seed, algorithm),
-            optimizers._rng(seed, algorithm, 2),  # ABC's scout stream
-        ]
+        streams = _particle_streams(seed, algorithm, 3) + [_rng(seed, algorithm, 1), _rng(seed, algorithm, 2)]
         keys = [(0, 0), (0, 1), (0, 2), (1,), (2,)]
         for stream, key in zip(streams, keys):
             want = np.random.SeedSequence((seed, ALGORITHMS.index(algorithm), *key))
@@ -493,8 +490,7 @@ class TestInitEqualsPerRoundReference:
     def check(self, algorithm, scenario, swarm):
         space_of, _ = optimizers._SOLVERS[algorithm]
         space = space_of(scenario)
-        streams = _particle_streams(3, algorithm, swarm)
-        state, genomes, fitness = optimizers._sample(algorithm, scenario, streams)
+        state, genomes, fitness = optimizers._sample(algorithm, scenario, 3, swarm)
         want_genomes, want_fitness, want_evaluations = sample_reference(
             lambda batch: random_genomes(space, scenario, batch),
             lambda g: evaluate_paths(decode(space.kind, g, scenario), scenario),
@@ -556,7 +552,7 @@ class TestRun:
 
     def test_local_bests_never_increase(self, hilly_scenario):
         config = SwarmConfig(swarm_size=10, max_iterations=1, seed=9)
-        swarm_stream = _swarm_stream(config.seed, "spso")
+        swarm_stream = _rng(config.seed, "spso", 1)
         swarm = init_swarm("spso", hilly_scenario, config)
         prev = swarm.best_fitness.copy()
         for _ in range(25):
