@@ -437,6 +437,7 @@ class TestGenerationDraws:
             pop.members = [np.full((1, 3), float(i)) for i in range(m)]  # member i holds i
             pop.fitness = pop.evaluate_members(pop.members)
             fitness = pop.fitness.copy()
+            # The step's first draw: its picks, pair-major, one pair per kept child.
             picks = copy.deepcopy(rng).integers(m, size=(m // 2, 2, 2)).reshape(-1, 2)[: m - 1]
             ga_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng)
             got = [int(c[0, 0]) for c in pop.members]
