@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import total_cost
-from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, budgeted_config, run
+from .optimizers import ALGORITHMS, DE_MIN_POPULATION, EvolutionTrace, SwarmConfig, budgeted_config, run
 from .scenario import Scenario, load_scenario, save_scenario
 from .stats import Verdict, mean_std, paired_t_test
 from .suite import build_benchmark_suite
@@ -257,10 +257,10 @@ def cmd_plan(args) -> int:
         config = SwarmConfig(
             swarm_size=args.swarm, max_iterations=args.iters, seed=args.seed
         )
-        # DE draws three distinct partners per member; de_step enforces
-        # the same floor, but only once run() is under way.
-        if args.algo == "de" and config.swarm_size < 4:
-            raise ValueError("--swarm: DE needs a population of at least 4")
+        # DE draws three distinct partners per member; run() raises on the
+        # same floor, but only this check exits 2.
+        if args.algo == "de" and config.swarm_size < DE_MIN_POPULATION:
+            raise ValueError(f"--swarm: DE needs a population of at least {DE_MIN_POPULATION}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

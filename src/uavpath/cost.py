@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import FlightConstraints, Scenario
-
-EPS_LEN = 1e-9  # below this a segment counts as degenerate
+from .scenario import EPS_LEN, FlightConstraints, Scenario
 
 
 @dataclass(frozen=True)

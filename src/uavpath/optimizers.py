@@ -11,10 +11,14 @@
 * abc       - employed/onlooker/scout phases over food sources
 
 Each algorithm is a row of the solver table: a search space, an
-initializer and a step ``step(state, config, rng) -> state``; ``run``
-knows nothing else about any algorithm.  Every state derives from
-``_State``, whose ``evaluate`` decodes, scores and counts every batch of
-candidates, and has one ``best()``: the best (fitness, genome) it ever held.
+initializer and a step ``step(state, config, rng)`` that updates the
+state in place; ``run`` knows nothing else about any algorithm.  Every
+state derives from ``_State``, whose ``evaluate`` decodes, scores and
+counts every batch of candidates.  Its ``best()`` is the lowest entry
+(lowest index on ties) of a record that never loses its best: the
+swarm's local bests, DE's greedy members, GA's population with the elite
+at index 0, and for ABC alone, whose scouts can retire its best source,
+a separate (fitness, genome) record.
 
 Fitness is always the scenario's total path cost; infeasible candidates
 carry infinite fitness, stay in the population, and are never admitted as
@@ -51,6 +55,7 @@ GA_CROSSOVER_RATE = 0.8
 GA_MUTATION_RATE = 0.2
 DE_F = 0.5  # DE differential weight
 DE_CR = 0.9  # DE crossover rate
+DE_MIN_POPULATION = 4  # a member and three distinct partners
 ABC_LIMIT = 50  # ABC failed trials before a source is retired
 
 
@@ -172,12 +177,19 @@ def _sample(algorithm: str, scenario: Scenario, seed: int, count: int):
     return base, genomes, fitness
 
 
-def _keep_best(state, fitness, genomes) -> None:
-    """Keep the lowest of ``fitness`` as the GA or ABC best if it improves it."""
+def _lowest(fitness, genomes) -> tuple[float, np.ndarray]:
+    """The lowest entry of ``fitness`` and its genome; the lowest index wins ties."""
     i = int(np.argmin(fitness))
-    if fitness[i] < state.best_fitness:
-        state.best_fitness = float(fitness[i])
-        state.best_genome = genomes[i].copy()
+    return float(fitness[i]), genomes[i]
+
+
+def _keep_best(colony, fitness, genomes) -> None:
+    """Keep the lowest of ``fitness`` as ABC's best if it improves it; ABC
+    alone keeps its best apart, since a scout can retire the source holding it."""
+    best_fitness, best_genome = _lowest(fitness, genomes)
+    if best_fitness < colony.best_fitness:
+        colony.best_fitness = best_fitness
+        colony.best_genome = best_genome.copy()
 
 
 # --- PSO family ----------------------------------------------------------------
@@ -188,7 +200,7 @@ class Swarm(_State):
     """Vectorized particle state; row i is particle i."""
 
     positions: np.ndarray        # (M, D)
-    velocities: np.ndarray | None
+    velocities: np.ndarray       # (M, D); qpso leaves them at zero
     fitness: np.ndarray          # (M,)
     best_positions: np.ndarray   # (M, D) local bests
     best_fitness: np.ndarray     # (M,)
@@ -201,8 +213,7 @@ class Swarm(_State):
         self.best_fitness[improved] = self.fitness[improved]
 
     def best(self) -> tuple[float, np.ndarray]:
-        i = int(np.argmin(self.best_fitness))  # lowest index wins ties
-        return float(self.best_fitness[i]), self.best_positions[i]
+        return _lowest(self.best_fitness, self.best_positions)
 
 
 def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm:
@@ -210,7 +221,7 @@ def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm
     return Swarm(
         **vars(base),
         positions=positions,
-        velocities=np.zeros_like(positions),  # qpso leaves them at zero
+        velocities=np.zeros_like(positions),
         fitness=fitness,
         best_positions=positions.copy(),
         best_fitness=fitness.copy(),
@@ -218,7 +229,7 @@ def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm
     )
 
 
-def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
+def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
     """v <- w v + eta1 r1 (local - x) + eta2 r2 (global - x); x <- x + v.
 
     The update of pso on cartesian genomes, of theta_pso on phase angles
@@ -242,7 +253,6 @@ def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
     swarm.update_bests()
     swarm.inertia *= DAMPING
     swarm.iteration += 1
-    return swarm
 
 
 def qpso_beta(config: SwarmConfig, iteration: int) -> float:
@@ -251,7 +261,7 @@ def qpso_beta(config: SwarmConfig, iteration: int) -> float:
     return start + (end - start) * min(iteration, span) / span
 
 
-def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
+def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
     """Sample x around the attractor p = a l + (1-a) g with spread set by
     the distance to the swarm's mean best position."""
     shape = swarm.positions.shape
@@ -267,7 +277,6 @@ def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> Swarm:
     swarm.fitness = swarm.evaluate(swarm.positions)
     swarm.update_bests()
     swarm.iteration += 1
-    return swarm
 
 
 # --- GA --------------------------------------------------------------------------
@@ -280,8 +289,6 @@ class GaPopulation(_State):
 
     members: list
     fitness: np.ndarray
-    best_genome: np.ndarray
-    best_fitness: float
 
     @property
     def max_nodes(self) -> int:
@@ -303,20 +310,12 @@ class GaPopulation(_State):
         return fitness
 
     def best(self) -> tuple[float, np.ndarray]:
-        return self.best_fitness, self.best_genome
+        return _lowest(self.fitness, self.members)
 
 
 def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig) -> GaPopulation:
     base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
-    members = [g.reshape(-1, 3) for g in genomes]
-    i = int(np.argmin(fitness))
-    return GaPopulation(
-        **vars(base),
-        members=members,
-        fitness=fitness,
-        best_genome=members[i].copy(),
-        best_fitness=float(fitness[i]),
-    )
+    return GaPopulation(**vars(base), members=[g.reshape(-1, 3) for g in genomes], fitness=fitness)
 
 
 def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, rng):
@@ -357,9 +356,9 @@ def ga_mutate(nodes: np.ndarray, scenario: Scenario, space: SearchSpace, rng) ->
     return np.concatenate((nodes[:i], mid[None], nodes[i + 2:]))
 
 
-def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> GaPopulation:
+def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> None:
     """Tournament selection, one-point crossover, structural mutation,
-    elitism of one.
+    elitism of one: the best member is carried to index 0.
 
     Each generation draws its m // 2 parent pairs as binary tournaments
     (the fitter of two uniform picks, a tie to the first), one crossover
@@ -379,15 +378,13 @@ def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> GaPopulation:
             children += ga_crossover(p1, p2, population.max_nodes, rng)
         else:
             children += (p1.copy(), p2.copy())
-    new_members = [population.members[int(np.argmin(fitness))].copy()]
+    new_members = [population.best()[1].copy()]
     for child, mutate in zip(children, mutated):  # drops the m-th child of an even m
         if mutate:
             child = ga_mutate(child, population.scenario, population.space, rng)
         new_members.append(child)
     population.members = new_members
     population.fitness = population.evaluate_members(new_members)
-    _keep_best(population, population.fitness, new_members)
-    return population
 
 
 # --- DE ---------------------------------------------------------------------------
@@ -399,11 +396,12 @@ class DePopulation(_State):
     fitness: np.ndarray
 
     def best(self) -> tuple[float, np.ndarray]:
-        i = int(np.argmin(self.fitness))
-        return float(self.fitness[i]), self.members[i]
+        return _lowest(self.fitness, self.members)
 
 
 def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> DePopulation:
+    if config.swarm_size < DE_MIN_POPULATION:
+        raise ValueError(f"DE needs a population of at least {DE_MIN_POPULATION}")
     base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
     return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
@@ -418,12 +416,10 @@ def _de_partners(m: int, rng) -> np.ndarray:
     return np.argsort(keys, axis=1)[:, :3]
 
 
-def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
+def de_step(population: DePopulation, config: SwarmConfig, rng) -> None:
     """DE/rand/1/bin generation with greedy replacement."""
     x = population.members
     m, d = x.shape
-    if m < 4:
-        raise ValueError("DE needs a population of at least 4")
     r1, r2, r3 = _de_partners(m, rng).T
     mutants = x[r1] + DE_F * (x[r2] - x[r3])
     cross = rng.random((m, d)) < DE_CR
@@ -433,7 +429,6 @@ def de_step(population: DePopulation, config: SwarmConfig, rng) -> DePopulation:
     accept = trial_fitness <= population.fitness
     population.members = np.where(accept[:, None], trials, x)
     population.fitness = np.where(accept, trial_fitness, population.fitness)
-    return population
 
 
 # --- ABC --------------------------------------------------------------------------
@@ -457,14 +452,14 @@ class AbcColony(_State):
 def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig) -> AbcColony:
     n_sources = max(2, config.swarm_size // 2)
     base, genomes, fitness = _sample(algorithm, scenario, config.seed, n_sources)
-    i = int(np.argmin(fitness))
+    best_fitness, best_genome = _lowest(fitness, genomes)
     return AbcColony(
         **vars(base),
         sources=genomes,
         fitness=fitness,
         trials=np.zeros(n_sources, dtype=int),
-        best_genome=genomes[i].copy(),
-        best_fitness=float(fitness[i]),
+        best_genome=best_genome.copy(),
+        best_fitness=best_fitness,
         scout_stream=_rng(config.seed, "abc", 2),
     )
 
@@ -519,7 +514,7 @@ def _scout_phase(colony: AbcColony) -> None:
     _keep_best(colony, colony.fitness[[worst]], colony.sources[[worst]])
 
 
-def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> AbcColony:
+def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> None:
     """Employed, onlooker and scout phases; the best source ever seen is
     retained outside the colony."""
     s = len(colony.sources)
@@ -531,7 +526,6 @@ def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> AbcColony:
     _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
     _keep_best(colony, colony.fitness, colony.sources)
     _scout_phase(colony)
-    return colony
 
 
 # --- solver table and run loop --------------------------------------------------------
@@ -574,11 +568,11 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
     step = _STEP[algorithm]
     state = init(algorithm, scenario, config)
     trace = np.empty(config.max_iterations)
-    # best() only improves (local and kept bests, DE's greedy members): the best so far.
+    # Steps update the state in place.  best() reads a record that never loses
+    # its best (ABC's is kept apart from its sources), so it is the best so far.
     for k in range(config.max_iterations):
-        state = step(state, config, swarm_stream)
-        trace[k], _ = state.best()
-    _, best_genome = state.best()
+        step(state, config, swarm_stream)
+        trace[k], best_genome = state.best()
     return EvolutionTrace(
         algorithm=algorithm,
         seed=config.seed,
@@ -595,5 +589,5 @@ def budgeted_config(algorithm: str, config: SwarmConfig) -> SwarmConfig:
     if algorithm != "de":
         return config
     budget = config.swarm_size * config.max_iterations
-    swarm = max(4, config.swarm_size // 5)
+    swarm = max(DE_MIN_POPULATION, config.swarm_size // 5)
     return replace(config, swarm_size=swarm, max_iterations=max(1, budget // swarm))

@@ -41,6 +41,8 @@ from .terrain import (
 # init's block of 4 tries per particle 64 MB of draws and 48 MB of genomes.
 MAX_WAYPOINTS = 1000
 
+EPS_LEN = 1e-9  # below this a path segment counts as degenerate
+
 
 class ConfigError(ValueError):
     """Raised for schema violations and scenario invariant failures."""
@@ -146,6 +148,9 @@ def validate_scenario(sc: Scenario) -> None:
         raise ConfigError(f"n_waypoints must be >= 3, got {sc.n_waypoints}")
     if sc.n_waypoints > MAX_WAYPOINTS:
         raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
+    # The spherical step cap 2 |goal - start| / (n - 1) must exceed its floor.
+    if 2.0 * float(np.linalg.norm(sc.goal - sc.start)) / (sc.n_waypoints - 1) <= EPS_LEN:
+        raise ConfigError("goal coincides with start")
     x_min, x_max, y_min, y_max = sc.terrain.bounds
     for label, p in (("start", sc.start), ("goal", sc.goal)):
         if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):

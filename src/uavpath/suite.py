@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import threat_cost_many, total_cost
 from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat
-from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic
+from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic, height_at
 
 N_SCENARIOS = 8
 _COMPLICATED = (3, 4, 7, 8)  # 1-based scenario numbers
@@ -47,10 +47,6 @@ def is_complicated(number: int) -> bool:
 
 def _derived_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence((seed, tag)).generate_state(1, dtype=np.uint64)[0])
-
-
-def _ground(terrain: TerrainMap, x: float, y: float) -> float:
-    return float(terrain.heights(x, y))
 
 
 def _sample_threats(rng, start, goal, constraints, complicated: bool) -> list[Threat]:
@@ -149,8 +145,8 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
         sy = rng.uniform(40.0, 90.0)
         gx = rng.uniform(510.0, 560.0)
         gy = rng.uniform(510.0, 560.0)
-        start = np.array([sx, sy, _ground(terrain, sx, sy) + constraints.corridor_mid])
-        goal = np.array([gx, gy, _ground(terrain, gx, gy) + constraints.corridor_mid])
+        start = np.array([sx, sy, height_at(terrain, sx, sy) + constraints.corridor_mid])
+        goal = np.array([gx, gy, height_at(terrain, gx, gy) + constraints.corridor_mid])
         try:
             threats = _sample_threats(rng, start, goal, constraints, complicated)
             scenario = Scenario(

@@ -176,6 +176,7 @@ class TestPlan:
             ("terrain.synthetic.n_cols", 1525202, (), "n_cols"),
             ("weights", {"a1": -1.0}, (), "a1"),
             ("n_waypoints", 10**13, (), "n_waypoints"),
+            ("goal", FLAT_CFG["start"], (), "goal"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):

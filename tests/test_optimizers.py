@@ -274,12 +274,13 @@ class TestDe:
         # ...while the already-optimal members only accept equal-cost trials.
         assert pop.fitness[1:] == pytest.approx(fitness[1:])
 
-    def test_population_too_small(self, one_node_scenario):
-        members = np.zeros((3, 3))
-        space = SearchSpace("cartesian", np.full(3, 0.0), np.full(3, 200.0), np.zeros(3, bool))
-        pop = DePopulation(scenario=one_node_scenario, space=space, members=members, fitness=np.zeros(3))
+    def test_population_too_small(self, one_node_scenario, monkeypatch):
+        """The floor fails run() before init scores any genome."""
+        scored = []
+        monkeypatch.setattr(optimizers._State, "evaluate", lambda self, genomes: scored.append(genomes))
         with pytest.raises(ValueError, match="at least 4"):
-            de_step(pop, SwarmConfig(swarm_size=4, max_iterations=1), np.random.default_rng(0))
+            run("de", one_node_scenario, SwarmConfig(swarm_size=3, max_iterations=1))
+        assert scored == []
 
 
 def make_colony(scenario, sources):
@@ -324,6 +325,18 @@ class TestAbc:
         _scout_phase(colony)
         assert colony.trials[1] == 0
         assert not np.array_equal(colony.sources[1], before)
+
+    def test_scout_retiring_best_source_keeps_best(self, one_node_scenario):
+        """The colony's best is a record of its own: a scout may retire the
+        source that holds it, and the lowest source fitness then rises."""
+        colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
+        best_fitness, best_genome = colony.best()
+        assert best_fitness == colony.fitness[0] < colony.fitness[1]
+        colony.trials[:] = [50, 0]
+        _scout_phase(colony)
+        assert colony.fitness.min() > best_fitness
+        assert colony.best()[0] == best_fitness
+        assert np.array_equal(colony.best()[1], best_genome)
 
     def test_scout_leaves_fresh_sources(self, one_node_scenario):
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
@@ -427,8 +440,6 @@ class TestGenerationDraws:
             space=None,
             members=[],
             fitness=np.empty(0),
-            best_genome=np.zeros((1, 3)),
-            best_fitness=math.inf,
         )
         # Few distinct values, so many pairs tie.
         pop.evaluate_members = lambda members: fitness_rng.choice([1.0, 2.0, 3.0, math.inf], len(members))
@@ -550,6 +561,33 @@ class TestRun:
         assert trace.best_path.shape[1] == 3
         assert np.array_equal(trace.best_path[0], hilly_scenario.start)
         assert np.array_equal(trace.best_path[-1], hilly_scenario.goal)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_trace_is_lowest_fitness_evaluated(self, algorithm, hilly_scenario, monkeypatch):
+        """best_fitness[k] is the lowest fitness any evaluation, init
+        included, has returned by the end of iteration k."""
+        lowest = [math.inf]
+        after_steps = []
+        evaluate = optimizers._State.evaluate
+
+        def recording_evaluate(state, genomes):
+            fitness = evaluate(state, genomes)
+            lowest[0] = min(lowest[0], fitness.min(initial=math.inf))
+            return fitness
+
+        def recording(step):
+            def wrapped(*args):
+                step(*args)
+                after_steps.append(lowest[0])
+
+            return wrapped
+
+        monkeypatch.setattr(optimizers._State, "evaluate", recording_evaluate)
+        for name, step in optimizers._STEP.items():
+            monkeypatch.setitem(optimizers._STEP, name, recording(step))
+        trace = run(algorithm, hilly_scenario, SwarmConfig(swarm_size=12, max_iterations=20, seed=2))
+        assert trace.best_fitness.tolist() == after_steps
+        assert trace.best_fitness[-1] < trace.best_fitness[0]  # the rule is tested on improvements
 
     def test_local_bests_never_increase(self, hilly_scenario):
         config = SwarmConfig(swarm_size=10, max_iterations=1, seed=9)
