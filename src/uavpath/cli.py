@@ -11,6 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed run(s), 2 configuration error (an
 unreadable scenario or DEM file included), 3 I/O error writing outputs.
+``main`` alone maps errors to codes: the library raises ``ConfigError``
+for every bad input, so an ``OSError`` that reaches it comes from writing.
 Every run's seed derives from the base seed via SHA-256 over
 "base|scenario|algorithm|run", so benchmarks are reproducible cell by
 cell and summaries are byte-identical across reruns.
@@ -31,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .cost import total_cost
-from .optimizers import ALGORITHMS, DE_MIN_POPULATION, EvolutionTrace, SwarmConfig, budgeted_config, run
-from .scenario import Scenario, load_scenario, save_scenario
+from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, budgeted_config, run
+from .scenario import ConfigError, Scenario, load_scenario, require_int, save_scenario
 from .stats import Verdict, mean_std, paired_t_test
 from .suite import build_benchmark_suite
 
@@ -87,23 +89,21 @@ class BenchmarkSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.runs_per_cell < 1:
-            raise ValueError("runs_per_cell must be >= 1")
+        for name, minimum in (("runs_per_cell", 1), ("jobs", 1), ("base_seed", None)):
+            require_int(name, getattr(self, name), minimum)
         if not self.scenarios or not self.algorithms:
-            raise ValueError("need at least one scenario and one algorithm")
+            raise ConfigError("need at least one scenario and one algorithm")
         for a in self.algorithms:
             if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+                raise ConfigError(f"unknown algorithm {a!r}")
         if self.baseline not in self.algorithms:
-            raise ValueError(f"baseline {self.baseline!r} is not one of the algorithms")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ConfigError(f"baseline {self.baseline!r} is not one of the algorithms")
         # Records, trace files and summary rows are keyed by these names.
         for what, names in (("algorithm", self.algorithms),
                             ("scenario name", [sc.name for sc in self.scenarios])):
             twice = sorted({n for n in names if names.count(n) > 1})
             if twice:
-                raise ValueError(f"{what} listed more than once: {', '.join(twice)}")
+                raise ConfigError(f"{what} listed more than once: {', '.join(twice)}")
 
 
 @dataclass
@@ -252,29 +252,15 @@ def write_runs_csv(records: list[RunRecord], file_path) -> None:
 
 
 def cmd_plan(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        config = SwarmConfig(
-            swarm_size=args.swarm, max_iterations=args.iters, seed=args.seed
-        )
-        # DE draws three distinct partners per member; run() raises on the
-        # same floor, but only this check exits 2.
-        if args.algo == "de" and config.swarm_size < DE_MIN_POPULATION:
-            raise ValueError(f"--swarm: DE needs a population of at least {DE_MIN_POPULATION}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = load_scenario(args.scenario)
+    config = SwarmConfig(swarm_size=args.swarm, max_iterations=args.iters, seed=args.seed)
     trace = run(args.algo, scenario, config)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        export_waypoints_csv(trace.best_path, out / "waypoints.csv")
-        export_convergence_csv(trace, out / "convergence.csv")
-        breakdown = total_cost(trace.best_path, scenario)
-        export_breakdown_csv(breakdown, out / "breakdown.csv")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    export_waypoints_csv(trace.best_path, out / "waypoints.csv")
+    export_convergence_csv(trace, out / "convergence.csv")
+    breakdown = total_cost(trace.best_path, scenario)
+    export_breakdown_csv(breakdown, out / "breakdown.csv")
     print(f"scenario: {scenario.name}  algorithm: {args.algo}  seed: {args.seed}")
     print(f"total cost: {breakdown.total}  (f1={breakdown.f1:.3f} f2={breakdown.f2} "
           f"f3={breakdown.f3:.3f} f4={breakdown.f4:.3f})")
@@ -294,36 +280,25 @@ def _resolve_scenarios(args) -> tuple[Scenario, ...]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        scenarios = _resolve_scenarios(args)
-        spec = BenchmarkSpec(
-            scenarios=scenarios,
-            algorithms=tuple(args.algos.split(",")),
-            runs_per_cell=args.runs,
-            base_config=SwarmConfig(
-                swarm_size=args.swarm, max_iterations=args.iters
-            ),
-            baseline=args.baseline,
-            base_seed=args.seed,
-            jobs=args.jobs,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = BenchmarkSpec(
+        scenarios=_resolve_scenarios(args),
+        algorithms=tuple(args.algos.split(",")),
+        runs_per_cell=args.runs,
+        base_config=SwarmConfig(swarm_size=args.swarm, max_iterations=args.iters),
+        baseline=args.baseline,
+        base_seed=args.seed,
+        jobs=args.jobs,
+    )
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        records = run_benchmark(spec, out_dir=out)
-        for n, r in enumerate(records, start=1):
-            flag = "ok" if r.trace.feasible else "FAILED"
-            print(f"[{n}/{len(records)}] {r.scenario} {r.algorithm} "
-                  f"run {r.run_index}: {r.trace.final_fitness:.3f} ({flag})")
-        rows = summarize(records, spec)
-        write_runs_csv(records, out / "runs.csv")
-        write_summary_csv(rows, out / "summary.csv")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    records = run_benchmark(spec, out_dir=out)
+    for n, r in enumerate(records, start=1):
+        flag = "ok" if r.trace.feasible else "FAILED"
+        print(f"[{n}/{len(records)}] {r.scenario} {r.algorithm} "
+              f"run {r.run_index}: {r.trace.final_fitness:.3f} ({flag})")
+    rows = summarize(records, spec)
+    write_runs_csv(records, out / "runs.csv")
+    write_summary_csv(rows, out / "summary.csv")
     print(f"summary written to {out / 'summary.csv'}")
     n_failed = sum(not r.trace.feasible for r in records)
     if n_failed:
@@ -338,20 +313,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_suite_generate(args) -> int:
-    try:
-        suite = build_benchmark_suite(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    suite = build_benchmark_suite(args.seed)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for scenario in suite:
-            save_scenario(scenario, out / f"{scenario.name}.yaml")
-            print(f"wrote {out / (scenario.name + '.yaml')}")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out.mkdir(parents=True, exist_ok=True)
+    for scenario in suite:
+        save_scenario(scenario, out / f"{scenario.name}.yaml")
+        print(f"wrote {out / (scenario.name + '.yaml')}")
     return EXIT_OK
 
 
@@ -398,7 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

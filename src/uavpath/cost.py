@@ -218,6 +218,8 @@ def evaluate_paths(paths, scenario: Scenario) -> np.ndarray:
 def total_cost(waypoints, scenario: Scenario) -> CostBreakdown:
     """Full cost of one path whose endpoints must equal the scenario's."""
     paths = _as_paths(waypoints)
+    if paths.shape[0] != 1:
+        raise ValueError(f"total_cost scores one path, got a stack of {paths.shape[0]}")
     n = paths.shape[1]
     if n < 3:
         raise ValueError(f"a path needs at least 3 waypoints, got {n}")

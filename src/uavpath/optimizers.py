@@ -37,7 +37,7 @@ import numpy as np
 from . import encodings
 from .cost import evaluate_paths
 from .encodings import SearchSpace, assemble_path, clamp_velocity, clamp_wrap, wrap_difference
-from .scenario import Scenario
+from .scenario import ConfigError, Scenario, require_int
 
 ALGORITHMS = ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
 
@@ -71,12 +71,8 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        for name, minimum in (("swarm_size", 2), ("max_iterations", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), minimum)
 
 
 @dataclass
@@ -401,7 +397,7 @@ class DePopulation(_State):
 
 def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> DePopulation:
     if config.swarm_size < DE_MIN_POPULATION:
-        raise ValueError(f"DE needs a population of at least {DE_MIN_POPULATION}")
+        raise ConfigError(f"DE needs a swarm_size of at least {DE_MIN_POPULATION}, got {config.swarm_size}")
     base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
     return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
@@ -562,7 +558,7 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
     ``EvolutionTrace.feasible``).
     """
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     swarm_stream = _rng(config.seed, algorithm, 1)
     _, init = _SOLVERS[algorithm]
     step = _STEP[algorithm]

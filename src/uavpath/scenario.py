@@ -18,12 +18,15 @@ own fields, and ``save_scenario`` writes those fields back, so the
 dataclasses are the one statement of the schema.  Every section must be
 a mapping (``threats`` a list), every value a number, and a field
 annotated ``int`` a whole number.  Unknown keys anywhere are errors.
-A schema violation raises a ``ConfigError`` that names the field.
+A schema violation raises a ``ConfigError`` that names the field, and so
+does a file that cannot be read or decoded: ``load_scenario`` names the
+config file and a bad DEM names ``terrain.dem_path``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -45,7 +48,18 @@ EPS_LEN = 1e-9  # below this a path segment counts as degenerate
 
 
 class ConfigError(ValueError):
-    """Raised for schema violations and scenario invariant failures."""
+    """Raised for every bad input where it is read: a schema violation, a
+    scenario invariant, an unreadable config or DEM file, and a bad
+    ``SwarmConfig``, ``run`` algorithm, ``BenchmarkSpec`` or suite seed."""
+
+
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject a value that is not an integer (a bool is not one) or is
+    below ``minimum``, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _require_finite(record) -> None:
@@ -225,9 +239,10 @@ def _build_terrain(section, base_dir: str) -> TerrainMap:
         if not isinstance(section["dem_path"], str):
             raise ConfigError(f"terrain.dem_path must be a string, got {section['dem_path']!r}")
         path = os.path.join(base_dir, section["dem_path"])
-        if not os.path.isfile(path):
-            raise ConfigError(f"terrain.dem_path does not exist as a file: {path}")
-        return load_dem(path)
+        try:
+            return load_dem(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"terrain.dem_path {path}: {exc}") from exc
     synth = section["synthetic"]
     spec = _record(SyntheticTerrainSpec, synth, "terrain.synthetic", extra=("seed",))
     seed = _number(synth.get("seed", 0), "terrain.synthetic.seed", int)
@@ -277,6 +292,8 @@ def load_scenario(file_path) -> Scenario:
             cfg = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {file_path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read {file_path}: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(file_path))
     name = os.path.splitext(os.path.basename(file_path))[0]
     return scenario_from_dict(cfg, base_dir=base_dir, name=name)

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cost import threat_cost_many, total_cost
-from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat
+from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat, require_int
 from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic, height_at
 
 N_SCENARIOS = 8
@@ -174,8 +174,7 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
 
 def build_benchmark_suite(seed: int) -> list[Scenario]:
     """Deterministically build the eight benchmark scenarios for a seed."""
-    if seed < 0:
-        raise ValueError(f"suite seed must be >= 0, got {seed}")
+    require_int("suite seed", seed, 0)
     terrains = [
         generate_synthetic(spec, _derived_seed(seed, 100 + i))
         for i, spec in enumerate(_TERRAIN_SPECS)

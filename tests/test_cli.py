@@ -218,6 +218,23 @@ class TestPlan:
         assert named in err
         assert "Traceback" not in err
 
+    def test_unusable_dem_grid_exits_2(self, tmp_path, capsys):
+        # The file parses, but one node is too few to interpolate between.
+        (tmp_path / "tiny.asc").write_text("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 10\n0\n")
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(yaml.safe_dump(dict(FLAT_CFG, terrain={"dem_path": "tiny.asc"})))
+        assert main(["plan", str(cfg), "--algo", "pso", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "terrain.dem_path" in err and "2x2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(yaml.safe_dump(FLAT_CFG).encode() + "# caf\xe9\n".encode("latin-1"))
+        assert main(["plan", str(bad), "--algo", "pso", "--out", str(tmp_path / "o")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["plan", "{dir}", "--algo", "pso"],
         ["bench", "--scenarios", "{dir}", "--algos", "pso"],
@@ -479,3 +496,21 @@ class TestSuiteGenerate:
         assert "suite seed" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", [
+        ["plan", "{cfg}", "--algo", "pso", "--swarm", "4", "--iters", "1"],
+        ["bench", "--scenarios", "{cfg}", "--algos", "spso,pso", "--baseline", "pso",
+         "--runs", "1", "--swarm", "4", "--iters", "1"],
+        ["suite", "generate", "--seed", "0"],
+    ])
+    def test_out_names_a_regular_file_exits_3(self, flat_cfg_path, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        argv = [a.format(cfg=flat_cfg_path) for a in command]
+        assert main(argv + ["--out", str(taken)]) == 3
+        err = capsys.readouterr().err
+        assert "I/O error" in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"

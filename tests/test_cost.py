@@ -228,6 +228,17 @@ class TestTotalCost:
         with pytest.raises(ValueError, match="endpoints"):
             total_cost(path, flat_scenario)
 
+    def test_scores_exactly_one_path(self):
+        s1 = build_benchmark_suite(0)[0]
+        bad = s1.witness.copy()
+        bad[3, 2] += 1e4  # far above the corridor
+        assert evaluate_paths(np.stack([s1.witness, bad]), s1)[1] == math.inf
+        # A stack would otherwise report, and endpoint-check, only its first path.
+        for stack in (np.stack([s1.witness, bad]), np.stack([bad, s1.witness]), s1.witness[None][:0]):
+            with pytest.raises(ValueError, match="one path"):
+                total_cost(stack, s1)
+        assert total_cost(s1.witness[None], s1) == total_cost(s1.witness, s1)
+
     def test_reversal_invariance(self, hilly_scenario):
         rev = Scenario(
             terrain=hilly_scenario.terrain,

@@ -51,7 +51,7 @@ class TestLoadScenario:
 
     def test_dangling_dem_path(self, tmp_path):
         cfg = dict(MINIMAL, terrain={"dem_path": "missing.asc"})
-        with pytest.raises(ConfigError, match="does not exist"):
+        with pytest.raises(ConfigError, match=r"terrain\.dem_path .*missing\.asc: .*No such file"):
             load_scenario(write_config(tmp_path, cfg))
 
     def test_goal_outside_corridor(self, tmp_path):
