@@ -16,6 +16,7 @@ import pytest
 
 from uavpath import SwarmConfig, optimizers, run
 from uavpath.optimizers import ALGORITHMS
+from uavpath.suite import build_benchmark_suite
 
 GOLDEN_CONFIG = SwarmConfig(swarm_size=12, max_iterations=10, seed=5)
 
@@ -59,3 +60,19 @@ def test_golden_de_step(hilly_scenario):
     assert trace.best_fitness[-1] < trace.best_fitness[0]
     digest = trace_digest(trace)
     assert digest == DE_STEP_GOLDEN, f"de seed 6: {digest}"
+
+
+# All seven solvers on every suite scenario at once, where GA's children
+# often repeat a member of the generation that bred them (the 12 x 10
+# golden above sees few such repeats).
+SUITE_CONFIG = SwarmConfig(swarm_size=20, max_iterations=20, seed=1)
+SUITE_GOLDEN = "32d15310ef35c35ffc137b7d091f2d38f8ff7d6120b54650781dcdad8fce39ef"
+
+
+def test_golden_suite_fingerprint():
+    h = hashlib.sha256()
+    for scenario in build_benchmark_suite(0):
+        for algorithm in ALGORITHMS:
+            h.update(trace_digest(run(algorithm, scenario, SUITE_CONFIG)).encode())
+    digest = h.hexdigest()
+    assert digest == SUITE_GOLDEN, f"suite s1-s8 x 7 solvers: {digest}"
