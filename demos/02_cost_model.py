@@ -12,7 +12,7 @@ from uavpath import (
     generate_synthetic,
     total_cost,
 )
-from uavpath.cost import threat_cost_many
+from uavpath.cost import path_planes, segment_steps, threat_cost_many
 
 terrain = generate_synthetic(
     SyntheticTerrainSpec(n_cols=21, n_rows=21, cell_size=10.0), seed=0
@@ -33,8 +33,8 @@ scenario = Scenario(
 threat = scenario.threats[0]
 print("segment distance sweep (collision radius 21 m, danger radius 31 m):")
 for offset in (40.0, 28.0, 24.0, 20.0):
-    segment = np.array([[[100.0 - offset, 0.0, 70.0], [100.0 - offset, 200.0, 70.0]]])
-    pen = threat_cost_many(segment, [threat], scenario.constraints)[0]
+    segment = path_planes(np.array([[[100.0 - offset, 0.0, 70.0], [100.0 - offset, 200.0, 70.0]]]))
+    pen = threat_cost_many(segment, segment_steps(segment), scenario.threat_table)[0]
     print(f"  passes {offset:4.0f} m from center -> penalty {pen}")
 
 # Full paths break down into the four weighted terms.

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cost import total_cost
 from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, budgeted_config, run
-from .scenario import ConfigError, Scenario, load_scenario, require_int, save_scenario
+from .scenario import ConfigError, Scenario, load_scenario, load_scenarios, require_int, save_scenario
 from .stats import Verdict, mean_std, paired_t_test
 from .suite import build_benchmark_suite
 
@@ -275,7 +275,7 @@ def cmd_plan(args) -> int:
 
 def _resolve_scenarios(args) -> tuple[Scenario, ...]:
     if args.scenarios:
-        return tuple(load_scenario(p) for p in args.scenarios.split(","))
+        return tuple(load_scenarios(args.scenarios.split(",")))
     return tuple(build_benchmark_suite(args.suite_seed))
 
 

@@ -6,9 +6,13 @@ are the fixed start and goal.  Infeasible features (collision, corridor
 violation, off-map flight) make the affected term infinite, and any
 infinite weighted term makes the total infinite.
 
-All functions are pure.  Each term is a ``*_many`` kernel over a stack of
-paths (M, n, 3), one value per path; ``evaluate_paths`` is what the
-optimizers call, and ``total_cost`` breaks one path into its terms.
+All functions are pure.  ``evaluate_paths`` is what the optimizers call,
+and ``total_cost`` breaks one path into its terms.  Each term is a
+``*_many`` kernel with one value per path of a stack (M, n, 3).  The
+kernels read the stack laid out once per call: its x, y and z planes
+(``path_planes``), its segment vectors (``segment_steps``) and their
+lengths (``segment_lengths``), which F1 and F4 share.  F2 reads the
+scenario's ``threat_table``, built once with the scenario.
 """
 
 from __future__ import annotations
@@ -40,26 +44,53 @@ def _as_paths(waypoints) -> np.ndarray:
     return arr
 
 
+# --- layout -----------------------------------------------------------------
+
+def path_planes(paths: np.ndarray) -> np.ndarray:
+    """The (3, M, n) x, y and z planes of an (M, n, 3) stack, the layout the
+    kernels read: each plane is one contiguous (M, n) array."""
+    return np.ascontiguousarray(paths.transpose(2, 0, 1))
+
+
+def segment_steps(points: np.ndarray) -> np.ndarray:
+    """Segment vectors of ``path_planes`` output as (3, M, n-1) planes."""
+    # Two infinite coordinates in a row give inf - inf, two huge ones of
+    # opposite sign overflow; the NaN or inf that follows scores the path
+    # +inf, so the warning adds nothing.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return points[..., 1:] - points[..., :-1]
+
+
+def segment_lengths(steps: np.ndarray) -> np.ndarray:
+    """Euclidean length of each segment, (M, n-1): F1 sums them and F4
+    reads them to tell degenerate segments."""
+    # A huge coordinate overflows the square; the path then scores +inf.
+    with np.errstate(invalid="ignore", over="ignore"):
+        sx, sy, sz = steps
+        lengths = sx * sx
+        lengths += sy * sy
+        lengths += sz * sz
+        return np.sqrt(lengths, out=lengths)
+
+
 # --- F1: path length ---------------------------------------------------------
 
-def length_cost_many(paths: np.ndarray) -> np.ndarray:
-    """Sum of Euclidean segment lengths."""
-    # Two infinite coordinates in a row give inf - inf, a huge one overflows
-    # the square; the NaN or inf that follows scores the path +inf, so the
-    # warning adds nothing.
-    with np.errstate(invalid="ignore", over="ignore"):
-        steps = paths[..., 1:, :] - paths[..., :-1, :]
-        return np.sqrt((steps**2).sum(axis=-1)).sum(axis=-1)
+def length_cost_many(lengths: np.ndarray) -> np.ndarray:
+    """Sum of the Euclidean segment lengths (``segment_lengths``)."""
+    return lengths.sum(axis=-1)
 
 
 # --- F2: threat cost ---------------------------------------------------------
 
-def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints) -> np.ndarray:
+def threat_cost_many(points: np.ndarray, steps: np.ndarray, threats: np.ndarray) -> np.ndarray:
     """Sum over segments and threats of a penalty in the horizontal distance
     d from the cylinder axis to the segment: zero beyond the danger annulus,
-    linear inside it, infinite in the collision disc."""
-    if len(threats) == 0:
-        return np.zeros(paths.shape[0])
+    linear inside it, infinite in the collision disc.  ``threats`` is a
+    ``threat_table``."""
+    _, m, segs = steps.shape
+    k = threats.shape[1]
+    if k == 0:
+        return np.zeros(m)
     # An infinite coordinate gives inf - inf and inf / inf below, a huge one
     # overflows a product; the NaN or inf that follows scores the path +inf,
     # so the warning adds nothing.
@@ -69,13 +100,11 @@ def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints)
         # op below runs one loop of P elements; x and y are kept apart and
         # updated in place, since reducing a length-2 axis and allocating
         # temporaries cost more than the arithmetic.
-        m, n = paths.shape[:2]
-        circles = np.array([(t.center_x, t.center_y, t.radius) for t in threats])
-        cx, cy, radii = circles.T[..., None]  # (K, 1) each
-        x, y = paths[..., 0], paths[..., 1]  # (M, n)
-        ax, ay = x[:, :-1].reshape(-1), y[:, :-1].reshape(-1)  # (P,) copies
-        abx = (x[:, 1:] - x[:, :-1]).reshape(-1)
-        aby = (y[:, 1:] - y[:, :-1]).reshape(-1)
+        cx, cy, collide_r, danger_r = threats  # (K, 1) each
+        ax = points[0, :, :-1].reshape(-1)  # (P,) copies
+        ay = points[1, :, :-1].reshape(-1)
+        abx = steps[0].reshape(-1)
+        aby = steps[1].reshape(-1)
         denom = abx * abx + aby * aby
         # closest point a + t * ab to each centre, t clamped to the segment; a
         # zero-length segment has a zero numerator, so t = 0 (its start point)
@@ -97,23 +126,22 @@ def threat_cost_many(paths: np.ndarray, threats, constraints: FlightConstraints)
         dy *= dy
         dx += dy
         d = np.sqrt(dx, out=dx)
-        collide_r = constraints.drone_diameter + radii  # (K, 1)
-        penalty = constraints.danger_distance + collide_r - d
+        penalty = danger_r - d
         np.maximum(penalty, 0.0, out=penalty)
         np.putmask(penalty, d <= collide_r, np.inf)
         # Summed from segment-major (M, n-1, K) order, as numpy's pairwise
         # sum of the original layout did, so every total keeps its bits.
-        by_path = penalty.reshape(len(threats), m, n - 1).transpose(1, 2, 0)
+        by_path = penalty.reshape(k, m, segs).transpose(1, 2, 0)
         return np.ascontiguousarray(by_path).sum(axis=(1, 2))
 
 
 # --- F3: altitude cost -------------------------------------------------------
 
-def altitude_cost_many(paths: np.ndarray, terrain, constraints: FlightConstraints) -> np.ndarray:
+def altitude_cost_many(points: np.ndarray, terrain, constraints: FlightConstraints) -> np.ndarray:
     """Sum of |height above ground - corridor midpoint| over the waypoints;
     infinite once a waypoint leaves [h_min, h_max] or the map."""
-    ground = terrain.heights(paths[..., 0], paths[..., 1])  # NaN off-map / nodata
-    h = paths[..., 2] - ground
+    ground = terrain.heights(points[0], points[1])  # NaN off-map / nodata
+    h = points[2] - ground
     in_corridor = (h >= constraints.h_min) & (h <= constraints.h_max)
     penalty = np.where(in_corridor, np.abs(h - constraints.corridor_mid), np.inf)
     return penalty.sum(axis=-1)
@@ -121,39 +149,31 @@ def altitude_cost_many(paths: np.ndarray, terrain, constraints: FlightConstraint
 
 # --- F4: smoothness ----------------------------------------------------------
 
-def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Segment vectors (M, n-1, 3) and their horizontal lengths (M, n-1)."""
-    steps = paths[..., 1:, :] - paths[..., :-1, :]
-    return steps, np.hypot(steps[..., 0], steps[..., 1])
-
-
-def _turn_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    """Horizontal turn angle at each interior waypoint, (M, n-2)."""
-    ux, uy = steps[:, :-1, 0], steps[:, :-1, 1]
-    vx, vy = steps[:, 1:, 0], steps[:, 1:, 1]
+def _turn_angles(sx: np.ndarray, sy: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+    """Horizontal turn angle at each interior waypoint, (M, n-2), from the
+    segments' x and y planes and horizontal lengths."""
+    ux, uy = sx[:, :-1], sy[:, :-1]
+    vx, vy = sx[:, 1:], sy[:, 1:]
     ang = np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy)
     ok = (horiz[:, :-1] > EPS_LEN) & (horiz[:, 1:] > EPS_LEN)
     return np.where(ok, ang, 0.0)
 
 
-def _climb_angles(steps: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+def _climb_angles(sz: np.ndarray, horiz: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Climb angle of each segment, (M, n-1); degenerate segments give 0."""
-    dz = steps[..., 2]
-    ang = np.arctan2(dz, horiz)
-    sx, sy = steps[..., 0], steps[..., 1]
-    ok = np.sqrt(sx * sx + sy * sy + dz * dz) > EPS_LEN
-    return np.where(ok, ang, 0.0)
+    return np.where(lengths > EPS_LEN, np.arctan2(sz, horiz), 0.0)
 
 
-def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
+def smooth_cost_many(steps: np.ndarray, lengths: np.ndarray, weights) -> np.ndarray:
     """a1 * sum of turn angles + a2 * sum of |climb delta| over consecutive
-    segment pairs."""
-    # As in F1 and F2, an infinite coordinate's inf - inf, or a huge one's
+    segment pairs, from ``segment_steps`` and ``segment_lengths``."""
+    # As in F2, an infinite coordinate's inf - inf, or a huge one's
     # overflow, only makes the path's NaN or inf, which scores +inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        steps, horiz = _segments(paths)
-        turns = _turn_angles(steps, horiz).sum(axis=-1)
-        climbs = _climb_angles(steps, horiz)
+        sx, sy, sz = steps
+        horiz = np.hypot(sx, sy)
+        turns = _turn_angles(sx, sy, horiz).sum(axis=-1)
+        climbs = _climb_angles(sz, horiz, lengths)
         deltas = np.abs(climbs[..., 1:] - climbs[..., :-1]).sum(axis=-1)
         return weights.a1 * turns + weights.a2 * deltas
 
@@ -162,18 +182,23 @@ def smooth_cost_many(paths: np.ndarray, weights) -> np.ndarray:
 
 def cost_components(paths: np.ndarray, scenario: Scenario):
     """(f1, f2, f3, f4) arrays for a stack of paths."""
-    f1 = length_cost_many(paths)
-    f2 = threat_cost_many(paths, scenario.threats, scenario.constraints)
-    f3 = altitude_cost_many(paths, scenario.terrain, scenario.constraints)
-    f4 = smooth_cost_many(paths, scenario.weights)
+    points = path_planes(paths)
+    steps = segment_steps(points)
+    lengths = segment_lengths(steps)
+    f1 = length_cost_many(lengths)
+    f2 = threat_cost_many(points, steps, scenario.threat_table)
+    f3 = altitude_cost_many(points, scenario.terrain, scenario.constraints)
+    f4 = smooth_cost_many(steps, lengths, scenario.weights)
     return f1, f2, f3, f4
 
 
 def _weighted_total(f1, f2, f3, f4, weights) -> np.ndarray:
-    total = np.zeros_like(f1)
+    total = None
     for b, f in ((weights.b1, f1), (weights.b2, f2), (weights.b3, f3), (weights.b4, f4)):
         if b > 0:  # skip zero weights so 0 * inf cannot poison the sum
-            total = total + b * f
+            # Every term is >= 0 or NaN, so starting from the first term
+            # gives the bits of starting from zero.
+            total = b * f if total is None else total + b * f
     # A NaN coordinate makes a term NaN; such a path is infeasible, and a
     # NaN fitness must never win an argmin.
     total[np.isnan(total)] = np.inf
@@ -183,7 +208,7 @@ def _weighted_total(f1, f2, f3, f4, weights) -> np.ndarray:
 def _in_running(term: np.ndarray, weight: float) -> np.ndarray:
     """Rows a term leaves feasible; a zero-weight term is not in the total,
     so it rules out none."""
-    return np.isfinite(term) | (weight == 0)
+    return np.isfinite(term) if weight else np.ones(term.shape, dtype=bool)
 
 
 def evaluate_paths(paths, scenario: Scenario) -> np.ndarray:
@@ -193,25 +218,34 @@ def evaluate_paths(paths, scenario: Scenario) -> np.ndarray:
     finite, F1 and F4 on the paths both left finite, and every other path
     scores +inf, as its weighted total would.  Once no path is left in the
     running the call returns, so F2, F1 and F4 never run on an empty stack.
-    The kernels work row by row, so each surviving total is bit-identical
-    to that of the full batch.
+    The stack is laid out as planes once, and its segments are taken once,
+    for the rows F3 leaves.  The kernels work row by row, so each surviving
+    total is bit-identical to that of the full batch.
     """
-    paths = _as_paths(paths)
-    weights, cons = scenario.weights, scenario.constraints
-    total = np.full(paths.shape[0], np.inf)
-    f3 = altitude_cost_many(paths, scenario.terrain, cons)
+    points = path_planes(_as_paths(paths))
+    weights = scenario.weights
+    m = points.shape[1]
+    f3 = altitude_cost_many(points, scenario.terrain, scenario.constraints)
     rows = np.flatnonzero(_in_running(f3, weights.b3))
     if rows.size == 0:
-        return total
-    f2 = threat_cost_many(paths[rows], scenario.threats, cons)
+        return np.full(m, np.inf)
+    if rows.size < m:
+        points, f3 = points[:, rows], f3[rows]
+    steps = segment_steps(points)
+    f2 = threat_cost_many(points, steps, scenario.threat_table)
     keep = _in_running(f2, weights.b2)
-    rows, f2 = rows[keep], f2[keep]
-    if rows.size == 0:
-        return total
-    live = paths[rows]
-    total[rows] = _weighted_total(
-        length_cost_many(live), f2, f3[rows], smooth_cost_many(live, weights), weights
+    if not keep.all():
+        rows, f2, f3, steps = rows[keep], f2[keep], f3[keep], steps[:, keep]
+        if rows.size == 0:
+            return np.full(m, np.inf)
+    lengths = segment_lengths(steps)
+    live = _weighted_total(
+        length_cost_many(lengths), f2, f3, smooth_cost_many(steps, lengths, weights), weights
     )
+    if rows.size == m:
+        return live
+    total = np.full(m, np.inf)
+    total[rows] = live
     return total
 
 

@@ -51,23 +51,21 @@ class SearchSpace:
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # The velocity cap of every clamp_velocity call, taken once.
+        v_cap = V_CAP_FRACTION * (self.upper - self.lower)
+        v_cap.setflags(write=False)
+        object.__setattr__(self, "v_cap", v_cap)
 
     @property
     def dims(self) -> int:
         return self.lower.size
 
-    @property
-    def v_cap(self) -> np.ndarray:
-        return V_CAP_FRACTION * (self.upper - self.lower)
-
 
 def axis_bounds(scenario: Scenario) -> np.ndarray:
-    """(3, 2) bounds: x/y from the terrain rectangle, z spanning the
-    altitude corridor over the terrain's elevation range."""
-    x_min, x_max, y_min, y_max = scenario.terrain.bounds
-    z_lo = scenario.terrain.z_min + scenario.constraints.h_min
-    z_hi = scenario.terrain.z_max + scenario.constraints.h_max
-    return np.array([[x_min, x_max], [y_min, y_max], [z_lo, z_hi]])
+    """(3, 2) bounds, read-only: x/y from the terrain rectangle, z spanning
+    the altitude corridor over the terrain's elevation range.  The scenario
+    builds them once."""
+    return scenario.axis_bounds
 
 
 def rho_max(scenario: Scenario) -> float:
@@ -187,7 +185,7 @@ def decode_angle(genome, scenario: Scenario) -> np.ndarray:
     """Monotone sine map from phase angles to axis intervals, then placed
     like cartesian interior coordinates."""
     g, squeeze = _check_dims(genome, scenario)
-    lo, hi = axis_bounds(scenario).T
+    lo, hi = scenario.axis_bounds.T
     path = _empty_paths(g.shape[0], scenario.n_interior, scenario)
     # 0.5 * ((hi - lo) * sin(g) + hi + lo), evaluated in place
     coords = np.sin(g.reshape(g.shape[0], -1, 3))

@@ -281,7 +281,9 @@ def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
 @dataclass
 class GaPopulation(_State):
     """Variable-length waypoint genomes; member i is an (k_i, 3) array of
-    interior nodes with k_i in [1, 2 * (n - 2)]."""
+    interior nodes with k_i in [1, 2 * (n - 2)].  No code writes a member,
+    so an unchanged child shares its parent's array, and a member's bytes
+    identify its fitness (``evaluate_members``)."""
 
     members: list
     fitness: np.ndarray
@@ -295,14 +297,32 @@ class GaPopulation(_State):
         return assemble_path(genomes, self.scenario)
 
     def evaluate_members(self, members) -> np.ndarray:
-        """Batch-evaluate a mixed-length population grouped by node count."""
+        """Score a generation bred from ``self.members``, each distinct
+        member once.  A member whose nodes equal, byte for byte, a member of
+        the current population or an earlier one of ``members`` takes that
+        fitness: the kernels score row by row, so scoring it again would give
+        the same bits.  The rest are scored in one batch per node count (the
+        byte length holds the count).  Every member counts as an evaluation."""
         fitness = np.empty(len(members))
+        known = {nodes.tobytes(): f for nodes, f in zip(self.members, self.fitness)}
+        first: dict[bytes, int] = {}  # a new member's bytes -> its first index
+        repeats: list[tuple[int, int]] = []  # (index, index of its first copy)
         groups: dict[int, list[int]] = {}
         for i, nodes in enumerate(members):
-            groups.setdefault(len(nodes), []).append(i)
+            key = nodes.tobytes()
+            if key in known:
+                fitness[i] = known[key]
+            elif key in first:
+                repeats.append((i, first[key]))
+            else:
+                first[key] = i
+                groups.setdefault(len(nodes), []).append(i)
+        self.evaluations += len(members) - len(first)
         for k in sorted(groups):
             idx = groups[k]
             fitness[idx] = self.evaluate(np.array([members[i] for i in idx]))
+        for i, j in repeats:
+            fitness[i] = fitness[j]
         return fitness
 
     def best(self) -> tuple[float, np.ndarray]:
@@ -318,7 +338,7 @@ def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, rng):
     """One-point crossover at a waypoint boundary; parents with a single
     node pass through unchanged."""
     if len(p1) < 2 or len(p2) < 2:
-        return p1.copy(), p2.copy()
+        return p1, p2
     c1 = int(rng.integers(1, len(p1)))
     c2 = int(rng.integers(1, len(p2)))
     child1 = np.concatenate((p1[:c1], p2[c2:]))[:max_nodes]
@@ -373,14 +393,15 @@ def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> None:
         if cross:
             children += ga_crossover(p1, p2, population.max_nodes, rng)
         else:
-            children += (p1.copy(), p2.copy())
-    new_members = [population.best()[1].copy()]
+            children += (p1, p2)
+    new_members = [population.best()[1]]
     for child, mutate in zip(children, mutated):  # drops the m-th child of an even m
         if mutate:
             child = ga_mutate(child, population.scenario, population.space, rng)
         new_members.append(child)
-    population.members = new_members
+    # Scored against the generation that bred them, before it is replaced.
     population.fitness = population.evaluate_members(new_members)
+    population.members = new_members
 
 
 # --- DE ---------------------------------------------------------------------------

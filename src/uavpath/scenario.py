@@ -101,10 +101,8 @@ class FlightConstraints:
             raise ConfigError("drone_diameter must be > 0")
         if self.danger_distance < 0:
             raise ConfigError("danger_distance must be >= 0")
-
-    @property
-    def corridor_mid(self) -> float:
-        return 0.5 * (self.h_max + self.h_min)
+        # Read on every F3 call, so taken once.
+        object.__setattr__(self, "corridor_mid", 0.5 * (self.h_max + self.h_min))
 
 
 @dataclass(frozen=True)
@@ -150,10 +148,34 @@ class Scenario:
         object.__setattr__(self, "goal", goal)
         object.__setattr__(self, "threats", tuple(self.threats))
         validate_scenario(self)
+        # Every field is immutable, so what scoring and decoding read from
+        # them is built once: F2's threat columns and the (3, 2) box of
+        # x, y and z bounds of the cartesian and angle encodings.
+        object.__setattr__(self, "threat_table", threat_table(self.threats, self.constraints))
+        x_min, x_max, y_min, y_max = self.terrain.bounds
+        bounds = np.array([
+            [x_min, x_max],
+            [y_min, y_max],
+            [self.terrain.z_min + self.constraints.h_min, self.terrain.z_max + self.constraints.h_max],
+        ])
+        bounds.setflags(write=False)
+        object.__setattr__(self, "axis_bounds", bounds)
 
     @property
     def n_interior(self) -> int:
         return self.n_waypoints - 2
+
+
+def threat_table(threats, constraints: FlightConstraints) -> np.ndarray:
+    """The (4, K, 1) columns F2 reads per threat, read-only: centre x,
+    centre y, collision radius (drone diameter + r) and danger radius
+    (danger distance + collision radius)."""
+    table = np.empty((4, len(threats), 1))
+    for k, t in enumerate(threats):
+        collide = constraints.drone_diameter + t.radius
+        table[:, k, 0] = t.center_x, t.center_y, collide, constraints.danger_distance + collide
+    table.setflags(write=False)
+    return table
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -231,7 +253,7 @@ def _point(section, where: str, keys: str = "xyz") -> list[float]:
     return [_number(section.get(k), f"{where}.{k}") for k in keys]
 
 
-def _build_terrain(section, base_dir: str) -> TerrainMap:
+def _build_terrain(section, base_dir: str, dems: dict) -> TerrainMap:
     section = _mapping(section, ("dem_path", "synthetic"), "terrain")
     if ("dem_path" in section) == ("synthetic" in section):
         raise ConfigError("terrain needs exactly one of dem_path or synthetic")
@@ -239,10 +261,13 @@ def _build_terrain(section, base_dir: str) -> TerrainMap:
         if not isinstance(section["dem_path"], str):
             raise ConfigError(f"terrain.dem_path must be a string, got {section['dem_path']!r}")
         path = os.path.join(base_dir, section["dem_path"])
-        try:
-            return load_dem(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"terrain.dem_path {path}: {exc}") from exc
+        key = os.path.realpath(path)
+        if key not in dems:
+            try:
+                dems[key] = load_dem(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"terrain.dem_path {path}: {exc}") from exc
+        return dems[key]
     synth = section["synthetic"]
     spec = _record(SyntheticTerrainSpec, synth, "terrain.synthetic", extra=("seed",))
     seed = _number(synth.get("seed", 0), "terrain.synthetic.seed", int)
@@ -251,8 +276,10 @@ def _build_terrain(section, base_dir: str) -> TerrainMap:
     return generate_synthetic(spec, seed)
 
 
-def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
-    """Build and validate a Scenario from a parsed config mapping."""
+def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario", dems=None) -> Scenario:
+    """Build and validate a Scenario from a parsed config mapping.  A DEM
+    file whose resolved path is a key of ``dems`` is not parsed again; one
+    parsed here is added to it."""
     cfg = _mapping(
         cfg,
         ("terrain", "threats", "start", "goal", "constraints", "weights", "n_waypoints"),
@@ -261,7 +288,7 @@ def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -
     for req in ("terrain", "start", "goal"):
         if req not in cfg:
             raise ConfigError(f"missing required section {req!r}")
-    terrain = _build_terrain(cfg["terrain"], base_dir)
+    terrain = _build_terrain(cfg["terrain"], base_dir, {} if dems is None else dems)
     threat_list = cfg.get("threats")
     if not isinstance(threat_list, (list, type(None))):
         raise ConfigError(f"threats must be a list, got {threat_list!r}")
@@ -285,8 +312,9 @@ def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -
     )
 
 
-def load_scenario(file_path) -> Scenario:
-    """Load and fully validate a scenario config file."""
+def load_scenario(file_path, dems=None) -> Scenario:
+    """Load and fully validate a scenario config file; ``dems`` as for
+    ``scenario_from_dict``."""
     try:
         with open(file_path) as fh:
             cfg = yaml.safe_load(fh)
@@ -296,7 +324,15 @@ def load_scenario(file_path) -> Scenario:
         raise ConfigError(f"cannot read {file_path}: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(file_path))
     name = os.path.splitext(os.path.basename(file_path))[0]
-    return scenario_from_dict(cfg, base_dir=base_dir, name=name)
+    return scenario_from_dict(cfg, base_dir=base_dir, name=name, dems=dems)
+
+
+def load_scenarios(file_paths) -> list[Scenario]:
+    """Load several scenario config files.  Files that name the same DEM
+    file share one ``TerrainMap``, parsed once; nothing is kept between
+    calls."""
+    dems: dict = {}
+    return [load_scenario(p, dems) for p in file_paths]
 
 
 def save_scenario(sc: Scenario, file_path) -> None:

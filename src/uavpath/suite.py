@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cost import threat_cost_many, total_cost
+from .cost import path_planes, segment_steps, threat_cost_many, total_cost
 from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat, require_int
 from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic, height_at
 
@@ -162,8 +162,8 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
         except (ConfigError, RuntimeError):
             continue
         if complicated:
-            straight = np.vstack([start, goal])
-            if math.isfinite(threat_cost_many(straight[None], scenario.threats, constraints)[0]):
+            straight = path_planes(np.vstack([start, goal])[None])
+            if math.isfinite(threat_cost_many(straight, segment_steps(straight), scenario.threat_table)[0]):
                 continue
         witness = _make_witness(rng, scenario)
         if witness is None:

@@ -29,6 +29,16 @@ from uavpath import (
     Threat,
     generate_synthetic,
 )
+from uavpath.cost import (
+    altitude_cost_many,
+    length_cost_many,
+    path_planes,
+    segment_lengths,
+    segment_steps,
+    smooth_cost_many,
+    threat_cost_many,
+)
+from uavpath.scenario import threat_table
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +93,25 @@ def random_feasibleish_path(scenario, rng, n=None):
     )
     interior = np.column_stack([xs, ys, zs])
     return np.vstack([scenario.start, interior, scenario.goal])
+
+
+# The cost kernels read a stack laid out once as evaluate_paths lays it
+# out; these give each term of an (M, n, 3) stack of paths.
+
+
+def f1_of(paths):
+    return length_cost_many(segment_lengths(segment_steps(path_planes(paths))))
+
+
+def f2_of(paths, threats, constraints):
+    points = path_planes(paths)
+    return threat_cost_many(points, segment_steps(points), threat_table(threats, constraints))
+
+
+def f3_of(paths, terrain, constraints):
+    return altitude_cost_many(path_planes(paths), terrain, constraints)
+
+
+def f4_of(paths, weights):
+    steps = segment_steps(path_planes(paths))
+    return smooth_cost_many(steps, segment_lengths(steps), weights)

@@ -8,21 +8,20 @@ import pytest
 from uavpath import CostWeights, FlightConstraints, Scenario, Threat, cost, total_cost
 from uavpath.cost import (
     _climb_angles,
-    _segments,
     _turn_angles,
     _weighted_total,
-    altitude_cost_many,
     cost_components,
     evaluate_paths,
-    length_cost_many,
-    smooth_cost_many,
-    threat_cost_many,
+    path_planes,
+    segment_lengths,
+    segment_steps,
 )
 from uavpath.suite import build_benchmark_suite
 from uavpath.terrain import SyntheticTerrainSpec, generate_synthetic
 
-from conftest import random_feasibleish_path
+from conftest import f1_of, f2_of, f3_of, f4_of, random_feasibleish_path
 from oracles import oracle_total_cost
+from test_golden_cost import scenario_paths
 
 CONS = FlightConstraints(h_min=100.0, h_max=200.0, drone_diameter=1.0, danger_distance=5.0)
 
@@ -34,32 +33,35 @@ def one(kernel, path, *args) -> float:
 
 def turn_at(p0, p1, p2) -> float:
     """Turn angle at p1, straight from ``_turn_angles``."""
-    return float(_turn_angles(*_segments(np.array([[p0, p1, p2]], dtype=float)))[0, 0])
+    sx, sy, _ = segment_steps(path_planes(np.array([[p0, p1, p2]], dtype=float)))
+    return float(_turn_angles(sx, sy, np.hypot(sx, sy))[0, 0])
 
 
 def climb_of(p0, p1) -> float:
     """Climb angle of the segment p0 -> p1, straight from ``_climb_angles``."""
-    return float(_climb_angles(*_segments(np.array([[p0, p1]], dtype=float)))[0, 0])
+    steps = segment_steps(path_planes(np.array([[p0, p1]], dtype=float)))
+    sx, sy, sz = steps
+    return float(_climb_angles(sz, np.hypot(sx, sy), segment_lengths(steps))[0, 0])
 
 
 class TestPathLength:
     def test_three_four_five(self):
-        assert one(length_cost_many, [(0, 0, 0), (3, 4, 0)]) == 5.0
+        assert one(f1_of, [(0, 0, 0), (3, 4, 0)]) == 5.0
 
     def test_unit_steps(self):
-        assert one(length_cost_many, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]) == 2.0
+        assert one(f1_of, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]) == 2.0
 
     def test_repeated_waypoint_adds_nothing(self):
         base = [(0, 0, 0), (2, 0, 0), (2, 3, 1)]
         dup = [(0, 0, 0), (2, 0, 0), (2, 0, 0), (2, 3, 1)]
-        assert one(length_cost_many, dup) == one(length_cost_many, base)
+        assert one(f1_of, dup) == one(f1_of, base)
 
     def test_never_below_direct_distance(self, flat_scenario):
         rng = np.random.default_rng(0)
         direct = np.linalg.norm(flat_scenario.goal - flat_scenario.start)
         for _ in range(100):
             p = random_feasibleish_path(flat_scenario, rng)
-            assert one(length_cost_many, p) >= direct - 1e-12
+            assert one(f1_of, p) >= direct - 1e-12
 
 
 class TestThreatPenalty:
@@ -72,71 +74,71 @@ class TestThreatPenalty:
 
     def test_outside_danger_zone(self):
         a, b = self.seg_at(20.0)
-        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == 0.0
+        assert one(f2_of, [a, b], [self.threat], self.cons) == 0.0
 
     def test_middle_branch(self):
         a, b = self.seg_at(12.0)
-        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == pytest.approx(4.0)
+        assert one(f2_of, [a, b], [self.threat], self.cons) == pytest.approx(4.0)
 
     def test_collision(self):
         a, b = self.seg_at(10.0)
-        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == math.inf
+        assert one(f2_of, [a, b], [self.threat], self.cons) == math.inf
 
     def test_distance_is_to_segment_not_endpoints(self):
         # endpoints far away but the segment passes right over the center
         a, b = (-100.0, 0.0, 50.0), (100.0, 0.0, 50.0)
-        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == math.inf
+        assert one(f2_of, [a, b], [self.threat], self.cons) == math.inf
 
     def test_continuous_and_nonincreasing(self):
         ds = np.linspace(11.001, 25.0, 400)
         vals = [
-            one(threat_cost_many, self.seg_at(d), [self.threat], self.cons) for d in ds
+            one(f2_of, self.seg_at(d), [self.threat], self.cons) for d in ds
         ]
         assert all(u >= v for u, v in zip(vals, vals[1:]))
         assert np.all(np.abs(np.diff(vals)) <= np.diff(ds) + 1e-12)
 
     def test_closest_distance_equal_to_collision_radius(self):
         a, b = self.seg_at(11.0)  # passes (11, 0): exactly collide_r away
-        assert one(threat_cost_many, [a, b], [self.threat], self.cons) == math.inf
+        assert one(f2_of, [a, b], [self.threat], self.cons) == math.inf
 
     def test_zero_length_segment_in_collision_disc(self):
         p = (5.0, 3.0, 50.0)
-        assert one(threat_cost_many, [p, p], [self.threat], self.cons) == math.inf
+        assert one(f2_of, [p, p], [self.threat], self.cons) == math.inf
 
     def test_zero_length_segment_beyond_danger_ring(self):
         p = (12.0, 13.0, 50.0)  # 17.7 m from the centre, danger radius 16
-        assert one(threat_cost_many, [p, p], [self.threat], self.cons) == 0.0
+        assert one(f2_of, [p, p], [self.threat], self.cons) == 0.0
 
     def test_empty_threat_list(self):
-        assert one(threat_cost_many, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [], self.cons) == 0.0
+        assert one(f2_of, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [], self.cons) == 0.0
 
     def test_two_threats_add(self):
         t1 = Threat(0.0, 12.0, 10.0)
         t2 = Threat(0.0, -12.0, 10.0)
         seg = [(-50.0, 0.0, 10.0), (50.0, 0.0, 10.0)]
-        assert one(threat_cost_many, seg, [t1, t2], self.cons) == pytest.approx(8.0)
+        assert one(f2_of, seg, [t1, t2], self.cons) == pytest.approx(8.0)
 
 
 class TestAltitude:
     def test_midpoint_zero(self, flat_terrain):
-        assert one(altitude_cost_many, [(50, 50, 150)], flat_terrain, CONS) == 0.0
+        assert one(f3_of, [(50, 50, 150)], flat_terrain, CONS) == 0.0
 
     def test_offset(self, flat_terrain):
-        assert one(altitude_cost_many, [(50, 50, 120)], flat_terrain, CONS) == pytest.approx(30.0)
+        assert one(f3_of, [(50, 50, 120)], flat_terrain, CONS) == pytest.approx(30.0)
 
     def test_above_ceiling(self, flat_terrain):
-        assert one(altitude_cost_many, [(50, 50, 250)], flat_terrain, CONS) == math.inf
+        assert one(f3_of, [(50, 50, 250)], flat_terrain, CONS) == math.inf
 
     def test_outside_map_is_infinite(self, flat_terrain):
-        assert one(altitude_cost_many, [(-5, 50, 150)], flat_terrain, CONS) == math.inf
+        assert one(f3_of, [(-5, 50, 150)], flat_terrain, CONS) == math.inf
 
     def test_sums_over_waypoints(self, flat_terrain):
         path = [(10, 10, 160), (50, 50, 130), (90, 90, 150)]
-        assert one(altitude_cost_many, path, flat_terrain, CONS) == pytest.approx(10 + 20 + 0)
+        assert one(f3_of, path, flat_terrain, CONS) == pytest.approx(10 + 20 + 0)
 
     def test_one_bad_waypoint_absorbs(self, flat_terrain):
         path = [(10, 10, 150), (50, 50, 10), (90, 90, 150)]
-        assert one(altitude_cost_many, path, flat_terrain, CONS) == math.inf
+        assert one(f3_of, path, flat_terrain, CONS) == math.inf
 
 
 class TestAngles:
@@ -194,16 +196,16 @@ class TestSmoothCost:
 
     def test_straight_horizontal(self):
         p = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
-        assert one(smooth_cost_many, p, self.W) == 0.0
+        assert one(f4_of, p, self.W) == 0.0
 
     def test_single_right_angle(self):
         p = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
-        assert one(smooth_cost_many, p, self.W) == pytest.approx(math.pi / 2)
+        assert one(f4_of, p, self.W) == pytest.approx(math.pi / 2)
 
     def test_climb_then_level(self):
         p = [(0, 0, 0), (1, 0, 1), (2, 0, 1)]
         w = CostWeights(a1=0.0, a2=2.0)
-        assert one(smooth_cost_many, p, w) == pytest.approx(2 * math.pi / 4)
+        assert one(f4_of, p, w) == pytest.approx(2 * math.pi / 4)
 
 
 class TestTotalCost:
@@ -311,10 +313,10 @@ class TestTotalCost:
         paths = path[None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert length_cost_many(paths)[0] == math.inf
-            threat_cost_many(paths, s4.threats, s4.constraints)
-            assert altitude_cost_many(paths, s4.terrain, s4.constraints)[0] == math.inf
-            smooth_cost_many(paths, s4.weights)
+            assert f1_of(paths)[0] == math.inf
+            f2_of(paths, s4.threats, s4.constraints)
+            assert f3_of(paths, s4.terrain, s4.constraints)[0] == math.inf
+            f4_of(paths, s4.weights)
             assert evaluate_paths(paths, s4)[0] == math.inf
             assert total_cost(path, s4).total == math.inf
 
@@ -323,7 +325,7 @@ class TestTotalCost:
         s4 = build_benchmark_suite(0)[3]
         path = s4.witness.copy()
         path[3, 0] = x
-        assert math.isnan(threat_cost_many(path[None], s4.threats, s4.constraints)[0])
+        assert math.isnan(f2_of(path[None], s4.threats, s4.constraints)[0])
         b = total_cost(path, s4)
         assert b.f2 == b.total == math.inf
         assert not any(math.isnan(v) for v in (b.f1, b.f2, b.f3, b.f4))
@@ -393,9 +395,11 @@ class TestFeasibilityFirst:
         the row count of each kernel call."""
         rows_seen = {}
         for name in ("threat_cost_many", "length_cost_many", "smooth_cost_many"):
-            def watched(stack, *args, _kernel=getattr(cost, name), _name=name):
-                rows_seen.setdefault(_name, []).append(len(stack))
-                return _kernel(stack, *args)
+            # Every kernel's first argument holds one row per path on its
+            # second-to-last axis.
+            def watched(first, *args, _kernel=getattr(cost, name), _name=name):
+                rows_seen.setdefault(_name, []).append(first.shape[-2])
+                return _kernel(first, *args)
 
             monkeypatch.setattr(cost, name, watched)
         return evaluate_paths(paths, scenario), rows_seen
@@ -413,7 +417,7 @@ class TestFeasibilityFirst:
         corridor = scenario.witness.copy()
         corridor[2, 2] += 500.0
         paths = self.jittered(corridor, 6, 1)
-        assert not np.isfinite(altitude_cost_many(paths, scenario.terrain, scenario.constraints)).any()
+        assert not np.isfinite(f3_of(paths, scenario.terrain, scenario.constraints)).any()
         want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
         got, rows_seen = self.evaluate_watched(paths, scenario, monkeypatch)
         assert got.tobytes() == want.tobytes()
@@ -425,8 +429,8 @@ class TestFeasibilityFirst:
         collision = scenario.witness.copy()
         collision[2, :2] = threat.center_x, threat.center_y
         paths = self.jittered(collision, 6, 2)
-        assert np.isfinite(altitude_cost_many(paths, scenario.terrain, scenario.constraints)).all()
-        assert not np.isfinite(threat_cost_many(paths, scenario.threats, scenario.constraints)).any()
+        assert np.isfinite(f3_of(paths, scenario.terrain, scenario.constraints)).all()
+        assert not np.isfinite(f2_of(paths, scenario.threats, scenario.constraints)).any()
         want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
         got, rows_seen = self.evaluate_watched(paths, scenario, monkeypatch)
         assert got.tobytes() == want.tobytes()
@@ -536,3 +540,38 @@ class TestAgainstOracle:
                     else:
                         assert a == pytest.approx(b, rel=1e-9)
             assert finite_seen > 20 and inf_seen > 5
+
+
+class TestRowsScoreAlone:
+    """Each path scores the same bits alone, in any chunk of a stack and in
+    the whole stack, for the total and for each kernel.  GA's reuse of a
+    repeated member's fitness relies on this."""
+
+    TERMS = {
+        "total": lambda paths, s: evaluate_paths(paths, s),
+        "f1": lambda paths, s: f1_of(paths),
+        "f2": lambda paths, s: f2_of(paths, s.threats, s.constraints),
+        "f3": lambda paths, s: f3_of(paths, s.terrain, s.constraints),
+        "f4": lambda paths, s: f4_of(paths, s.weights),
+    }
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # The golden batches: sampled, uniform and edge-case paths on s1-s8.
+        return [(s, scenario_paths(s, i)) for i, s in enumerate(build_benchmark_suite(0))]
+
+    @pytest.mark.parametrize("term", list(TERMS))
+    def test_whole_chunks_and_rows_agree(self, term, cases):
+        score = self.TERMS[term]
+        rng = np.random.default_rng(17)
+        for scenario, paths in cases:
+            whole = score(paths, scenario)
+            assert np.isfinite(whole).any()
+            rows = np.concatenate([score(paths[i : i + 1], scenario) for i in range(len(paths))])
+            cuts = np.sort(rng.choice(np.arange(1, len(paths)), size=7, replace=False))
+            chunks = np.concatenate([score(c, scenario) for c in np.split(paths, cuts)])
+            order = rng.permutation(len(paths))
+            shuffled = score(paths[order], scenario)
+            assert rows.tobytes() == whole.tobytes()
+            assert chunks.tobytes() == whole.tobytes()
+            assert shuffled.tobytes() == whole[order].tobytes()

@@ -17,15 +17,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from uavpath.cost import (
-    altitude_cost_many,
-    evaluate_paths,
-    length_cost_many,
-    smooth_cost_many,
-    threat_cost_many,
-)
+from uavpath.cost import evaluate_paths
 from uavpath.encodings import _ENCODINGS, random_genomes
 from uavpath.suite import build_benchmark_suite
+
+from conftest import f1_of, f2_of, f3_of, f4_of
 
 N_SAMPLED = 16  # genomes from the solvers' initial sampler, per encoding
 N_UNIFORM = 16  # genomes uniform over the search box, per encoding
@@ -40,15 +36,13 @@ GOLDEN = {
 }
 
 KERNELS = {
-    "length": lambda paths, s: length_cost_many(paths),
-    "threat": lambda paths, s: threat_cost_many(paths, s.threats, s.constraints),
-    "altitude": lambda paths, s: altitude_cost_many(paths, s.terrain, s.constraints),
-    "smooth": lambda paths, s: smooth_cost_many(paths, s.weights),
+    "length": lambda paths, s: f1_of(paths),
+    "threat": lambda paths, s: f2_of(paths, s.threats, s.constraints),
+    "altitude": lambda paths, s: f3_of(paths, s.terrain, s.constraints),
+    "smooth": lambda paths, s: f4_of(paths, s.weights),
     "total": lambda paths, s: evaluate_paths(paths, s),
     # one segment per path, so an infinite segment hides no finite one
-    "threat_segment": lambda paths, s: threat_cost_many(
-        segments(paths), s.threats, s.constraints
-    ),
+    "threat_segment": lambda paths, s: f2_of(segments(paths), s.threats, s.constraints),
 }
 
 
@@ -115,7 +109,7 @@ def test_golden_cost(kernel, cases):
 def test_batch_covers_edge_cases(cases):
     """The pinned batch reaches every kind of value the kernels return."""
     totals = np.concatenate([evaluate_paths(p, s) for s, p in cases])
-    threat = np.concatenate([threat_cost_many(p, s.threats, s.constraints) for s, p in cases])
+    threat = np.concatenate([f2_of(p, s.threats, s.constraints) for s, p in cases])
     assert np.isfinite(totals).any() and np.isinf(totals).any()
     assert (threat == 0).any() and np.isinf(threat).any()
     assert ((threat > 0) & np.isfinite(threat)).any()

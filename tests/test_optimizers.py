@@ -16,7 +16,7 @@ from uavpath import (
 from uavpath import optimizers
 from uavpath.cost import evaluate_paths
 from uavpath.encodings import SearchSpace
-from uavpath.encodings import clamp_wrap, decode, random_genomes
+from uavpath.encodings import assemble_path, clamp_wrap, decode, random_genomes
 from uavpath.optimizers import (
     ALGORITHMS,
     AbcColony,
@@ -252,6 +252,58 @@ class TestGaOperators:
         p2 = np.ones((4, 3))
         c1, c2 = ga_crossover(p1, p2, max_nodes=8, rng=ScriptedRng())
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
+
+
+class TestGaMembers:
+    """GA scores each distinct member of a generation once and never writes
+    a member array, so a member's bytes identify its fitness."""
+
+    CONFIG = SwarmConfig(swarm_size=20, max_iterations=20, seed=1)
+
+    def test_each_distinct_member_scored_once(self, hilly_scenario, monkeypatch):
+        config = self.CONFIG
+        pop = optimizers._init_ga("ga", hilly_scenario, config)
+        rng = _rng(config.seed, "ga", 1)
+        scored = []
+        evaluate = optimizers._State.evaluate
+
+        def recording_evaluate(state, genomes):
+            scored.extend(g.tobytes() for g in genomes)
+            return evaluate(state, genomes)
+
+        monkeypatch.setattr(optimizers._State, "evaluate", recording_evaluate)
+        reused = 0
+        for _ in range(config.max_iterations):
+            parents = {nodes.tobytes() for nodes in pop.members}
+            before = pop.evaluations
+            scored.clear()
+            ga_step(pop, config, rng)
+            children = {nodes.tobytes() for nodes in pop.members}
+            # Every child counts; only those new to this generation are scored.
+            assert pop.evaluations - before == config.swarm_size
+            assert len(set(scored)) == len(scored)
+            assert set(scored) == children - parents
+            reused += config.swarm_size - len(scored)
+            # A reused fitness has the bits that scoring the child gives.
+            rescored = [evaluate_paths(assemble_path(c, hilly_scenario), hilly_scenario)[0] for c in pop.members]
+            assert np.array(rescored).tobytes() == pop.fitness.tobytes()
+        assert reused > config.swarm_size * config.max_iterations // 2
+
+    def test_members_are_never_written(self, hilly_scenario):
+        """Generations bred from read-only members, so that any write into a
+        member raises, give the trace of run()."""
+        config = self.CONFIG
+        pop = optimizers._init_ga("ga", hilly_scenario, config)
+        rng = _rng(config.seed, "ga", 1)
+        best = []
+        for _ in range(config.max_iterations):
+            for nodes in pop.members:
+                nodes.setflags(write=False)
+            ga_step(pop, config, rng)
+            best.append(pop.best()[0])
+        trace = run("ga", hilly_scenario, config)
+        assert best == trace.best_fitness.tolist()
+        assert pop.evaluations == trace.evaluations
 
 
 class TestDe:

@@ -23,7 +23,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavpath import CostWeights, DemParseError, FlightConstraints, Threat, load_dem
-from uavpath.cost import length_cost_many, smooth_cost_many, threat_cost_many
+
+from conftest import f1_of, f2_of, f4_of
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -56,8 +57,8 @@ def rel_close(a: float, b: float) -> bool:
 @given(path=paths(), shift=st.tuples(coord, coord, coord))
 def test_length_and_smoothness_translation_invariant(path, shift):
     stack = np.stack([path, path + np.asarray(shift)])  # the path and its shift
-    length = length_cost_many(stack)
-    smooth = smooth_cost_many(stack, CostWeights())
+    length = f1_of(stack)
+    smooth = f4_of(stack, CostWeights())
     assert rel_close(length[0], length[1])
     assert rel_close(smooth[0], smooth[1])
 
@@ -77,8 +78,8 @@ def test_threat_cost_monotone_in_radius(path, threats, data):
     grown = list(threats)
     grown[i] = Threat(threats[i].center_x, threats[i].center_y, threats[i].radius + growth)
     constraints = FlightConstraints()
-    before = threat_cost_many(path[None], threats, constraints)[0]
-    after = threat_cost_many(path[None], grown, constraints)[0]
+    before = f2_of(path[None], threats, constraints)[0]
+    after = f2_of(path[None], grown, constraints)[0]
     assert after >= before
     if math.isinf(before):
         assert math.isinf(after)

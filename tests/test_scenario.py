@@ -1,3 +1,4 @@
+import argparse
 import math
 from dataclasses import replace
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 import yaml
 
+from uavpath import cli, scenario
 from uavpath import ConfigError, CostWeights, FlightConstraints, Threat, load_scenario, save_scenario
-from uavpath.cost import threat_cost_many, total_cost
+from uavpath.cost import total_cost
 from uavpath.suite import build_benchmark_suite, is_complicated
+
+from conftest import f2_of
 
 MINIMAL = {
     "terrain": {"synthetic": {"n_cols": 11, "n_rows": 11, "cell_size": 10.0}},
@@ -63,6 +67,26 @@ class TestLoadScenario:
         cfg = dict(MINIMAL, goal={"x": 900.0, "y": 90.0, "z": 70.0})
         with pytest.raises(ConfigError, match="goal outside terrain bounds"):
             load_scenario(write_config(tmp_path, cfg))
+
+    def test_shared_dem_parsed_once(self, tmp_path, hilly_scenario, monkeypatch):
+        """Scenario files naming one DEM share its grid when loaded in one
+        call, as ``uavpath bench --scenarios`` loads them; separate calls
+        parse it each time."""
+        save_scenario(hilly_scenario, tmp_path / "a.yaml")  # writes a.asc
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        cfg = yaml.safe_load((tmp_path / "a.yaml").read_text())
+        cfg["terrain"]["dem_path"] = "../a.asc"  # the same file by another path
+        write_config(sub, cfg, "b.yaml")
+        parsed = []
+        load_dem = scenario.load_dem
+        monkeypatch.setattr(scenario, "load_dem", lambda path: parsed.append(path) or load_dem(path))
+        files = f"{tmp_path / 'a.yaml'},{sub / 'b.yaml'}"
+        a, b = cli._resolve_scenarios(argparse.Namespace(scenarios=files))
+        assert len(parsed) == 1
+        assert a.terrain is b.terrain and (a.name, b.name) == ("a", "b")
+        c = load_scenario(tmp_path / "a.yaml")
+        assert len(parsed) == 2 and c.terrain is not a.terrain
 
     def test_save_load_round_trip(self, tmp_path, hilly_scenario):
         path = tmp_path / "rt.yaml"
@@ -124,7 +148,7 @@ class TestBenchmarkSuite:
             if not is_complicated(number):
                 continue
             straight = np.vstack([sc.start, sc.goal])
-            assert math.isinf(threat_cost_many(straight[None], sc.threats, sc.constraints)[0])
+            assert math.isinf(f2_of(straight[None], sc.threats, sc.constraints)[0])
 
     def test_witness_is_feasible(self, suite):
         for sc in suite:
