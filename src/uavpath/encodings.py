@@ -185,7 +185,7 @@ def decode_angle(genome, scenario: Scenario) -> np.ndarray:
     """Monotone sine map from phase angles to axis intervals, then placed
     like cartesian interior coordinates."""
     g, squeeze = _check_dims(genome, scenario)
-    lo, hi = scenario.axis_bounds.T
+    lo, hi = axis_bounds(scenario).T
     path = _empty_paths(g.shape[0], scenario.n_interior, scenario)
     # 0.5 * ((hi - lo) * sin(g) + hi + lo), evaluated in place
     coords = np.sin(g.reshape(g.shape[0], -1, 3))

@@ -150,7 +150,8 @@ class Scenario:
         validate_scenario(self)
         # Every field is immutable, so what scoring and decoding read from
         # them is built once: F2's threat columns and the (3, 2) box of
-        # x, y and z bounds of the cartesian and angle encodings.
+        # x, y and z bounds, which the encodings read through
+        # ``encodings.axis_bounds``.
         object.__setattr__(self, "threat_table", threat_table(self.threats, self.constraints))
         x_min, x_max, y_min, y_max = self.terrain.bounds
         bounds = np.array([
@@ -276,10 +277,14 @@ def _build_terrain(section, base_dir: str, dems: dict) -> TerrainMap:
     return generate_synthetic(spec, seed)
 
 
-def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario", dems=None) -> Scenario:
-    """Build and validate a Scenario from a parsed config mapping.  A DEM
-    file whose resolved path is a key of ``dems`` is not parsed again; one
-    parsed here is added to it."""
+def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
+    """Build and validate a Scenario from a parsed config mapping."""
+    return _scenario_from_dict(cfg, base_dir, name, {})
+
+
+def _scenario_from_dict(cfg, base_dir: str, name: str, dems: dict) -> Scenario:
+    """``scenario_from_dict``; a DEM file whose resolved path is a key of
+    ``dems`` is not parsed again, and one parsed here is added to it."""
     cfg = _mapping(
         cfg,
         ("terrain", "threats", "start", "goal", "constraints", "weights", "n_waypoints"),
@@ -288,7 +293,7 @@ def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario", d
     for req in ("terrain", "start", "goal"):
         if req not in cfg:
             raise ConfigError(f"missing required section {req!r}")
-    terrain = _build_terrain(cfg["terrain"], base_dir, {} if dems is None else dems)
+    terrain = _build_terrain(cfg["terrain"], base_dir, dems)
     threat_list = cfg.get("threats")
     if not isinstance(threat_list, (list, type(None))):
         raise ConfigError(f"threats must be a list, got {threat_list!r}")
@@ -312,9 +317,22 @@ def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario", d
     )
 
 
-def load_scenario(file_path, dems=None) -> Scenario:
-    """Load and fully validate a scenario config file; ``dems`` as for
-    ``scenario_from_dict``."""
+def load_scenario(file_path) -> Scenario:
+    """Load and fully validate a scenario config file."""
+    return scenario_from_dict(*_read_config(file_path))
+
+
+def load_scenarios(file_paths) -> list[Scenario]:
+    """Load several scenario config files.  Files that name the same DEM
+    file share one ``TerrainMap``, parsed once; nothing is kept between
+    calls."""
+    dems: dict = {}
+    return [_scenario_from_dict(*_read_config(p), dems) for p in file_paths]
+
+
+def _read_config(file_path) -> tuple:
+    """The parsed mapping of a config file, the directory its relative
+    paths start from, and the scenario name (the file's stem)."""
     try:
         with open(file_path) as fh:
             cfg = yaml.safe_load(fh)
@@ -324,15 +342,7 @@ def load_scenario(file_path, dems=None) -> Scenario:
         raise ConfigError(f"cannot read {file_path}: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(file_path))
     name = os.path.splitext(os.path.basename(file_path))[0]
-    return scenario_from_dict(cfg, base_dir=base_dir, name=name, dems=dems)
-
-
-def load_scenarios(file_paths) -> list[Scenario]:
-    """Load several scenario config files.  Files that name the same DEM
-    file share one ``TerrainMap``, parsed once; nothing is kept between
-    calls."""
-    dems: dict = {}
-    return [load_scenario(p, dems) for p in file_paths]
+    return cfg, base_dir, name
 
 
 def save_scenario(sc: Scenario, file_path) -> None:
