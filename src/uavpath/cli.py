@@ -25,7 +25,6 @@ import csv
 import hashlib
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import total_cost
-from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, budgeted_config, run
+from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, budgeted_config, run, run_lockstep
 from .scenario import ConfigError, Scenario, load_scenario, load_scenarios, require_int, save_scenario
 from .stats import Verdict, mean_std, paired_t_test
 from .suite import build_benchmark_suite
@@ -111,7 +110,7 @@ class RunRecord:
     scenario: str
     algorithm: str
     run_index: int
-    wall_time: float
+    wall_time: float  # seconds attributed to the run in its work unit (run_lockstep)
     trace_path: str
     trace: EvolutionTrace
 
@@ -125,12 +124,6 @@ def mix_seed(base_seed: int, scenario_id: str, algorithm: str, run_index: int) -
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_cell(scenario: Scenario, algorithm: str, config: SwarmConfig):
-    start = time.perf_counter()
-    trace = run(algorithm, scenario, config)
-    return trace, time.perf_counter() - start
-
-
 # A pool worker's copy of the benchmark's scenarios, set once when it starts.
 _worker_scenarios: tuple[Scenario, ...] = ()
 
@@ -140,12 +133,32 @@ def _init_worker(scenarios: tuple[Scenario, ...]) -> None:
     _worker_scenarios = scenarios
 
 
-def _run_worker_cell(index: int, algorithm: str, config: SwarmConfig):
-    return _run_cell(_worker_scenarios[index], algorithm, config)
+def _run_worker_unit(index: int, plans):
+    return run_lockstep(_worker_scenarios[index], plans)
+
+
+def _work_units(n_scenarios: int, runs_per_scenario: int, workers: int) -> list[range]:
+    """The cells of each work unit: one unit per scenario, holding its runs
+    in cell order.  While there are fewer units than ``workers``, the unit
+    with the most runs (the first of them) is split in two, until no unit
+    has more than one run."""
+    units = [range(i * runs_per_scenario, (i + 1) * runs_per_scenario) for i in range(n_scenarios)]
+    while len(units) < workers:
+        k = max(range(len(units)), key=lambda u: len(units[u]))
+        unit = units[k]
+        if len(unit) < 2:
+            break
+        half = (len(unit) + 1) // 2
+        units[k:k + 1] = [unit[:half], unit[half:]]
+    return units
 
 
 def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunRecord]:
-    """Execute the full matrix; per-run trace CSVs land in out_dir/traces."""
+    """Execute the full matrix; per-run trace CSVs land in out_dir/traces.
+
+    The runs of each work unit (``_work_units``) share a scenario and are
+    scored together by ``run_lockstep``; a run's trace does not depend on
+    which runs share its unit."""
     scenarios = tuple(spec.scenarios)
     cells = [
         (i, algo, k)
@@ -160,18 +173,22 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunRecord]:
         for i, algo, k in cells
     ]
     # A forked pool starts all its workers at once: never more than there
-    # are cells to run or cores to run them on.
-    jobs = min(spec.jobs, len(cells), os.cpu_count() or 1)
+    # are units to run or cores to run them on.
+    workers = min(spec.jobs, os.cpu_count() or 1)
+    units = _work_units(len(scenarios), len(cells) // len(scenarios), workers)
+    # A unit ships only its scenario's index and its (algorithm, config)
+    # pairs; each worker gets the scenarios once, when it starts.
+    indices = [cells[unit[0]][0] for unit in units]
+    plans = [[(cells[c][1], configs[c]) for c in unit] for unit in units]
+    jobs = min(workers, len(units))
     if jobs > 1:
-        # Each worker gets the scenarios once, when it starts; a cell ships
-        # only its scenario's index, its algorithm and its config.
-        indices, algos, _ = zip(*cells)
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(scenarios,)
         ) as pool:
-            results = list(pool.map(_run_worker_cell, indices, algos, configs))
+            done = list(pool.map(_run_worker_unit, indices, plans))
     else:
-        results = [_run_cell(scenarios[i], algo, cfg) for (i, algo, _), cfg in zip(cells, configs)]
+        done = [run_lockstep(scenarios[i], unit_plans) for i, unit_plans in zip(indices, plans)]
+    results = [result for unit in done for result in unit]
     trace_dir = None
     if out_dir is not None:
         trace_dir = Path(out_dir) / "traces"

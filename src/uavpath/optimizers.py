@@ -12,8 +12,13 @@
 
 Each algorithm is a row of the solver table: a search space, an
 initializer and a step ``step(state, config, rng)`` that updates the
-state in place; ``run`` knows nothing else about any algorithm.  Every
-state derives from ``_State``, whose ``evaluate`` decodes, scores and
+state in place; the driver knows nothing else about any algorithm.
+Initializers and steps are generators: each yields the decoded paths of a
+batch of candidates and is sent back their fitness, as in
+``fitness = yield state.paths(genomes)``.  ``run_lockstep`` drives many
+runs on one scenario and scores the batches of all of them that have one
+path length in one ``evaluate_paths`` call; ``run`` is that driver with
+one run.  Every state derives from ``_State``, whose ``paths`` decodes and
 counts every batch of candidates.  Its ``best()`` is the lowest entry
 (lowest index on ties) of a record that never loses its best: the
 swarm's local bests, DE's greedy members, GA's population with the elite
@@ -30,6 +35,8 @@ traces are bit-reproducible.
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Generator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +64,11 @@ DE_F = 0.5  # DE differential weight
 DE_CR = 0.9  # DE crossover rate
 DE_MIN_POPULATION = 4  # a member and three distinct partners
 ABC_LIMIT = 50  # ABC failed trials before a source is retired
+
+# Rows per stacked evaluate_paths call.  The cost per path of one call falls
+# with its rows up to about 1000 and rises past 1500 (on s4 of the suite and
+# on the 1201x1201 DEM; see CHANGES.md).
+MAX_STACK = 1000
 
 
 @dataclass
@@ -136,16 +148,17 @@ class _State:
     def decode(self, genomes) -> np.ndarray:
         return encodings.decode(self.space.kind, genomes, self.scenario)
 
-    def evaluate(self, genomes) -> np.ndarray:
-        """Decode, score and count a batch of genomes."""
+    def paths(self, genomes) -> np.ndarray:
+        """Decode and count a batch of genomes: the paths a step yields to
+        have them scored."""
         self.evaluations += len(genomes)
-        return evaluate_paths(self.decode(genomes), self.scenario)
+        return self.decode(genomes)
 
 
-def _sample(algorithm: str, scenario: Scenario, seed: int, count: int):
+def _sample(algorithm: str, scenario: Scenario, seed: int, count: int) -> Generator:
     """One scored genome for each of ``count`` particle streams, infeasible
-    ones redrawn from their own stream a bounded number of times; returns
-    (bare state, genomes, fitness).
+    ones redrawn from their own stream a bounded number of times; a
+    generator that returns (bare state, genomes, fitness).
 
     Every INIT_BLOCK-th round draws the next INIT_BLOCK tries of each stream
     still infeasible in one sampler call, and each round scores its try
@@ -166,7 +179,7 @@ def _sample(algorithm: str, scenario: Scenario, seed: int, count: int):
             )
         batch = block[np.searchsorted(drawn, bad), r % INIT_BLOCK]
         genomes[bad] = batch
-        fitness[bad] = base.evaluate(batch)
+        fitness[bad] = yield base.paths(batch)
         bad = np.flatnonzero(~np.isfinite(fitness))
         if bad.size == 0:
             break
@@ -212,8 +225,8 @@ class Swarm(_State):
         return _lowest(self.best_fitness, self.best_positions)
 
 
-def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm:
-    base, positions, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
+def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
+    base, positions, fitness = yield from _sample(algorithm, scenario, config.seed, config.swarm_size)
     return Swarm(
         **vars(base),
         positions=positions,
@@ -225,7 +238,7 @@ def init_swarm(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Swarm
     )
 
 
-def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
+def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> Generator:
     """v <- w v + eta1 r1 (local - x) + eta2 r2 (global - x); x <- x + v.
 
     The update of pso on cartesian genomes, of theta_pso on phase angles
@@ -245,7 +258,7 @@ def inertial_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
     )
     swarm.velocities = clamp_velocity(v, swarm.space)
     swarm.positions = clamp_wrap(swarm.positions + swarm.velocities, swarm.space)
-    swarm.fitness = swarm.evaluate(swarm.positions)
+    swarm.fitness = yield swarm.paths(swarm.positions)
     swarm.update_bests()
     swarm.inertia *= DAMPING
     swarm.iteration += 1
@@ -257,7 +270,7 @@ def qpso_beta(config: SwarmConfig, iteration: int) -> float:
     return start + (end - start) * min(iteration, span) / span
 
 
-def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
+def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> Generator:
     """Sample x around the attractor p = a l + (1-a) g with spread set by
     the distance to the swarm's mean best position."""
     shape = swarm.positions.shape
@@ -270,7 +283,7 @@ def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> None:
     p = a * swarm.best_positions + (1.0 - a) * g_best[None, :]
     spread = 2.0 * beta * np.abs(mbest[None, :] - swarm.positions)
     swarm.positions = clamp_wrap(p + sign * 0.5 * spread * np.log(1.0 / u), swarm.space)
-    swarm.fitness = swarm.evaluate(swarm.positions)
+    swarm.fitness = yield swarm.paths(swarm.positions)
     swarm.update_bests()
     swarm.iteration += 1
 
@@ -287,6 +300,7 @@ class GaPopulation(_State):
 
     members: list
     fitness: np.ndarray
+    by_bytes: dict = field(default_factory=dict)  # a member's bytes -> the index of a member with them
 
     @property
     def max_nodes(self) -> int:
@@ -296,51 +310,53 @@ class GaPopulation(_State):
         """Members are interior nodes: (k, 3), or (M, k, 3) for one k."""
         return assemble_path(genomes, self.scenario)
 
-    def evaluate_members(self, members) -> np.ndarray:
+    def evaluate_members(self, members) -> Generator:
         """Score a generation bred from ``self.members``, each distinct
-        member once.  A member whose nodes equal, byte for byte, a member of
-        the current population or an earlier one of ``members`` takes that
+        member once; a generator that returns its fitness and its
+        ``by_bytes``.  A member whose nodes equal, byte for byte, a member
+        of the current population or an earlier one of ``members`` takes that
         fitness: the kernels score row by row, so scoring it again would give
-        the same bits.  The rest are scored in one batch per node count (the
+        the same bits.  The rest are yielded in one batch per node count (the
         byte length holds the count).  Every member counts as an evaluation."""
         fitness = np.empty(len(members))
-        known = {nodes.tobytes(): f for nodes, f in zip(self.members, self.fitness)}
-        first: dict[bytes, int] = {}  # a new member's bytes -> its first index
+        by_bytes: dict[bytes, int] = {}  # the index of each distinct member's first copy
         repeats: list[tuple[int, int]] = []  # (index, index of its first copy)
         groups: dict[int, list[int]] = {}
         for i, nodes in enumerate(members):
             key = nodes.tobytes()
-            if key in known:
-                fitness[i] = known[key]
-            elif key in first:
-                repeats.append((i, first[key]))
+            j = by_bytes.setdefault(key, i)
+            if j != i:
+                repeats.append((i, j))
+            elif (parent := self.by_bytes.get(key)) is not None:
+                fitness[i] = self.fitness[parent]
             else:
-                first[key] = i
                 groups.setdefault(len(nodes), []).append(i)
-        self.evaluations += len(members) - len(first)
+        self.evaluations += len(members) - sum(map(len, groups.values()))
         for k in sorted(groups):
             idx = groups[k]
-            fitness[idx] = self.evaluate(np.array([members[i] for i in idx]))
+            fitness[idx] = yield self.paths(np.array([members[i] for i in idx]))
         for i, j in repeats:
             fitness[i] = fitness[j]
-        return fitness
+        return fitness, by_bytes
 
     def best(self) -> tuple[float, np.ndarray]:
         return _lowest(self.fitness, self.members)
 
 
-def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig) -> GaPopulation:
-    base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
-    return GaPopulation(**vars(base), members=[g.reshape(-1, 3) for g in genomes], fitness=fitness)
+def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
+    base, genomes, fitness = yield from _sample(algorithm, scenario, config.seed, config.swarm_size)
+    members = [g.reshape(-1, 3) for g in genomes]
+    by_bytes = {nodes.tobytes(): i for i, nodes in enumerate(members)}
+    return GaPopulation(**vars(base), members=members, fitness=fitness, by_bytes=by_bytes)
 
 
-def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, rng):
-    """One-point crossover at a waypoint boundary; parents with a single
-    node pass through unchanged."""
+def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, cuts):
+    """One-point crossover at a waypoint boundary of each parent, the next
+    two of the drawn ``cuts``; parents with a single node pass through
+    unchanged and take no cut."""
     if len(p1) < 2 or len(p2) < 2:
         return p1, p2
-    c1 = int(rng.integers(1, len(p1)))
-    c2 = int(rng.integers(1, len(p2)))
+    c1, c2 = next(cuts), next(cuts)
     child1 = np.concatenate((p1[:c1], p2[c2:]))[:max_nodes]
     child2 = np.concatenate((p2[:c2], p1[c1:]))[:max_nodes]
     return child1, child2
@@ -372,35 +388,37 @@ def ga_mutate(nodes: np.ndarray, scenario: Scenario, space: SearchSpace, rng) ->
     return np.concatenate((nodes[:i], mid[None], nodes[i + 2:]))
 
 
-def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> None:
+def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> Generator:
     """Tournament selection, one-point crossover, structural mutation,
     elitism of one: the best member is carried to index 0.
 
     Each generation draws its m // 2 parent pairs as binary tournaments
     (the fitter of two uniform picks, a tie to the first), one crossover
-    coin per pair and one mutation coin per child it keeps, as arrays.  The
-    cut points and mutations are drawn per child, since lengths vary."""
-    m = len(population.members)
+    coin per pair and one mutation coin per child it keeps, as arrays, and
+    then the cut points of every crossed pair in one call, bounded by the
+    parents' lengths (equal to drawing them pair by pair).  Mutations are
+    drawn per child, since lengths vary."""
+    members = population.members
+    m = len(members)
     fitness = population.fitness
     picks = rng.integers(m, size=(m // 2, 2, 2))  # pair, parent, pick
     first, second = picks[..., 0], picks[..., 1]
     parents = np.where(fitness[first] <= fitness[second], first, second)
     crossed = rng.random(m // 2) < GA_CROSSOVER_RATE
     mutated = rng.random(m - 1) < GA_MUTATION_RATE
+    pairs = [(members[i], members[j]) for i, j in parents.tolist()]
+    highs = [len(p) for pair, cross in zip(pairs, crossed) if cross and min(map(len, pair)) > 1 for p in pair]
+    cuts = iter(rng.integers(1, highs).tolist() if highs else ())
     children = []
-    for (i, j), cross in zip(parents, crossed):
-        p1, p2 = population.members[i], population.members[j]
-        if cross:
-            children += ga_crossover(p1, p2, population.max_nodes, rng)
-        else:
-            children += (p1, p2)
+    for pair, cross in zip(pairs, crossed):
+        children += ga_crossover(*pair, population.max_nodes, cuts) if cross else pair
     new_members = [population.best()[1]]
     for child, mutate in zip(children, mutated):  # drops the m-th child of an even m
         if mutate:
             child = ga_mutate(child, population.scenario, population.space, rng)
         new_members.append(child)
     # Scored against the generation that bred them, before it is replaced.
-    population.fitness = population.evaluate_members(new_members)
+    population.fitness, population.by_bytes = yield from population.evaluate_members(new_members)
     population.members = new_members
 
 
@@ -416,10 +434,10 @@ class DePopulation(_State):
         return _lowest(self.fitness, self.members)
 
 
-def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> DePopulation:
+def _init_de(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
     if config.swarm_size < DE_MIN_POPULATION:
         raise ConfigError(f"DE needs a swarm_size of at least {DE_MIN_POPULATION}, got {config.swarm_size}")
-    base, genomes, fitness = _sample(algorithm, scenario, config.seed, config.swarm_size)
+    base, genomes, fitness = yield from _sample(algorithm, scenario, config.seed, config.swarm_size)
     return DePopulation(**vars(base), members=genomes, fitness=fitness)
 
 
@@ -433,7 +451,7 @@ def _de_partners(m: int, rng) -> np.ndarray:
     return np.argsort(keys, axis=1)[:, :3]
 
 
-def de_step(population: DePopulation, config: SwarmConfig, rng) -> None:
+def de_step(population: DePopulation, config: SwarmConfig, rng) -> Generator:
     """DE/rand/1/bin generation with greedy replacement."""
     x = population.members
     m, d = x.shape
@@ -442,7 +460,7 @@ def de_step(population: DePopulation, config: SwarmConfig, rng) -> None:
     cross = rng.random((m, d)) < DE_CR
     cross[np.arange(m), rng.integers(d, size=m)] = True  # at least one mutant dimension
     trials = clamp_wrap(np.where(cross, mutants, x), population.space)
-    trial_fitness = population.evaluate(trials)
+    trial_fitness = yield population.paths(trials)
     accept = trial_fitness <= population.fitness
     population.members = np.where(accept[:, None], trials, x)
     population.fitness = np.where(accept, trial_fitness, population.fitness)
@@ -466,9 +484,9 @@ class AbcColony(_State):
         return self.best_fitness, self.best_genome
 
 
-def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig) -> AbcColony:
+def _init_abc(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
     n_sources = max(2, config.swarm_size // 2)
-    base, genomes, fitness = _sample(algorithm, scenario, config.seed, n_sources)
+    base, genomes, fitness = yield from _sample(algorithm, scenario, config.seed, n_sources)
     best_fitness, best_genome = _lowest(fitness, genomes)
     return AbcColony(
         **vars(base),
@@ -497,9 +515,9 @@ def _abc_candidates(sources: np.ndarray, picks: np.ndarray, rng) -> np.ndarray:
     return cands
 
 
-def _abc_greedy(colony: AbcColony, picks: np.ndarray, cands: np.ndarray) -> None:
+def _abc_greedy(colony: AbcColony, picks: np.ndarray, cands: np.ndarray) -> Generator:
     cands = clamp_wrap(cands, colony.space)
-    fitness = colony.evaluate(cands)
+    fitness = yield colony.paths(cands)
     for row, i in enumerate(picks):
         if fitness[row] < colony.fitness[i]:
             colony.sources[i] = cands[row]
@@ -519,30 +537,30 @@ def onlooker_weights(fitness: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def _scout_phase(colony: AbcColony) -> None:
+def _scout_phase(colony: AbcColony) -> Generator:
     """Retire the most exhausted source, at most one per cycle."""
     worst = int(np.argmax(colony.trials))
     if colony.trials[worst] < ABC_LIMIT:
         return
     fresh = encodings.random_genomes(colony.space, colony.scenario, [colony.scout_stream])[0]
     colony.sources[worst] = fresh
-    colony.fitness[worst] = colony.evaluate(fresh[None])[0]
+    colony.fitness[worst] = (yield colony.paths(fresh[None]))[0]
     colony.trials[worst] = 0
     _keep_best(colony, colony.fitness[[worst]], colony.sources[[worst]])
 
 
-def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> None:
+def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> Generator:
     """Employed, onlooker and scout phases; the best source ever seen is
     retained outside the colony."""
     s = len(colony.sources)
     # Employed bees: one neighbor move per source.
     picks = np.arange(s)
-    _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
+    yield from _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
     # Onlookers: fitness-proportional source choice.
     picks = rng.choice(s, size=s, p=onlooker_weights(colony.fitness))
-    _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
+    yield from _abc_greedy(colony, picks, _abc_candidates(colony.sources, picks, rng))
     _keep_best(colony, colony.fitness, colony.sources)
-    _scout_phase(colony)
+    yield from _scout_phase(colony)
 
 
 # --- solver table and run loop --------------------------------------------------------
@@ -558,8 +576,9 @@ _SOLVERS = {
     "abc": (encodings.cartesian_space, _init_abc),
 }
 
-# algorithm -> step.  A flat dict of its own, so that each step stays a
-# module-level callable that a profiler can rebind (perfbench/tracer.py).
+# algorithm -> step.  A flat dict of its own, read at every step, so that
+# each step stays a module-level callable that a profiler can rebind
+# (perfbench/tracer.py).
 _STEP = {
     "pso": inertial_step,
     "theta_pso": inertial_step,
@@ -571,24 +590,19 @@ _STEP = {
 }
 
 
-def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTrace:
-    """Execute one full optimization and return its trace.
-
-    Deterministic for a fixed (algorithm, scenario, config.seed).  A trace
-    whose final best fitness is infinite marks a failed run (see
-    ``EvolutionTrace.feasible``).
-    """
+def _solve(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
+    """One run as a generator: it yields each batch of paths it needs
+    scored, is sent their fitness and returns its trace."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     swarm_stream = _rng(config.seed, algorithm, 1)
     _, init = _SOLVERS[algorithm]
-    step = _STEP[algorithm]
-    state = init(algorithm, scenario, config)
+    state = yield from init(algorithm, scenario, config)
     trace = np.empty(config.max_iterations)
     # Steps update the state in place.  best() reads a record that never loses
     # its best (ABC's is kept apart from its sources), so it is the best so far.
     for k in range(config.max_iterations):
-        step(state, config, swarm_stream)
+        yield from _STEP[algorithm](state, config, swarm_stream)
         trace[k], best_genome = state.best()
     return EvolutionTrace(
         algorithm=algorithm,
@@ -598,6 +612,69 @@ def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTra
         best_path=state.decode(best_genome),
         evaluations=state.evaluations,
     )
+
+
+def run_lockstep(scenario: Scenario, plans: list) -> list[tuple[EvolutionTrace, float]]:
+    """Run every (algorithm, config) of ``plans`` on ``scenario`` together;
+    returns (trace, seconds) per plan, in plan order.
+
+    Each round sends every live run the fitness of its last batch and takes
+    its next one.  The batches of one path length are concatenated in plan
+    order and scored in calls of at most MAX_STACK rows; a batch alone in
+    its length is scored as it is.  The kernels score row by row, so each
+    trace is the one ``run`` gives, whichever runs share its calls.  Every
+    run is started before any path is scored, so a check that fails at
+    the start of a run raises first; a run that raises stops them all.
+
+    A run's seconds are the time spent in its own generator plus its
+    share, by rows, of each call it was scored in."""
+    runs = [_solve(algorithm, scenario, config) for algorithm, config in plans]
+    traces: list = [None] * len(runs)
+    seconds = [0.0] * len(runs)
+    sent: list = [None] * len(runs)  # the fitness each run is sent next; None starts it
+    live = range(len(runs))
+    while live:
+        by_length: dict[int, list] = {}  # path length -> (run, paths), in plan order
+        waiting = []
+        for i in live:
+            t0 = time.perf_counter()
+            try:
+                paths = runs[i].send(sent[i])
+            except StopIteration as done:
+                traces[i] = done.value
+            else:
+                by_length.setdefault(paths.shape[1], []).append((i, paths))
+                waiting.append(i)
+            seconds[i] += time.perf_counter() - t0
+        live = waiting
+        for batch in by_length.values():
+            t0 = time.perf_counter()
+            if len(batch) == 1:
+                i, paths = batch[0]
+                sent[i] = evaluate_paths(paths, scenario)
+                seconds[i] += time.perf_counter() - t0
+                continue
+            stack = np.concatenate([paths for _, paths in batch])
+            chunks = range(0, len(stack), MAX_STACK)
+            fitness = np.concatenate([evaluate_paths(stack[a:a + MAX_STACK], scenario) for a in chunks])
+            share = (time.perf_counter() - t0) / len(stack)
+            start = 0
+            for i, paths in batch:
+                sent[i] = fitness[start:start + len(paths)]
+                start += len(paths)
+                seconds[i] += share * len(paths)
+    return list(zip(traces, seconds))
+
+
+def run(algorithm: str, scenario: Scenario, config: SwarmConfig) -> EvolutionTrace:
+    """Execute one full optimization and return its trace: ``run_lockstep``
+    with one plan.
+
+    Deterministic for a fixed (algorithm, scenario, config.seed).  A trace
+    whose final best fitness is infinite marks a failed run (see
+    ``EvolutionTrace.feasible``).
+    """
+    return run_lockstep(scenario, [(algorithm, config)])[0][0]
 
 
 def budgeted_config(algorithm: str, config: SwarmConfig) -> SwarmConfig:

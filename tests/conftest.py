@@ -31,6 +31,7 @@ from uavpath import (
 )
 from uavpath.cost import (
     altitude_cost_many,
+    evaluate_paths,
     length_cost_many,
     path_planes,
     segment_lengths,
@@ -115,3 +116,20 @@ def f3_of(paths, terrain, constraints):
 def f4_of(paths, weights):
     steps = segment_steps(path_planes(paths))
     return smooth_cost_many(steps, segment_lengths(steps), weights)
+
+
+def drive(steps, score):
+    """Run an initializer or step of ``uavpath.optimizers`` (a generator) to
+    its end, answering each batch of paths it yields with ``score(paths)``;
+    returns what it returns."""
+    try:
+        paths = next(steps)
+        while True:
+            paths = steps.send(score(paths))
+    except StopIteration as done:
+        return done.value
+
+
+def scored_on(scenario):
+    """The scoring ``run`` gives a step: ``evaluate_paths`` on ``scenario``."""
+    return lambda paths: evaluate_paths(paths, scenario)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,9 @@ from uavpath.cli import (
     mix_seed,
     run_benchmark,
 )
+from uavpath.optimizers import run_lockstep
+
+from test_golden_cli import without_column
 
 FLAT_CFG = {
     "terrain": {"synthetic": {"n_cols": 11, "n_rows": 11, "cell_size": 10.0}},
@@ -426,7 +430,7 @@ class TestBench:
         mapped = []
 
         class RecordingPool:
-            """Starts one in-process worker and records what each cell ships."""
+            """Starts one in-process worker and records what each unit ships."""
 
             def __init__(self, max_workers, initializer=None, initargs=()):
                 initializer(*initargs)
@@ -438,9 +442,9 @@ class TestBench:
                 return False
 
             def map(self, fn, *iterables):
-                cells = list(zip(*iterables))
-                mapped.extend(cells)
-                return [fn(*cell) for cell in cells]
+                units = list(zip(*iterables))
+                mapped.extend(units)
+                return [fn(*unit) for unit in units]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_worker_scenarios", ())
@@ -451,9 +455,10 @@ class TestBench:
             base_config=SwarmConfig(swarm_size=4, max_iterations=1), baseline="pso", jobs=2,
         )
         records = run_benchmark(spec)
-        assert len(mapped) == 4
-        assert not any(isinstance(arg, Scenario) for cell in mapped for arg in cell)
-        # Each cell ran on its own scenario, as in the serial path.
+        assert len(mapped) == 2  # one unit per scenario
+        shipped = [arg for index, plans in mapped for arg in (index, *(x for plan in plans for x in plan))]
+        assert not any(isinstance(arg, Scenario) for arg in shipped)
+        # Each unit ran on its own scenario, as in the serial path.
         serial = run_benchmark(replace(spec, jobs=1))
         for got, want in zip(records, serial, strict=True):
             assert got.scenario == want.scenario
@@ -469,6 +474,67 @@ class TestBench:
         assert main(args + ["--out", str(serial)]) == 0
         assert main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
         assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+
+    def test_units_of_several_algorithms_match_serial(self, tmp_path, monkeypatch):
+        """A unit holds every algorithm and run of its scenario; at --jobs 2
+        the two units run in two workers, at --jobs 1 one after the other,
+        and the outputs agree byte for byte but for the run times."""
+        cfgs = self.make_two_configs(tmp_path)
+        args = [
+            "bench", "--scenarios", ",".join(cfgs), "--algos", "spso,ga,de",
+            "--runs", "2", "--swarm", "12", "--iters", "6", "--seed", "3", "--out", "bench",
+        ]
+        outputs = []
+        for jobs in ("1", "2"):
+            run_dir = tmp_path / f"jobs{jobs}"
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # runs.csv holds the trace paths under --out
+            assert main(args + ["--jobs", jobs]) == 0
+            out = run_dir / "bench"
+            outputs.append(((out / "summary.csv").read_bytes(),
+                            without_column((out / "runs.csv").read_bytes(), "wall_time_s")))
+        assert outputs[0] == outputs[1]
+        assert len(read_summary_rows(tmp_path / "jobs1" / "bench" / "runs.csv")) == 2 * 3 * 2
+
+    @pytest.mark.parametrize(
+        "scenarios, runs, workers, sizes",
+        [
+            (2, 3, 2, [3, 3]),
+            (2, 3, 4, [2, 1, 2, 1]),
+            (1, 3, 64, [1, 1, 1]),
+            (1, 5, 3, [2, 1, 2]),
+            (3, 4, 1, [4, 4, 4]),
+        ],
+    )
+    def test_work_units_split_the_largest(self, scenarios, runs, workers, sizes):
+        units = cli._work_units(scenarios, runs, workers)
+        assert [len(u) for u in units] == sizes
+        # The units cover the cells in order, each inside one scenario.
+        assert [c for u in units for c in u] == list(range(scenarios * runs))
+        assert all(u[0] // runs == u[-1] // runs for u in units)
+
+    def test_wall_time_is_attributed_within_each_unit(self, monkeypatch, flat_scenario):
+        """Each record's wall_time is its run's share of its unit, which is
+        positive, and a unit's records sum to no more than its elapsed time."""
+        units = []
+
+        def timed(scenario, plans):
+            t0 = time.perf_counter()
+            out = run_lockstep(scenario, plans)
+            units.append((len(plans), time.perf_counter() - t0))
+            return out
+
+        monkeypatch.setattr(cli, "run_lockstep", timed)
+        other = replace(flat_scenario, name="other", goal=[90.0, 10.0, 70.0])
+        spec = BenchmarkSpec(
+            scenarios=(flat_scenario, other), algorithms=("spso", "ga", "abc"), runs_per_cell=2,
+            base_config=SwarmConfig(swarm_size=8, max_iterations=5), baseline="spso",
+        )
+        records = run_benchmark(spec)
+        assert [n for n, _ in units] == [6, 6]
+        assert all(r.wall_time > 0 for r in records)
+        for k, (n, elapsed) in enumerate(units):
+            assert math.fsum(r.wall_time for r in records[k * n:(k + 1) * n]) <= elapsed
 
 
 class TestSuiteGenerate:

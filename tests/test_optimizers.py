@@ -42,6 +42,7 @@ from uavpath.optimizers import (
 )
 from uavpath.suite import build_benchmark_suite
 
+from conftest import drive, scored_on
 from oracles import abc_candidates_reference, de_trials_reference, sample_reference
 
 
@@ -107,8 +108,12 @@ def stub_swarm(positions, velocities, best_positions, best_fitness, inertia=1.0,
         best_fitness=np.asarray(best_fitness, dtype=float),
         inertia=inertia,
     )
-    swarm.evaluate = lambda pos: np.zeros(len(pos))
+    swarm.decode = lambda genomes: genomes
     return swarm
+
+
+def zeros(paths):
+    return np.zeros(len(paths))
 
 
 class TestInertialSteps:
@@ -122,7 +127,7 @@ class TestInertialSteps:
             inertia=0.5,
         )
         config = SwarmConfig(swarm_size=2, max_iterations=1)
-        pso_step(swarm, config, OnesRng())
+        drive(pso_step(swarm, config, OnesRng()), zeros)
         assert swarm.velocities[0, 0] == pytest.approx(9.5)
         assert swarm.positions[0, 0] == pytest.approx(9.5)
 
@@ -131,14 +136,14 @@ class TestInertialSteps:
         monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
         swarm = stub_swarm([[0.0]], [[1.0]], [[5.0]], [0.0], inertia=1.0)
         config = SwarmConfig(swarm_size=2, max_iterations=1)
-        pso_step(swarm, config, OnesRng())
+        drive(pso_step(swarm, config, OnesRng()), zeros)
         assert swarm.velocities[0, 0] == 1.0
         assert swarm.positions[0, 0] == 1.0
 
     def test_fixed_point_is_stationary(self):
         swarm = stub_swarm([[3.0]], [[0.0]], [[3.0]], [0.0], inertia=1.0)
         config = SwarmConfig(swarm_size=2, max_iterations=1)
-        pso_step(swarm, config, OnesRng())
+        drive(pso_step(swarm, config, OnesRng()), zeros)
         assert swarm.positions[0, 0] == 3.0
         assert swarm.velocities[0, 0] == 0.0
 
@@ -146,7 +151,7 @@ class TestInertialSteps:
         # w=1, dtheta=0.1, theta=0, gamma=gamma_g=0, r=0.5 -> dtheta'=0.1
         swarm = stub_swarm([[0.0]], [[0.1]], [[0.0]], [0.0], inertia=1.0)
         config = SwarmConfig(swarm_size=2, max_iterations=1)
-        theta_pso_step(swarm, config, ScriptedRng(randoms=[0.5, 0.5]))
+        drive(theta_pso_step(swarm, config, ScriptedRng(randoms=[0.5, 0.5])), zeros)
         assert swarm.velocities[0, 0] == pytest.approx(0.1)
         assert swarm.positions[0, 0] == pytest.approx(0.1)
 
@@ -163,7 +168,7 @@ class TestInertialSteps:
         monkeypatch.setattr(optimizers, "COGNITIVE", 1.0)
         monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
         config = SwarmConfig(swarm_size=2, max_iterations=1)
-        spso_step(swarm, config, OnesRng())
+        drive(spso_step(swarm, config, OnesRng()), zeros)
         assert swarm.velocities[0, 0] == pytest.approx(0.2 * math.pi)
         # position 1.1pi wraps back into (-pi, pi]
         assert swarm.positions[0, 0] == pytest.approx(-0.9 * math.pi)
@@ -176,7 +181,7 @@ class TestQpso:
         config = SwarmConfig(swarm_size=2, max_iterations=1)
         # a = 0.25, u-draw 0 -> u = 1 -> ln(1/u) = 0, coin irrelevant
         rng = ScriptedRng(randoms=[0.25, 0.0, 0.9])
-        qpso_step(swarm, config, rng)
+        drive(qpso_step(swarm, config, rng), zeros)
         p = 0.25 * 2.0 + 0.75 * 4.0
         assert swarm.positions[0, 0] == pytest.approx(p)
 
@@ -185,7 +190,7 @@ class TestQpso:
         swarm.velocities = None
         config = SwarmConfig(swarm_size=2, max_iterations=1)
         rng = ScriptedRng(randoms=[0.6, 0.2, 0.1])  # u = 0.8, but spread = 0
-        qpso_step(swarm, config, rng)
+        drive(qpso_step(swarm, config, rng), zeros)
         assert np.all(swarm.positions == 4.0)
 
     def test_attractor_endpoint_at_a_one(self):
@@ -193,7 +198,7 @@ class TestQpso:
         swarm.velocities = None
         config = SwarmConfig(swarm_size=2, max_iterations=1)
         rng = ScriptedRng(randoms=[1.0, 0.0, 0.2])  # a = 1 -> p = local best
-        qpso_step(swarm, config, rng)
+        drive(qpso_step(swarm, config, rng), zeros)
         assert swarm.positions[0, 0] == pytest.approx(2.0)
 
 
@@ -204,11 +209,11 @@ class TestStationarity:
         monkeypatch.setattr(optimizers, "SOCIAL", 0.0)
         config = SwarmConfig(swarm_size=8, max_iterations=5, seed=3)
         swarm_stream = _rng(config.seed, algorithm, 1)
-        swarm = init_swarm(algorithm, hilly_scenario, config)
+        swarm = drive(init_swarm(algorithm, hilly_scenario, config), scored_on(hilly_scenario))
         initial = swarm.positions.copy()
         step = {"pso": pso_step, "theta_pso": theta_pso_step, "spso": spso_step}[algorithm]
         for _ in range(5):
-            step(swarm, config, swarm_stream)
+            drive(step(swarm, config, swarm_stream), scored_on(hilly_scenario))
             assert np.array_equal(swarm.positions, initial)
             assert np.all(swarm.velocities == 0.0)
 
@@ -242,15 +247,14 @@ class TestGaOperators:
     def test_crossover_at_waypoint_boundary(self):
         p1 = np.arange(12.0).reshape(4, 3)
         p2 = -np.arange(9.0).reshape(3, 3)
-        rng = ScriptedRng(integers=[2, 1])
-        c1, c2 = ga_crossover(p1, p2, max_nodes=8, rng=rng)
+        c1, c2 = ga_crossover(p1, p2, max_nodes=8, cuts=iter([2, 1]))
         assert np.array_equal(c1, np.vstack([p1[:2], p2[1:]]))
         assert np.array_equal(c2, np.vstack([p2[:1], p1[2:]]))
 
     def test_crossover_passthrough_for_single_node(self):
         p1 = np.zeros((1, 3))
         p2 = np.ones((4, 3))
-        c1, c2 = ga_crossover(p1, p2, max_nodes=8, rng=ScriptedRng())
+        c1, c2 = ga_crossover(p1, p2, max_nodes=8, cuts=iter(()))
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
 
 
@@ -262,22 +266,23 @@ class TestGaMembers:
 
     def test_each_distinct_member_scored_once(self, hilly_scenario, monkeypatch):
         config = self.CONFIG
-        pop = optimizers._init_ga("ga", hilly_scenario, config)
+        score = scored_on(hilly_scenario)
+        pop = drive(optimizers._init_ga("ga", hilly_scenario, config), score)
         rng = _rng(config.seed, "ga", 1)
         scored = []
-        evaluate = optimizers._State.evaluate
+        paths = optimizers._State.paths
 
-        def recording_evaluate(state, genomes):
+        def recording_paths(state, genomes):
             scored.extend(g.tobytes() for g in genomes)
-            return evaluate(state, genomes)
+            return paths(state, genomes)
 
-        monkeypatch.setattr(optimizers._State, "evaluate", recording_evaluate)
+        monkeypatch.setattr(optimizers._State, "paths", recording_paths)
         reused = 0
         for _ in range(config.max_iterations):
             parents = {nodes.tobytes() for nodes in pop.members}
             before = pop.evaluations
             scored.clear()
-            ga_step(pop, config, rng)
+            drive(ga_step(pop, config, rng), score)
             children = {nodes.tobytes() for nodes in pop.members}
             # Every child counts; only those new to this generation are scored.
             assert pop.evaluations - before == config.swarm_size
@@ -293,13 +298,14 @@ class TestGaMembers:
         """Generations bred from read-only members, so that any write into a
         member raises, give the trace of run()."""
         config = self.CONFIG
-        pop = optimizers._init_ga("ga", hilly_scenario, config)
+        score = scored_on(hilly_scenario)
+        pop = drive(optimizers._init_ga("ga", hilly_scenario, config), score)
         rng = _rng(config.seed, "ga", 1)
         best = []
         for _ in range(config.max_iterations):
             for nodes in pop.members:
                 nodes.setflags(write=False)
-            ga_step(pop, config, rng)
+            drive(ga_step(pop, config, rng), score)
             best.append(pop.best()[0])
         trace = run("ga", hilly_scenario, config)
         assert best == trace.best_fitness.tolist()
@@ -319,7 +325,7 @@ class TestDe:
         )
         pop = DePopulation(scenario=one_node_scenario, space=space, members=members.copy(), fitness=fitness.copy())
         config = SwarmConfig(swarm_size=4, max_iterations=1)
-        de_step(pop, config, np.random.default_rng(0))
+        drive(de_step(pop, config, np.random.default_rng(0)), scored_on(one_node_scenario))
         # target 0's mutant is built from three copies of the optimum, so the
         # trial equals the optimum and greedily replaces the bad member...
         assert np.array_equal(pop.members[0], optimum)
@@ -329,7 +335,7 @@ class TestDe:
     def test_population_too_small(self, one_node_scenario, monkeypatch):
         """The floor fails run() before init scores any genome."""
         scored = []
-        monkeypatch.setattr(optimizers._State, "evaluate", lambda self, genomes: scored.append(genomes))
+        monkeypatch.setattr(optimizers, "evaluate_paths", lambda paths, scenario: scored.append(paths))
         with pytest.raises(ValueError, match="at least 4"):
             run("de", one_node_scenario, SwarmConfig(swarm_size=3, max_iterations=1))
         assert scored == []
@@ -360,7 +366,7 @@ class TestAbc:
         rng = ScriptedRng(integers=[1, 0], randoms=[0.5])  # dim 1, partner 1, phi=0
         cands = _abc_candidates(colony.sources, picks, rng)
         assert np.array_equal(cands[0], colony.sources[0])
-        _abc_greedy(colony, picks, cands)
+        drive(_abc_greedy(colony, picks, cands), scored_on(one_node_scenario))
         assert colony.trials[0] == 1
         assert colony.trials[1] == 0
 
@@ -374,7 +380,7 @@ class TestAbc:
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         before = colony.sources[1].copy()
         colony.trials[:] = [0, 50]
-        _scout_phase(colony)
+        drive(_scout_phase(colony), scored_on(one_node_scenario))
         assert colony.trials[1] == 0
         assert not np.array_equal(colony.sources[1], before)
 
@@ -385,7 +391,7 @@ class TestAbc:
         best_fitness, best_genome = colony.best()
         assert best_fitness == colony.fitness[0] < colony.fitness[1]
         colony.trials[:] = [50, 0]
-        _scout_phase(colony)
+        drive(_scout_phase(colony), scored_on(one_node_scenario))
         assert colony.fitness.min() > best_fitness
         assert colony.best()[0] == best_fitness
         assert np.array_equal(colony.best()[1], best_genome)
@@ -394,7 +400,7 @@ class TestAbc:
         colony = make_colony(one_node_scenario, [[50.0, 50.0, 70.0], [60.0, 60.0, 75.0]])
         before = colony.sources.copy()
         colony.trials[:] = [3, 7]
-        _scout_phase(colony)
+        drive(_scout_phase(colony), scored_on(one_node_scenario))
         assert np.array_equal(colony.sources, before)
 
 
@@ -412,9 +418,12 @@ class TestStepsEqualPerMemberReference:
         x = np.random.default_rng(100 + m).uniform(0.0, 200.0, (m, 30))
         pop = DePopulation(scenario=None, space=self.SPACE, members=x.copy(), fitness=np.zeros(m))
         seen = []
-        pop.evaluate = lambda trials: seen.append(trials.copy()) or np.ones(len(trials))
+        pop.decode = lambda trials: trials
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        de_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng)
+        drive(
+            de_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng),
+            lambda trials: seen.append(trials.copy()) or np.ones(len(trials)),
+        )
         want = clamp_wrap(de_trials_reference(x, ref_rng, optimizers.DE_F, optimizers.DE_CR), self.SPACE)
         assert np.array_equal(seen[0], want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -480,6 +489,21 @@ class TestGenerationDraws:
             # A partner equal to its source would leave its row unchanged.
             assert np.all((cands != sources[picks]).sum(axis=1) == 1)
 
+    @pytest.mark.parametrize("seed", range(0, 200, 25))
+    def test_ga_cut_draw_equals_scalar_draws(self, seed):
+        """ga_step draws every crossed pair's cut points in one
+        ``integers(1, highs)`` call; a numpy whose array-bound draws consume
+        the stream otherwise than successive scalar draws breaks this
+        identity, and with it the GA's golden hashes."""
+        sizes = np.random.default_rng(seed)
+        for _ in range(25):
+            highs = sizes.integers(2, 2 * 12, size=sizes.integers(1, 60)).tolist()  # 2 draws one value
+            rng, ref_rng = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+            for _ in range(3):  # with normal draws between, as mutations make
+                assert rng.integers(1, highs).tolist() == [int(ref_rng.integers(1, h)) for h in highs]
+                assert np.array_equal(rng.normal(0.0, 1.0, 3), ref_rng.normal(0.0, 1.0, 3))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("m", [2, 3, 10, 11])
     def test_ga_winner_is_fitter_of_pair(self, m, flat_scenario, monkeypatch):
         """With no crossover or mutation the children are the tournament
@@ -493,16 +517,20 @@ class TestGenerationDraws:
             members=[],
             fitness=np.empty(0),
         )
-        # Few distinct values, so many pairs tie.
-        pop.evaluate_members = lambda members: fitness_rng.choice([1.0, 2.0, 3.0, math.inf], len(members))
+        # Few distinct values, so many pairs tie; a generator that scores nothing.
+        def evaluate_members(members):
+            return fitness_rng.choice([1.0, 2.0, 3.0, math.inf], len(members)), {}
+            yield
+
+        pop.evaluate_members = evaluate_members
         rng = np.random.default_rng(100 + m)
         for _ in range(100):
             pop.members = [np.full((1, 3), float(i)) for i in range(m)]  # member i holds i
-            pop.fitness = pop.evaluate_members(pop.members)
+            pop.fitness, _ = drive(pop.evaluate_members(pop.members), None)
             fitness = pop.fitness.copy()
             # The step's first draw: its picks, pair-major, one pair per kept child.
             picks = copy.deepcopy(rng).integers(m, size=(m // 2, 2, 2)).reshape(-1, 2)[: m - 1]
-            ga_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng)
+            drive(ga_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng), None)
             got = [int(c[0, 0]) for c in pop.members]
             assert got[0] == int(np.argmin(fitness))  # the elite
             for (a, b), winner in zip(picks.tolist(), got[1:]):
@@ -554,7 +582,7 @@ class TestInitEqualsPerRoundReference:
     def check(self, algorithm, scenario, swarm):
         space_of, _ = optimizers._SOLVERS[algorithm]
         space = space_of(scenario)
-        state, genomes, fitness = optimizers._sample(algorithm, scenario, 3, swarm)
+        state, genomes, fitness = drive(optimizers._sample(algorithm, scenario, 3, swarm), scored_on(scenario))
         want_genomes, want_fitness, want_evaluations = sample_reference(
             lambda batch: random_genomes(space, scenario, batch),
             lambda g: evaluate_paths(decode(space.kind, g, scenario), scenario),
@@ -620,21 +648,21 @@ class TestRun:
         included, has returned by the end of iteration k."""
         lowest = [math.inf]
         after_steps = []
-        evaluate = optimizers._State.evaluate
+        evaluate = optimizers.evaluate_paths
 
-        def recording_evaluate(state, genomes):
-            fitness = evaluate(state, genomes)
+        def recording_evaluate(paths, scenario):
+            fitness = evaluate(paths, scenario)
             lowest[0] = min(lowest[0], fitness.min(initial=math.inf))
             return fitness
 
         def recording(step):
             def wrapped(*args):
-                step(*args)
+                yield from step(*args)
                 after_steps.append(lowest[0])
 
             return wrapped
 
-        monkeypatch.setattr(optimizers._State, "evaluate", recording_evaluate)
+        monkeypatch.setattr(optimizers, "evaluate_paths", recording_evaluate)
         for name, step in optimizers._STEP.items():
             monkeypatch.setitem(optimizers._STEP, name, recording(step))
         trace = run(algorithm, hilly_scenario, SwarmConfig(swarm_size=12, max_iterations=20, seed=2))
@@ -644,10 +672,11 @@ class TestRun:
     def test_local_bests_never_increase(self, hilly_scenario):
         config = SwarmConfig(swarm_size=10, max_iterations=1, seed=9)
         swarm_stream = _rng(config.seed, "spso", 1)
-        swarm = init_swarm("spso", hilly_scenario, config)
+        score = scored_on(hilly_scenario)
+        swarm = drive(init_swarm("spso", hilly_scenario, config), score)
         prev = swarm.best_fitness.copy()
         for _ in range(25):
-            spso_step(swarm, config, swarm_stream)
+            drive(spso_step(swarm, config, swarm_stream), score)
             assert np.all(swarm.best_fitness <= prev)
             prev = swarm.best_fitness.copy()
 
