@@ -281,7 +281,8 @@ def cmd_plan(args) -> int:
     print(f"scenario: {scenario.name}  algorithm: {args.algo}  seed: {args.seed}")
     print(f"total cost: {breakdown.total}  (f1={breakdown.f1:.3f} f2={breakdown.f2} "
           f"f3={breakdown.f3:.3f} f4={breakdown.f4:.3f})")
-    print(f"feasible: {trace.feasible}  evaluations: {trace.evaluations}")
+    print(f"feasible: {trace.feasible}  evaluations: {trace.evaluations}  "
+          f"init_evaluations: {trace.init_evaluations}")
     print(f"outputs in {out}")
     if not trace.feasible:
         print("failed run: no collision-free path inside the corridor was found",

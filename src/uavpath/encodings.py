@@ -61,13 +61,6 @@ class SearchSpace:
         return self.lower.size
 
 
-def axis_bounds(scenario: Scenario) -> np.ndarray:
-    """(3, 2) bounds, read-only: x/y from the terrain rectangle, z spanning
-    the altitude corridor over the terrain's elevation range.  The scenario
-    builds them once."""
-    return scenario.axis_bounds
-
-
 def rho_max(scenario: Scenario) -> float:
     """Step-length cap: allows a decoded chain about twice the direct
     start-goal distance."""
@@ -77,7 +70,7 @@ def rho_max(scenario: Scenario) -> float:
 
 def cartesian_space(scenario: Scenario) -> SearchSpace:
     n = scenario.n_interior
-    bounds = np.tile(axis_bounds(scenario), (n, 1))
+    bounds = np.tile(scenario.axis_bounds, (n, 1))
     return SearchSpace("cartesian", bounds[:, 0], bounds[:, 1], np.zeros(3 * n, dtype=bool))
 
 
@@ -185,7 +178,7 @@ def decode_angle(genome, scenario: Scenario) -> np.ndarray:
     """Monotone sine map from phase angles to axis intervals, then placed
     like cartesian interior coordinates."""
     g, squeeze = _check_dims(genome, scenario)
-    lo, hi = axis_bounds(scenario).T
+    lo, hi = scenario.axis_bounds.T
     path = _empty_paths(g.shape[0], scenario.n_interior, scenario)
     # 0.5 * ((hi - lo) * sin(g) + hi + lo), evaluated in place
     coords = np.sin(g.reshape(g.shape[0], -1, 3))
@@ -281,7 +274,7 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries=None) 
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
         genomes = clamp_wrap(lo + (hi - lo) * draws, space)
         return genomes if tries is not None else genomes[:, 0]
-    bounds = axis_bounds(scenario)
+    bounds = scenario.axis_bounds
     genomes = space.lower + (space.upper - space.lower) * draws[..., : 3 * n]
     if kind == "angle":
         xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[..., 0::3]) + bounds[0].sum())

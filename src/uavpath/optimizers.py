@@ -46,8 +46,6 @@ from .cost import evaluate_paths
 from .encodings import SearchSpace, assemble_path, clamp_velocity, clamp_wrap, wrap_difference
 from .scenario import ConfigError, Scenario, require_int
 
-ALGORITHMS = ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
-
 INIT_RETRIES = 20  # attempts per particle to find a finite-fitness genome
 INIT_BLOCK = 4  # attempts drawn per particle in one sampler call
 
@@ -97,6 +95,7 @@ class EvolutionTrace:
     best_genome: np.ndarray
     best_path: np.ndarray
     evaluations: int
+    init_evaluations: int  # the candidates counted before the first step
 
     @property
     def final_fitness(self) -> float:
@@ -166,7 +165,7 @@ def _sample(algorithm: str, scenario: Scenario, seed: int, count: int) -> Genera
     one try per round.  No stream is read after init, so the tries left
     over once a particle is feasible change nothing."""
     streams = _particle_streams(seed, algorithm, count)
-    space_of, _ = _SOLVERS[algorithm]
+    space_of, _, _ = _SOLVERS[algorithm]
     base = _State(scenario, space_of(scenario))
     genomes = np.empty((count, base.space.dims))
     fitness = np.empty(count)
@@ -565,29 +564,18 @@ def abc_step(colony: AbcColony, config: SwarmConfig, rng) -> Generator:
 
 # --- solver table and run loop --------------------------------------------------------
 
-# algorithm -> (search space of its genomes, initializer)
+# algorithm -> (search space of its genomes, initializer, step).  The order
+# is each algorithm's id in its streams (see ``_entropy``).
 _SOLVERS = {
-    "pso": (encodings.cartesian_space, init_swarm),
-    "theta_pso": (encodings.angle_space, init_swarm),
-    "qpso": (encodings.cartesian_space, init_swarm),
-    "spso": (encodings.spherical_space, init_swarm),
-    "ga": (encodings.cartesian_space, _init_ga),
-    "de": (encodings.cartesian_space, _init_de),
-    "abc": (encodings.cartesian_space, _init_abc),
+    "pso": (encodings.cartesian_space, init_swarm, inertial_step),
+    "theta_pso": (encodings.angle_space, init_swarm, inertial_step),
+    "qpso": (encodings.cartesian_space, init_swarm, qpso_step),
+    "spso": (encodings.spherical_space, init_swarm, inertial_step),
+    "ga": (encodings.cartesian_space, _init_ga, ga_step),
+    "de": (encodings.cartesian_space, _init_de, de_step),
+    "abc": (encodings.cartesian_space, _init_abc, abc_step),
 }
-
-# algorithm -> step.  A flat dict of its own, read at every step, so that
-# each step stays a module-level callable that a profiler can rebind
-# (perfbench/tracer.py).
-_STEP = {
-    "pso": inertial_step,
-    "theta_pso": inertial_step,
-    "qpso": qpso_step,
-    "spso": inertial_step,
-    "ga": ga_step,
-    "de": de_step,
-    "abc": abc_step,
-}
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def _solve(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
@@ -596,13 +584,14 @@ def _solve(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     swarm_stream = _rng(config.seed, algorithm, 1)
-    _, init = _SOLVERS[algorithm]
+    _, init, step = _SOLVERS[algorithm]
     state = yield from init(algorithm, scenario, config)
+    init_evaluations = state.evaluations
     trace = np.empty(config.max_iterations)
     # Steps update the state in place.  best() reads a record that never loses
     # its best (ABC's is kept apart from its sources), so it is the best so far.
     for k in range(config.max_iterations):
-        yield from _STEP[algorithm](state, config, swarm_stream)
+        yield from step(state, config, swarm_stream)
         trace[k], best_genome = state.best()
     return EvolutionTrace(
         algorithm=algorithm,
@@ -611,6 +600,7 @@ def _solve(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator
         best_genome=np.array(best_genome, copy=True),
         best_path=state.decode(best_genome),
         evaluations=state.evaluations,
+        init_evaluations=init_evaluations,
     )
 
 

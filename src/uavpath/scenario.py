@@ -149,9 +149,9 @@ class Scenario:
         object.__setattr__(self, "threats", tuple(self.threats))
         validate_scenario(self)
         # Every field is immutable, so what scoring and decoding read from
-        # them is built once: F2's threat columns and the (3, 2) box of
-        # x, y and z bounds, which the encodings read through
-        # ``encodings.axis_bounds``.
+        # them is built once: F2's threat columns and the read-only (3, 2)
+        # box of x/y from the terrain rectangle and z spanning the altitude
+        # corridor over the terrain's elevation range.
         object.__setattr__(self, "threat_table", threat_table(self.threats, self.constraints))
         x_min, x_max, y_min, y_max = self.terrain.bounds
         bounds = np.array([

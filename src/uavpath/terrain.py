@@ -64,10 +64,15 @@ class TerrainMap:
             raise ValueError("cell_size must be > 0")
         if np.isinf(elev).any():
             raise ValueError("non-nodata elevations must be finite")
+        # The grid is immutable, so its elevation range is taken once.  fmin
+        # and fmax skip NaN as nanmin and nanmax do, and give NaN without a
+        # warning when every cell is nodata.
+        z_range = (float(np.fmin.reduce(elev, axis=None)), float(np.fmax.reduce(elev, axis=None)))
+        if math.isnan(z_range[0]):
+            raise ValueError("every cell is nodata")
         elev.setflags(write=False)
         object.__setattr__(self, "elevations", elev)
-        # The grid is immutable, so its elevation range is taken once.
-        object.__setattr__(self, "_z_range", (float(np.nanmin(elev)), float(np.nanmax(elev))))
+        object.__setattr__(self, "_z_range", z_range)
 
     @property
     def x_max(self) -> float:

@@ -21,7 +21,7 @@ from uavpath.cli import (
     summarize,
 )
 from uavpath.cost import evaluate_paths
-from uavpath.encodings import axis_bounds, decode_angle, decode_spherical
+from uavpath.encodings import decode_angle, decode_spherical
 from uavpath.optimizers import ALGORITHMS
 from uavpath.scenario import CostWeights, FlightConstraints, Scenario
 from uavpath.stats import Verdict, paired_t_test, t_two_sided_p
@@ -179,7 +179,7 @@ def test_criterion_6_decode_round_trip(hilly_scenario, flat_scenario):
         genome = encode_spherical(path)
         back = decode_spherical(genome, hilly_scenario)
         worst = max(worst, float(np.abs(back[1:-1] - path[1:-1]).max()))
-    bounds = axis_bounds(flat_scenario)
+    bounds = flat_scenario.axis_bounds
     n = flat_scenario.n_interior
     hi = decode_angle(np.full(3 * n, math.pi / 2), flat_scenario)[1:-1]
     lo = decode_angle(np.full(3 * n, -math.pi / 2), flat_scenario)[1:-1]

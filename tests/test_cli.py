@@ -69,7 +69,7 @@ class TestExports:
         trace = EvolutionTrace(
             algorithm="pso", seed=0,
             best_fitness=np.array([math.inf, 5.0, 4.0]),
-            best_genome=np.zeros(3), best_path=np.zeros((3, 3)), evaluations=9,
+            best_genome=np.zeros(3), best_path=np.zeros((3, 3)), evaluations=9, init_evaluations=3,
         )
         f = tmp_path / "conv.csv"
         export_convergence_csv(trace, f)
@@ -230,6 +230,19 @@ class TestPlan:
         assert main(["plan", str(cfg), "--algo", "pso", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "terrain.dem_path" in err and "2x2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_all_nodata_dem_exits_2(self, tmp_path, capsys):
+        # Every cell is the declared sentinel: the grid has no elevation range.
+        (tmp_path / "void.asc").write_text(
+            "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_value -9999\n-9999 -9999\n-9999 -9999\n"
+        )
+        cfg = tmp_path / "void.yaml"
+        cfg.write_text(yaml.safe_dump(dict(FLAT_CFG, terrain={"dem_path": "void.asc"})))
+        assert main(["plan", str(cfg), "--algo", "pso", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "terrain.dem_path" in err and "every cell is nodata" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

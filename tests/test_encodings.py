@@ -12,7 +12,6 @@ from uavpath.encodings import (
     SPSO_INIT_PHI_HALFWIDTH,
     SPSO_INIT_PSI_BAND,
     angle_space,
-    axis_bounds,
     cartesian_space,
     clamp_wrap,
     decode,
@@ -54,12 +53,12 @@ class TestDecodeAngle:
     def test_angle_zero_is_midpoint(self, flat_scenario):
         genome = np.zeros(3 * flat_scenario.n_interior)
         path = decode_angle(genome, flat_scenario)
-        bounds = axis_bounds(flat_scenario)
+        bounds = flat_scenario.axis_bounds
         mid = bounds.mean(axis=1)
         assert np.allclose(path[1:-1], mid)
 
     def test_endpoints_map_to_bounds(self, flat_scenario):
-        bounds = axis_bounds(flat_scenario)
+        bounds = flat_scenario.axis_bounds
         hi_path = decode_angle(np.full(3 * flat_scenario.n_interior, math.pi / 2), flat_scenario)
         lo_path = decode_angle(np.full(3 * flat_scenario.n_interior, -math.pi / 2), flat_scenario)
         assert np.array_equal(hi_path[1:-1], np.tile(bounds[:, 1], (flat_scenario.n_interior, 1)))
@@ -255,7 +254,7 @@ def _uniform_reference(space, scenario, seeds):
         )
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
         return clamp_wrap(np.stack([rng.uniform(lo, hi) for rng in streams]), space)
-    bounds = axis_bounds(scenario)
+    bounds = scenario.axis_bounds
     genomes = np.stack([rng.uniform(space.lower, space.upper) for rng in streams])
     if space.kind == "angle":
         xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())

@@ -46,7 +46,7 @@ def assert_runs_alone_equal(scenario, plans, got=None):
         assert as_bytes(trace.best_fitness) == as_bytes(want.best_fitness)
         assert as_bytes(trace.best_genome) == as_bytes(want.best_genome)
         assert as_bytes(trace.best_path) == as_bytes(want.best_path)
-        assert trace.evaluations == want.evaluations
+        assert (trace.evaluations, trace.init_evaluations) == (want.evaluations, want.init_evaluations)
         assert seconds > 0
 
 

@@ -541,6 +541,11 @@ class TestStreams:
     """Each stream's SeedSequence gets its entropy as uint32 words; its pool
     must be the one the tuple (seed, algorithm id, *key) gives."""
 
+    def test_algorithm_ids(self):
+        # An algorithm's index in ALGORITHMS, the solver table's order, is its
+        # id in every stream: reordering the table changes every trace.
+        assert ALGORITHMS == ("pso", "theta_pso", "qpso", "spso", "ga", "de", "abc")
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1])
     @pytest.mark.parametrize("algorithm", ["pso", "abc"])
     def test_equal_to_tuple_entropy(self, seed, algorithm):
@@ -580,7 +585,7 @@ class TestInitEqualsPerRoundReference:
         return build_benchmark_suite(0)
 
     def check(self, algorithm, scenario, swarm):
-        space_of, _ = optimizers._SOLVERS[algorithm]
+        space_of, _, _ = optimizers._SOLVERS[algorithm]
         space = space_of(scenario)
         state, genomes, fitness = drive(optimizers._sample(algorithm, scenario, 3, swarm), scored_on(scenario))
         want_genomes, want_fitness, want_evaluations = sample_reference(
@@ -663,8 +668,8 @@ class TestRun:
             return wrapped
 
         monkeypatch.setattr(optimizers, "evaluate_paths", recording_evaluate)
-        for name, step in optimizers._STEP.items():
-            monkeypatch.setitem(optimizers._STEP, name, recording(step))
+        for name, (space_of, init, step) in optimizers._SOLVERS.items():
+            monkeypatch.setitem(optimizers._SOLVERS, name, (space_of, init, recording(step)))
         trace = run(algorithm, hilly_scenario, SwarmConfig(swarm_size=12, max_iterations=20, seed=2))
         assert trace.best_fitness.tolist() == after_steps
         assert trace.best_fitness[-1] < trace.best_fitness[0]  # the rule is tested on improvements
@@ -734,3 +739,28 @@ class TestBudget:
         # initialization (with up to 20 retries per particle)
         assert trace.evaluations >= (m // 2) * (iters + 1)
         assert trace.evaluations <= m * (iters + 25)
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return build_benchmark_suite(0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("index", [2, 6])
+    def test_loop_spends_swarm_times_iterations(self, suite, algorithm, index):
+        """The candidates counted after initialization are the equal loop
+        budget; those counted before are the initializer's own."""
+        scenario = suite[index]
+        config = budgeted_config(algorithm, SwarmConfig(swarm_size=20, max_iterations=15, seed=1))
+        trace = run(algorithm, scenario, config)
+        _, init, _ = optimizers._SOLVERS[algorithm]
+        assert trace.init_evaluations == drive(init(algorithm, scenario, config), scored_on(scenario)).evaluations
+        assert trace.evaluations - trace.init_evaluations == config.swarm_size * config.max_iterations
+
+    @pytest.mark.parametrize("index", [2, 6])
+    def test_abc_scouts_add_at_most_one_per_iteration(self, suite, index, monkeypatch):
+        monkeypatch.setattr(optimizers, "ABC_LIMIT", 3)
+        config = SwarmConfig(swarm_size=20, max_iterations=15, seed=1)
+        trace = run("abc", suite[index], config)
+        loop = trace.evaluations - trace.init_evaluations
+        budget = config.swarm_size * config.max_iterations
+        assert budget < loop <= budget + config.max_iterations  # some scout flew

@@ -56,6 +56,15 @@ class TestLoadDem:
         assert t.nodata_value == -9999
         assert np.isnan(t.elevations[0, 0])  # south-west corner
         assert np.isfinite(t.elevations).sum() == 3
+        assert (t.z_min, t.z_max) == (1.0, 4.0)  # the range skips nodata
+
+    def test_every_cell_nodata_rejected(self, tmp_path):
+        text = (
+            "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+            "NODATA_value -9999\n-9999 -9999\n-9999 nan\n"
+        )
+        with pytest.raises(ValueError, match="every cell is nodata"):
+            load_dem(write(tmp_path, text))
 
     def test_missing_header_key(self, tmp_path):
         bad = "ncols 2\nnrows 2\nxllcorner 0\ncellsize 5\n1 2\n3 4\n"
