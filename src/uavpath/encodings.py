@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import EPS_LEN
-from .scenario import Scenario
+from .scenario import Scenario, rho_max
 
 # Velocity cap: half the per-dimension interval width.
 V_CAP_FRACTION = 0.5
@@ -59,13 +59,6 @@ class SearchSpace:
     @property
     def dims(self) -> int:
         return self.lower.size
-
-
-def rho_max(scenario: Scenario) -> float:
-    """Step-length cap: allows a decoded chain about twice the direct
-    start-goal distance."""
-    direct = float(np.linalg.norm(scenario.goal - scenario.start))
-    return 2.0 * direct / (scenario.n_waypoints - 1)
 
 
 def cartesian_space(scenario: Scenario) -> SearchSpace:

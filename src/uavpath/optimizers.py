@@ -293,17 +293,13 @@ def qpso_step(swarm: Swarm, config: SwarmConfig, rng) -> Generator:
 @dataclass
 class GaPopulation(_State):
     """Variable-length waypoint genomes; member i is an (k_i, 3) array of
-    interior nodes with k_i in [1, 2 * (n - 2)].  No code writes a member,
+    interior nodes with k_i in [1, ga_max_nodes].  No code writes a member,
     so an unchanged child shares its parent's array, and a member's bytes
     identify its fitness (``evaluate_members``)."""
 
     members: list
     fitness: np.ndarray
-    by_bytes: dict = field(default_factory=dict)  # a member's bytes -> the index of a member with them
-
-    @property
-    def max_nodes(self) -> int:
-        return 2 * self.scenario.n_interior
+    known: dict = field(default_factory=dict)  # each member's bytes -> its fitness
 
     def decode(self, genomes) -> np.ndarray:
         """Members are interior nodes: (k, 3), or (M, k, 3) for one k."""
@@ -311,68 +307,61 @@ class GaPopulation(_State):
 
     def evaluate_members(self, members) -> Generator:
         """Score a generation bred from ``self.members``, each distinct
-        member once; a generator that returns its fitness and its
-        ``by_bytes``.  A member whose nodes equal, byte for byte, a member
-        of the current population or an earlier one of ``members`` takes that
-        fitness: the kernels score row by row, so scoring it again would give
-        the same bits.  The rest are yielded in one batch per node count (the
+        member once; a generator that returns its fitness and its ``known``.
+        A member whose nodes equal, byte for byte, a member of the current
+        population takes that fitness: the kernels score row by row, so
+        scoring it again would give the same bits.  The first copy of every
+        other distinct member is yielded, in one batch per node count (the
         byte length holds the count).  Every member counts as an evaluation."""
-        fitness = np.empty(len(members))
-        by_bytes: dict[bytes, int] = {}  # the index of each distinct member's first copy
-        repeats: list[tuple[int, int]] = []  # (index, index of its first copy)
-        groups: dict[int, list[int]] = {}
-        for i, nodes in enumerate(members):
-            key = nodes.tobytes()
-            j = by_bytes.setdefault(key, i)
-            if j != i:
-                repeats.append((i, j))
-            elif (parent := self.by_bytes.get(key)) is not None:
-                fitness[i] = self.fitness[parent]
-            else:
-                groups.setdefault(len(nodes), []).append(i)
+        keys = [nodes.tobytes() for nodes in members]
+        groups: dict[int, dict[bytes, np.ndarray]] = {}  # node count -> first copy of each new member
+        for key, nodes in zip(keys, members):
+            if key not in self.known:
+                groups.setdefault(len(nodes), {}).setdefault(key, nodes)
         self.evaluations += len(members) - sum(map(len, groups.values()))
+        scores = dict(self.known)
         for k in sorted(groups):
-            idx = groups[k]
-            fitness[idx] = yield self.paths(np.array([members[i] for i in idx]))
-        for i, j in repeats:
-            fitness[i] = fitness[j]
-        return fitness, by_bytes
+            batch = groups[k]
+            scores.update(zip(batch, (yield self.paths(np.array(list(batch.values())))).tolist()))
+        fitness = np.array([scores[key] for key in keys])
+        return fitness, dict(zip(keys, fitness.tolist()))
 
     def best(self) -> tuple[float, np.ndarray]:
         return _lowest(self.fitness, self.members)
 
 
+def ga_max_nodes(scenario: Scenario) -> int:
+    """The most interior nodes a GA member may have."""
+    return 2 * scenario.n_interior
+
+
 def _init_ga(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator:
     base, genomes, fitness = yield from _sample(algorithm, scenario, config.seed, config.swarm_size)
     members = [g.reshape(-1, 3) for g in genomes]
-    by_bytes = {nodes.tobytes(): i for i, nodes in enumerate(members)}
-    return GaPopulation(**vars(base), members=members, fitness=fitness, by_bytes=by_bytes)
+    known = dict(zip((nodes.tobytes() for nodes in members), fitness.tolist()))
+    return GaPopulation(**vars(base), members=members, fitness=fitness, known=known)
 
 
-def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, cuts):
-    """One-point crossover at a waypoint boundary of each parent, the next
-    two of the drawn ``cuts``; parents with a single node pass through
-    unchanged and take no cut."""
-    if len(p1) < 2 or len(p2) < 2:
-        return p1, p2
-    c1, c2 = next(cuts), next(cuts)
+def ga_crossover(p1: np.ndarray, p2: np.ndarray, max_nodes: int, c1: int, c2: int):
+    """One-point crossover after node ``c1`` of ``p1`` and ``c2`` of ``p2``,
+    each child cut to ``max_nodes``."""
     child1 = np.concatenate((p1[:c1], p2[c2:]))[:max_nodes]
     child2 = np.concatenate((p2[:c2], p1[c1:]))[:max_nodes]
     return child1, child2
 
 
-def ga_mutate(nodes: np.ndarray, scenario: Scenario, space: SearchSpace, rng) -> np.ndarray:
+def ga_mutate(nodes: np.ndarray, scenario: Scenario, rng) -> np.ndarray:
     """Apply one of the three structural mutations, each equally likely;
     a mutation whose length guard fails leaves the genome unchanged."""
-    lo, hi = space.lower[:3], space.upper[:3]  # the bounds of one node
     op = int(rng.integers(3))
     if op == 0:  # add: midpoint of a random segment of the full path, jittered
-        if len(nodes) >= 2 * scenario.n_interior:
+        if len(nodes) >= ga_max_nodes(scenario):
             return nodes
         seg = int(rng.integers(len(nodes) + 1))  # of the len(nodes) + 1 segments
         a = nodes[seg - 1] if seg > 0 else scenario.start
         b = nodes[seg] if seg < len(nodes) else scenario.goal
         mid = 0.5 * (a + b) + rng.normal(0.0, scenario.terrain.cell_size, 3)
+        lo, hi = scenario.axis_bounds.T  # the bounds of one node
         return np.concatenate((nodes[:seg], np.clip(mid, lo, hi)[None], nodes[seg:]))
     if op == 1:  # delete a random node, keeping at least one
         if len(nodes) <= 1:
@@ -393,31 +382,34 @@ def ga_step(population: GaPopulation, config: SwarmConfig, rng) -> Generator:
 
     Each generation draws its m // 2 parent pairs as binary tournaments
     (the fitter of two uniform picks, a tie to the first), one crossover
-    coin per pair and one mutation coin per child it keeps, as arrays, and
-    then the cut points of every crossed pair in one call, bounded by the
-    parents' lengths (equal to drawing them pair by pair).  Mutations are
-    drawn per child, since lengths vary."""
+    coin per pair and one mutation coin per child it keeps, as arrays.  A
+    pair crosses if its coin came up and no parent has a single node; the
+    cuts of every crossing pair, bounded by the parents' lengths, are drawn
+    in one call (equal to drawing them pair by pair).  Mutations are drawn
+    per child, since lengths vary."""
     members = population.members
     m = len(members)
     fitness = population.fitness
     picks = rng.integers(m, size=(m // 2, 2, 2))  # pair, parent, pick
     first, second = picks[..., 0], picks[..., 1]
     parents = np.where(fitness[first] <= fitness[second], first, second)
-    crossed = rng.random(m // 2) < GA_CROSSOVER_RATE
+    coins = rng.random(m // 2) < GA_CROSSOVER_RATE
     mutated = rng.random(m - 1) < GA_MUTATION_RATE
     pairs = [(members[i], members[j]) for i, j in parents.tolist()]
-    highs = [len(p) for pair, cross in zip(pairs, crossed) if cross and min(map(len, pair)) > 1 for p in pair]
-    cuts = iter(rng.integers(1, highs).tolist() if highs else ())
+    crossing = [coin and min(map(len, pair)) > 1 for pair, coin in zip(pairs, coins)]
+    highs = [len(p) for pair, cross in zip(pairs, crossing) if cross for p in pair]
+    cuts = iter(rng.integers(1, highs).reshape(-1, 2).tolist())
+    max_nodes = ga_max_nodes(population.scenario)
     children = []
-    for pair, cross in zip(pairs, crossed):
-        children += ga_crossover(*pair, population.max_nodes, cuts) if cross else pair
+    for pair, cross in zip(pairs, crossing):
+        children += ga_crossover(*pair, max_nodes, *next(cuts)) if cross else pair
     new_members = [population.best()[1]]
     for child, mutate in zip(children, mutated):  # drops the m-th child of an even m
         if mutate:
-            child = ga_mutate(child, population.scenario, population.space, rng)
+            child = ga_mutate(child, population.scenario, rng)
         new_members.append(child)
     # Scored against the generation that bred them, before it is replaced.
-    population.fitness, population.by_bytes = yield from population.evaluate_members(new_members)
+    population.fitness, population.known = yield from population.evaluate_members(new_members)
     population.members = new_members
 
 

@@ -50,7 +50,10 @@ EPS_LEN = 1e-9  # below this a path segment counts as degenerate
 class ConfigError(ValueError):
     """Raised for every bad input where it is read: a schema violation, a
     scenario invariant, an unreadable config or DEM file, and a bad
-    ``SwarmConfig``, ``run`` algorithm, ``BenchmarkSpec`` or suite seed."""
+    ``SwarmConfig``, ``run`` algorithm, ``BenchmarkSpec`` or suite seed.
+    The constructors raise it too: ``Scenario`` for an ``n_waypoints``
+    that is not an integer, and ``Threat``, ``FlightConstraints`` and
+    ``CostWeights`` for an integer beyond the float range."""
 
 
 def require_int(name: str, value, minimum: int | None = None) -> None:
@@ -66,7 +69,11 @@ def _require_finite(record) -> None:
     """Reject NaN and infinite fields of a dataclass, naming the field."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{f.name} is out of range") from None
+        if not finite:
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
@@ -147,12 +154,12 @@ class Scenario:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "goal", goal)
         object.__setattr__(self, "threats", tuple(self.threats))
-        validate_scenario(self)
         # Every field is immutable, so what scoring and decoding read from
-        # them is built once: F2's threat columns and the read-only (3, 2)
-        # box of x/y from the terrain rectangle and z spanning the altitude
-        # corridor over the terrain's elevation range.
+        # them is built once: F2's threat columns (validation reads them too)
+        # and the read-only (3, 2) box of x/y from the terrain rectangle and
+        # z spanning the altitude corridor over the terrain's elevation range.
         object.__setattr__(self, "threat_table", threat_table(self.threats, self.constraints))
+        validate_scenario(self)
         x_min, x_max, y_min, y_max = self.terrain.bounds
         bounds = np.array([
             [x_min, x_max],
@@ -179,16 +186,22 @@ def threat_table(threats, constraints: FlightConstraints) -> np.ndarray:
     return table
 
 
+def rho_max(scenario: Scenario) -> float:
+    """Spherical step-length cap: allows a decoded chain about twice the
+    direct start-goal distance."""
+    direct = float(np.linalg.norm(scenario.goal - scenario.start))
+    return 2.0 * direct / (scenario.n_waypoints - 1)
+
+
 def validate_scenario(sc: Scenario) -> None:
     """Check every Scenario invariant; raise ConfigError naming the field."""
-    if sc.n_waypoints < 3:
-        raise ConfigError(f"n_waypoints must be >= 3, got {sc.n_waypoints}")
+    require_int("n_waypoints", sc.n_waypoints, 3)
     if sc.n_waypoints > MAX_WAYPOINTS:
         raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
-    # The spherical step cap 2 |goal - start| / (n - 1) must exceed its floor.
-    if 2.0 * float(np.linalg.norm(sc.goal - sc.start)) / (sc.n_waypoints - 1) <= EPS_LEN:
+    if rho_max(sc) <= EPS_LEN:  # the spherical step cap must exceed its floor
         raise ConfigError("goal coincides with start")
     x_min, x_max, y_min, y_max = sc.terrain.bounds
+    collide = sc.threat_table[2, :, 0]
     for label, p in (("start", sc.start), ("goal", sc.goal)):
         if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):
             raise ConfigError(f"{label} outside terrain bounds")
@@ -203,8 +216,7 @@ def validate_scenario(sc: Scenario) -> None:
                 f"[{sc.constraints.h_min}, {sc.constraints.h_max}]"
             )
         for k, threat in enumerate(sc.threats):
-            d = math.hypot(p[0] - threat.center_x, p[1] - threat.center_y)
-            if d <= sc.constraints.drone_diameter + threat.radius:
+            if math.hypot(p[0] - threat.center_x, p[1] - threat.center_y) <= collide[k]:
                 raise ConfigError(f"{label} inside collision zone of threat {k}")
     for k, threat in enumerate(sc.threats):
         if not (x_min <= threat.center_x <= x_max and y_min <= threat.center_y <= y_max):

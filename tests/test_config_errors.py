@@ -2,12 +2,15 @@
 or the file, so a caller meets one exception type whichever layer read it."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uavpath import ConfigError, SwarmConfig, build_benchmark_suite, load_scenario, run
+from uavpath import (
+    ConfigError, CostWeights, FlightConstraints, SwarmConfig, Threat, build_benchmark_suite, load_scenario, run,
+)
 from uavpath.cli import BenchmarkSpec
 
 
@@ -90,3 +93,34 @@ class TestIntegerFields:
 
     def test_benchmark_spec_accepts_numpy_integers(self, flat_scenario):
         assert spec(flat_scenario, runs_per_cell=np.int64(2), jobs=np.int8(1), base_seed=np.int64(-3)).jobs == 1
+
+    @pytest.mark.parametrize("value", [12.5, 12.0, "12", True, None])
+    def test_scenario_rejects_non_integer_waypoints(self, flat_scenario, value):
+        with pytest.raises(ConfigError, match="n_waypoints must be an integer"):
+            replace(flat_scenario, n_waypoints=value)
+
+    def test_scenario_waypoint_floor(self, flat_scenario):
+        with pytest.raises(ConfigError, match="^n_waypoints must be >= 3, got 2$"):
+            replace(flat_scenario, n_waypoints=2)
+        assert replace(flat_scenario, n_waypoints=np.int64(3)).n_interior == 1
+
+
+class TestOutOfRange:
+    """An integer beyond the float range is a ConfigError naming the field,
+    in the words the YAML reader uses."""
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (lambda v: Threat(0.0, 0.0, v), "radius"),
+            (lambda v: Threat(v, 0.0, 1.0), "center_x"),
+            (lambda v: FlightConstraints(h_min=v), "h_min"),
+            (lambda v: FlightConstraints(danger_distance=-v), "danger_distance"),
+            (lambda v: CostWeights(b1=v), "b1"),
+        ],
+        ids=["Threat.radius", "Threat.center_x", "FlightConstraints.h_min",
+             "FlightConstraints.danger_distance", "CostWeights.b1"],
+    )
+    def test_huge_integer(self, record, field):
+        with pytest.raises(ConfigError, match=f"^{field} is out of range$"):
+            record(10**400)

@@ -221,25 +221,22 @@ class TestStationarity:
 class TestGaOperators:
     def test_merge_makes_midpoint(self, flat_scenario):
         nodes = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
-        space = SearchSpace("cartesian", np.full(3, -1e9), np.full(3, 1e9), np.zeros(3, bool))
         rng = ScriptedRng(integers=[2, 0])  # op=merge, pair index 0
-        out = ga_mutate(nodes, flat_scenario, space, rng)
+        out = ga_mutate(nodes, flat_scenario, rng)
         assert out.shape == (1, 3)
         assert np.array_equal(out[0], [1.0, 1.0, 1.0])
 
     def test_delete_guard_on_single_node(self, flat_scenario):
         nodes = np.array([[5.0, 5.0, 50.0]])
-        space = SearchSpace("cartesian", np.full(3, -1e9), np.full(3, 1e9), np.zeros(3, bool))
         rng = ScriptedRng(integers=[1])  # op=delete
-        out = ga_mutate(nodes, flat_scenario, space, rng)
+        out = ga_mutate(nodes, flat_scenario, rng)
         assert np.array_equal(out, nodes)
 
     def test_add_inserts_midpoint_with_zero_jitter(self, flat_scenario):
         nodes = np.array([[10.0, 0.0, 0.0]])
-        space = SearchSpace("cartesian", np.full(3, -1e9), np.full(3, 1e9), np.zeros(3, bool))
         # full path = [start, node, goal]; segment 0 runs start -> node
         rng = ScriptedRng(integers=[0, 0])  # op=add, segment 0
-        out = ga_mutate(nodes, flat_scenario, space, rng)
+        out = ga_mutate(nodes, flat_scenario, rng)
         assert out.shape == (2, 3)
         mid = 0.5 * (flat_scenario.start + nodes[0])
         assert np.allclose(out[0], mid)
@@ -247,15 +244,30 @@ class TestGaOperators:
     def test_crossover_at_waypoint_boundary(self):
         p1 = np.arange(12.0).reshape(4, 3)
         p2 = -np.arange(9.0).reshape(3, 3)
-        c1, c2 = ga_crossover(p1, p2, max_nodes=8, cuts=iter([2, 1]))
+        c1, c2 = ga_crossover(p1, p2, max_nodes=8, c1=2, c2=1)
         assert np.array_equal(c1, np.vstack([p1[:2], p2[1:]]))
         assert np.array_equal(c2, np.vstack([p2[:1], p1[2:]]))
 
-    def test_crossover_passthrough_for_single_node(self):
-        p1 = np.zeros((1, 3))
-        p2 = np.ones((4, 3))
-        c1, c2 = ga_crossover(p1, p2, max_nodes=8, cuts=iter(()))
-        assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
+    def test_crossover_passthrough_for_single_node(self, flat_scenario, monkeypatch):
+        """A pair with a single-node parent takes no cut: at crossover rate 1
+        on one-node members the children are the tournament winners
+        themselves, and a generation draws only its picks and coins."""
+        monkeypatch.setattr(optimizers, "GA_CROSSOVER_RATE", 1.0)
+        monkeypatch.setattr(optimizers, "GA_MUTATION_RATE", 0.0)
+        rng = np.random.default_rng(5)
+        for m in (2, 3, 10, 11):
+            members = [np.full((1, 3), float(i)) for i in range(m)]
+            fitness = rng.permutation(m).astype(float)
+            pop = GaPopulation(scenario=flat_scenario, space=None, members=members, fitness=fitness)
+            clone = copy.deepcopy(rng)
+            picks = clone.integers(m, size=(m // 2, 2, 2)).reshape(-1, 2)[: m - 1]
+            clone.random(m // 2)  # crossover coins
+            clone.random(m - 1)  # mutation coins
+            drive(ga_step(pop, SwarmConfig(swarm_size=m, max_iterations=1), rng), zeros)
+            assert rng.bit_generator.state == clone.bit_generator.state
+            assert pop.members[0] is members[int(np.argmin(fitness))]  # the elite
+            for (a, b), child in zip(picks.tolist(), pop.members[1:]):
+                assert child is members[a if fitness[a] <= fitness[b] else b]
 
 
 class TestGaMembers:
