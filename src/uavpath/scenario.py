@@ -26,7 +26,6 @@ config file and a bad DEM names ``terrain.dem_path``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -34,7 +33,7 @@ import numpy as np
 import yaml
 
 from .terrain import (
-    SyntheticTerrainSpec, TerrainError, TerrainMap, generate_synthetic, height_at, load_dem, save_dem,
+    SyntheticTerrainSpec, TerrainMap, check_fields, generate_synthetic, is_int, load_dem, save_dem,
 )
 
 
@@ -51,30 +50,20 @@ class ConfigError(ValueError):
     """Raised for every bad input where it is read: a schema violation, a
     scenario invariant, an unreadable config or DEM file, and a bad
     ``SwarmConfig``, ``run`` algorithm, ``BenchmarkSpec`` or suite seed.
-    The constructors raise it too: ``Scenario`` for an ``n_waypoints``
-    that is not an integer, and ``Threat``, ``FlightConstraints`` and
-    ``CostWeights`` for an integer beyond the float range."""
+    The constructors raise it too: ``Threat``, ``FlightConstraints`` and
+    ``CostWeights`` for a field that is a bool, a string, ``None``, not
+    finite or an integer beyond the float range, and ``Scenario`` for an
+    endpoint that is not 3 numbers, a threat that is not a ``Threat`` and
+    an ``n_waypoints`` that is not an integer."""
 
 
 def require_int(name: str, value, minimum: int | None = None) -> None:
     """Reject a value that is not an integer (a bool is not one) or is
     below ``minimum``, naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _require_finite(record) -> None:
-    """Reject NaN and infinite fields of a dataclass, naming the field."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            raise ConfigError(f"{f.name} is out of range") from None
-        if not finite:
-            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ class Threat:
     radius: float
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, ConfigError)
         if self.radius <= 0:
             raise ConfigError(f"threat radius must be > 0, got {self.radius}")
 
@@ -99,7 +88,7 @@ class FlightConstraints:
     danger_distance: float = 10.0
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, ConfigError)
         if not (0 <= self.h_min < self.h_max):
             raise ConfigError(
                 f"h_min < h_max violated: h_min={self.h_min}, h_max={self.h_max}"
@@ -122,7 +111,7 @@ class CostWeights:
     a2: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self)
+        check_fields(self, ConfigError)
         for f in fields(self):
             value = getattr(self, f.name)
             if value < 0:
@@ -147,13 +136,22 @@ class Scenario:
     witness: np.ndarray | None = None
 
     def __post_init__(self):
-        start = np.array(self.start, dtype=float).reshape(3)
-        goal = np.array(self.goal, dtype=float).reshape(3)
-        start.setflags(write=False)
-        goal.setflags(write=False)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "threats", tuple(self.threats))
+        for label in ("start", "goal"):
+            value = getattr(self, label)
+            try:
+                point = np.array(value, dtype=float).reshape(3)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{label} must be 3 numbers (x, y, z), got {value!r}") from None
+            point.setflags(write=False)
+            object.__setattr__(self, label, point)
+        try:
+            threats = tuple(self.threats)
+        except TypeError:
+            raise ConfigError(f"threats must be a sequence of Threat, got {self.threats!r}") from None
+        for k, threat in enumerate(threats):
+            if not isinstance(threat, Threat):
+                raise ConfigError(f"threats[{k}] must be a Threat, got {threat!r}")
+        object.__setattr__(self, "threats", threats)
         # Every field is immutable, so what scoring and decoding read from
         # them is built once: F2's threat columns (validation reads them too)
         # and the read-only (3, 2) box of x/y from the terrain rectangle and
@@ -205,10 +203,9 @@ def validate_scenario(sc: Scenario) -> None:
     for label, p in (("start", sc.start), ("goal", sc.goal)):
         if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):
             raise ConfigError(f"{label} outside terrain bounds")
-        try:
-            ground = height_at(sc.terrain, p[0], p[1])
-        except TerrainError as exc:
-            raise ConfigError(f"{label} over unusable terrain: {exc}") from exc
+        ground = float(sc.terrain.heights(p[0], p[1]))
+        if math.isnan(ground):
+            raise ConfigError(f"{label} over unusable terrain: ({p[0]}, {p[1]}) touches a nodata cell")
         h = p[2] - ground
         if not (sc.constraints.h_min <= h <= sc.constraints.h_max):
             raise ConfigError(
@@ -289,14 +286,31 @@ def _build_terrain(section, base_dir: str, dems: dict) -> TerrainMap:
     return generate_synthetic(spec, seed)
 
 
-def scenario_from_dict(cfg: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
-    """Build and validate a Scenario from a parsed config mapping."""
-    return _scenario_from_dict(cfg, base_dir, name, {})
+def load_scenario(file_path) -> Scenario:
+    """Load and fully validate a scenario config file."""
+    return load_scenarios([file_path])[0]
 
 
-def _scenario_from_dict(cfg, base_dir: str, name: str, dems: dict) -> Scenario:
-    """``scenario_from_dict``; a DEM file whose resolved path is a key of
-    ``dems`` is not parsed again, and one parsed here is added to it."""
+def load_scenarios(file_paths) -> list[Scenario]:
+    """Load several scenario config files.  Files that name the same DEM
+    file share one ``TerrainMap``, parsed once; nothing is kept between
+    calls."""
+    dems: dict = {}
+    return [_load_scenario(p, dems) for p in file_paths]
+
+
+def _load_scenario(file_path, dems: dict) -> Scenario:
+    """The validated Scenario of a config file, named by the file's stem;
+    its relative paths start at the file's directory.  A DEM file whose
+    resolved path is a key of ``dems`` is not parsed again, and one parsed
+    here is added to it."""
+    try:
+        with open(file_path) as fh:
+            cfg = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"invalid YAML in {file_path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read {file_path}: {exc}") from exc
     cfg = _mapping(
         cfg,
         ("terrain", "threats", "start", "goal", "constraints", "weights", "n_waypoints"),
@@ -305,7 +319,7 @@ def _scenario_from_dict(cfg, base_dir: str, name: str, dems: dict) -> Scenario:
     for req in ("terrain", "start", "goal"):
         if req not in cfg:
             raise ConfigError(f"missing required section {req!r}")
-    terrain = _build_terrain(cfg["terrain"], base_dir, dems)
+    terrain = _build_terrain(cfg["terrain"], os.path.dirname(os.path.abspath(file_path)), dems)
     threat_list = cfg.get("threats")
     if not isinstance(threat_list, (list, type(None))):
         raise ConfigError(f"threats must be a list, got {threat_list!r}")
@@ -325,36 +339,8 @@ def _scenario_from_dict(cfg, base_dir: str, name: str, dems: dict) -> Scenario:
         constraints=_record(FlightConstraints, cfg.get("constraints"), "constraints"),
         weights=_record(CostWeights, cfg.get("weights"), "weights"),
         n_waypoints=_number(cfg.get("n_waypoints", 12), "n_waypoints", int),
-        name=name,
+        name=os.path.splitext(os.path.basename(file_path))[0],
     )
-
-
-def load_scenario(file_path) -> Scenario:
-    """Load and fully validate a scenario config file."""
-    return scenario_from_dict(*_read_config(file_path))
-
-
-def load_scenarios(file_paths) -> list[Scenario]:
-    """Load several scenario config files.  Files that name the same DEM
-    file share one ``TerrainMap``, parsed once; nothing is kept between
-    calls."""
-    dems: dict = {}
-    return [_scenario_from_dict(*_read_config(p), dems) for p in file_paths]
-
-
-def _read_config(file_path) -> tuple:
-    """The parsed mapping of a config file, the directory its relative
-    paths start from, and the scenario name (the file's stem)."""
-    try:
-        with open(file_path) as fh:
-            cfg = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {file_path}: {exc}") from exc
-    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
-        raise ConfigError(f"cannot read {file_path}: {exc}") from exc
-    base_dir = os.path.dirname(os.path.abspath(file_path))
-    name = os.path.splitext(os.path.basename(file_path))[0]
-    return cfg, base_dir, name
 
 
 def save_scenario(sc: Scenario, file_path) -> None:

@@ -9,6 +9,7 @@ row (files store north first, so rows are flipped on load).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,16 +37,39 @@ class NodataError(TerrainError):
     """Query touches a nodata cell corner."""
 
 
+def is_int(value) -> bool:
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_fields(record, error=ValueError) -> None:
+    """Check a dataclass's fields by their annotations, raising ``error``
+    that names the field: a field annotated ``int`` must be an integer and
+    every field a finite real number (a bool is neither); an integer beyond
+    the float range is out of range."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int" and not is_int(value):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{f.name} must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise error(f"{f.name} is out of range") from None
+        if not finite:
+            raise error(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class TerrainMap:
     """Immutable elevation grid.
 
-    ``elevations`` has shape ``(n_rows, n_cols)`` with nodata cells stored
-    as NaN; ``nodata_value`` keeps the file sentinel for re-serialization.
+    ``elevations`` is a 2-D grid of shape ``(n_rows, n_cols)``, which sets
+    ``n_rows`` and ``n_cols``, with nodata cells stored as NaN;
+    ``nodata_value`` keeps the file sentinel for re-serialization.
     """
 
-    n_cols: int
-    n_rows: int
     origin_x: float
     origin_y: float
     cell_size: float
@@ -54,11 +78,10 @@ class TerrainMap:
 
     def __post_init__(self):
         elev = np.array(self.elevations, dtype=float)
-        if elev.shape != (self.n_rows, self.n_cols):
-            raise ValueError(
-                f"elevations shape {elev.shape} != ({self.n_rows}, {self.n_cols})"
-            )
-        if self.n_cols < 2 or self.n_rows < 2:
+        if elev.ndim != 2:
+            raise ValueError(f"elevations must be a 2-D grid, got shape {elev.shape}")
+        n_rows, n_cols = elev.shape
+        if n_cols < 2 or n_rows < 2:
             raise ValueError("grid needs at least 2x2 nodes for interpolation")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be > 0")
@@ -72,6 +95,8 @@ class TerrainMap:
             raise ValueError("every cell is nodata")
         elev.setflags(write=False)
         object.__setattr__(self, "elevations", elev)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "_z_range", z_range)
 
     @property
@@ -228,8 +253,6 @@ def load_dem(file_path) -> TerrainMap:
     if "nodata_value" in header:  # only mask cells when the file declares a sentinel
         grid = np.where(grid == nodata, np.nan, grid)
     return TerrainMap(
-        n_cols=n_cols,
-        n_rows=n_rows,
         origin_x=header["xllcorner"],
         origin_y=header["yllcorner"],
         cell_size=header["cellsize"],
@@ -312,14 +335,7 @@ class SyntheticTerrainSpec:
     origin_y: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond float range
-                raise ValueError(f"{f.name} is out of range") from None
-            if not finite:
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         if self.n_cols < 2 or self.n_rows < 2:
             raise ValueError("n_cols and n_rows must be >= 2")
         if self.n_cols * self.n_rows > MAX_GRID_NODES:
@@ -356,8 +372,6 @@ def generate_synthetic(spec: SyntheticTerrainSpec, seed: int) -> TerrainMap:
         sigma = rng.uniform(spec.sigma_min, spec.sigma_max)
         grid = grid + amp * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * sigma**2))
     return TerrainMap(
-        n_cols=spec.n_cols,
-        n_rows=spec.n_rows,
         origin_x=spec.origin_x,
         origin_y=spec.origin_y,
         cell_size=spec.cell_size,

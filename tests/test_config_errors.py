@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from uavpath import (
-    ConfigError, CostWeights, FlightConstraints, SwarmConfig, Threat, build_benchmark_suite, load_scenario, run,
+    ConfigError, CostWeights, FlightConstraints, SwarmConfig, SyntheticTerrainSpec, TerrainMap, Threat,
+    build_benchmark_suite, load_scenario, run,
 )
 from uavpath.cli import BenchmarkSpec
 
@@ -124,3 +125,79 @@ class TestOutOfRange:
     def test_huge_integer(self, record, field):
         with pytest.raises(ConfigError, match=f"^{field} is out of range$"):
             record(10**400)
+
+
+def make(cls, **kwargs):
+    """``cls`` built from valid values, with ``kwargs`` overriding them."""
+    valid = {
+        Threat: {"center_x": 0.0, "center_y": 0.0, "radius": 5.0},
+        SyntheticTerrainSpec: {"n_cols": 5, "n_rows": 5, "cell_size": 1.0},
+    }.get(cls, {})
+    return cls(**{**valid, **kwargs})
+
+
+class TestFieldRule:
+    """Every config record checks its fields by their annotations, naming
+    the field: ``ConfigError`` for the scenario records, ``ValueError`` for
+    the terrain recipe."""
+
+    RECORDS = [
+        (Threat, "radius", ConfigError),
+        (Threat, "center_y", ConfigError),
+        (FlightConstraints, "h_min", ConfigError),
+        (CostWeights, "b1", ConfigError),
+        (SyntheticTerrainSpec, "cell_size", ValueError),
+        (SyntheticTerrainSpec, "amp_max", ValueError),
+    ]
+
+    @pytest.mark.parametrize("value", [True, "5", None], ids=repr)
+    @pytest.mark.parametrize("cls, field, error", RECORDS, ids=lambda x: getattr(x, "__name__", x))
+    def test_float_field_must_be_a_number(self, cls, field, error, value):
+        with pytest.raises(error, match=f"^{field} must be a number, got {re.escape(repr(value))}$") as info:
+            make(cls, **{field: value})
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("value", [2.5, 5.0, True])
+    @pytest.mark.parametrize("field", ["n_cols", "n_hills"])
+    def test_int_field_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            make(SyntheticTerrainSpec, **{field: value})
+
+    def test_numpy_numbers_and_integers_in_float_fields_accepted(self):
+        assert make(Threat, center_x=np.int64(3), radius=np.float32(2.5)).radius == 2.5
+        assert make(SyntheticTerrainSpec, n_cols=np.int64(6), cell_size=2).n_cols == 6
+        assert FlightConstraints(h_min=np.float64(5.0), h_max=100).h_max == 100
+
+
+class TestScenarioInputs:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("start", [10**400, 0, 0]), ("start", [1, 2]), ("start", None), ("goal", "abc")],
+        ids=["huge", "two-numbers", "None", "string"],
+    )
+    def test_endpoint_must_be_three_numbers(self, flat_scenario, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be 3 numbers \(x, y, z\), got "):
+            replace(flat_scenario, **{field: value})
+
+    def test_nan_endpoint_is_off_the_map(self, flat_scenario):
+        with pytest.raises(ConfigError, match="^start outside terrain bounds$"):
+            replace(flat_scenario, start=[float("nan"), 10.0, 70.0])
+
+    @pytest.mark.parametrize(
+        "threats, where",
+        [([(1.0, 2.0, 3.0)], "threats[0]"), ([Threat(50.0, 50.0, 5.0), None], "threats[1]"), (None, "threats")],
+        ids=["tuple", "None-entry", "None"],
+    )
+    def test_threats_must_be_threats(self, flat_scenario, threats, where):
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be "):
+            replace(flat_scenario, threats=threats)
+
+    @pytest.mark.parametrize("label, node", [("start", (1, 1)), ("goal", (9, 9))])
+    def test_endpoint_over_nodata_names_it(self, flat_scenario, label, node):
+        """An endpoint is rejected when a corner of its cell is nodata: the
+        start sits on grid node (10, 10) m, the goal on (90, 90) m."""
+        elev = np.zeros((11, 11))
+        elev[node] = np.nan
+        terrain = TerrainMap(0.0, 0.0, 10.0, -9999.0, elev)
+        with pytest.raises(ConfigError, match=f"^{label} over unusable terrain: .* touches a nodata cell$"):
+            replace(flat_scenario, terrain=terrain)

@@ -292,7 +292,7 @@ def holed_scenario():
     elev = np.random.default_rng(3).uniform(0.0, 40.0, (10, 12))
     elev[4, 5] = elev[7, 2] = elev[2, 9] = np.nan
     terrain = TerrainMap(
-        n_cols=12, n_rows=10, origin_x=0.0, origin_y=0.0, cell_size=10.0,
+        origin_x=0.0, origin_y=0.0, cell_size=10.0,
         nodata_value=-9999.0, elevations=elev,
     )
     return Scenario(

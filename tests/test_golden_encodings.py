@@ -184,7 +184,7 @@ def holed_terrain() -> TerrainMap:
     elev[3, 4] = np.nan
     elev[0, 8] = np.nan  # a corner node
     return TerrainMap(
-        n_cols=9, n_rows=7, origin_x=-35.5, origin_y=120.25, cell_size=12.5,
+        origin_x=-35.5, origin_y=120.25, cell_size=12.5,
         nodata_value=-9999.0, elevations=elev,
     )
 

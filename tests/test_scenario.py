@@ -1,5 +1,6 @@
 import argparse
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,15 @@ class TestLoadScenario:
         assert a.terrain is b.terrain and (a.name, b.name) == ("a", "b")
         c = load_scenario(tmp_path / "a.yaml")
         assert len(parsed) == 2 and c.terrain is not a.terrain
+
+    def test_one_loader(self, tmp_path, hilly_scenario):
+        """``load_scenario(p)`` equals ``load_scenarios([p])[0]`` in every
+        field, the terrain's grid and the derived tables included."""
+        path = tmp_path / "h.yaml"
+        save_scenario(hilly_scenario, path)
+        one, (first,) = load_scenario(path), scenario.load_scenarios([path])
+        assert one.name == "h" and len(one.threats) == 2
+        assert pickle.dumps(one) == pickle.dumps(first)
 
     def test_save_load_round_trip(self, tmp_path, hilly_scenario):
         path = tmp_path / "rt.yaml"

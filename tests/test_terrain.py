@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ class TestLoadDem:
             load_dem(write(tmp_path, bad))
 
 
+class TestTerrainMap:
+    def test_size_read_from_grid(self):
+        t = TerrainMap(1.0, 2.0, 0.5, -9999.0, np.zeros((3, 5)))
+        assert (t.n_cols, t.n_rows) == (5, 3)
+        assert t.bounds == (1.0, 3.0, 2.0, 3.0)
+        assert [f.name for f in fields(TerrainMap)] == [
+            "origin_x", "origin_y", "cell_size", "nodata_value", "elevations",
+        ]
+
+    @pytest.mark.parametrize("elevations", [[1.0, 2.0, 3.0], np.zeros((2, 2, 2)), 5.0])
+    def test_grid_must_be_2d(self, elevations):
+        with pytest.raises(ValueError, match="elevations must be a 2-D grid"):
+            TerrainMap(0.0, 0.0, 1.0, -9999.0, elevations)
+
+
 class TestHeightAt:
     def test_grid_node_identity(self, tmp_path):
         t = load_dem(write(tmp_path, SMALL_DEM))
@@ -158,13 +174,13 @@ class TestHeightAt:
             assert height_at(t, x, y) == want
 
     def test_cell_center_symmetry(self):
-        t = TerrainMap(2, 2, 0.0, 0.0, 10.0, -9999.0, [[0.0, 10.0], [10.0, 0.0]])
+        t = TerrainMap(0.0, 0.0, 10.0, -9999.0, [[0.0, 10.0], [10.0, 0.0]])
         assert height_at(t, 5.0, 5.0) == pytest.approx(5.0)
 
     def test_hand_evaluated_bilinear(self):
         # f(0,0)=1, f(1,0)=2, f(0,1)=3, f(1,1)=4 queried at (0.25, 0.75):
         # (1-u)(1-v)f00 + u(1-v)f10 + (1-u)v f01 + uv f11 = 2.75
-        t = TerrainMap(2, 2, 0.0, 0.0, 1.0, -9999.0, [[1.0, 2.0], [3.0, 4.0]])
+        t = TerrainMap(0.0, 0.0, 1.0, -9999.0, [[1.0, 2.0], [3.0, 4.0]])
         assert height_at(t, 0.25, 0.75) == pytest.approx(2.75, abs=1e-12)
 
     def test_out_of_bounds(self, tmp_path):
@@ -186,7 +202,7 @@ class TestHeightAt:
     def test_all_nodes_exact(self):
         rng = np.random.default_rng(3)
         grid = rng.uniform(-50, 150, size=(7, 9))
-        t = TerrainMap(9, 7, 5.0, -20.0, 2.5, -9999.0, grid)
+        t = TerrainMap(5.0, -20.0, 2.5, -9999.0, grid)
         for iy in range(7):
             for ix in range(9):
                 assert height_at(t, 5.0 + 2.5 * ix, -20.0 + 2.5 * iy) == grid[iy, ix]
@@ -194,7 +210,7 @@ class TestHeightAt:
     def test_continuity_within_cells(self):
         rng = np.random.default_rng(4)
         grid = rng.uniform(0, 100, size=(6, 6))
-        t = TerrainMap(6, 6, 0.0, 0.0, 10.0, -9999.0, grid)
+        t = TerrainMap(0.0, 0.0, 10.0, -9999.0, grid)
         max_grad = np.abs(np.diff(grid)).max() / t.cell_size + np.abs(np.diff(grid, axis=0)).max() / t.cell_size
         for _ in range(300):
             x, y = rng.uniform(0, 50, 2)
@@ -249,7 +265,7 @@ class TestSaveRoundTrip:
         rng = np.random.default_rng(9)
         grid = rng.uniform(-10, 500, size=(5, 8))
         grid[2, 3] = np.nan
-        t = TerrainMap(8, 5, 1.25, -3.5, 0.75, -9999.0, grid)
+        t = TerrainMap(1.25, -3.5, 0.75, -9999.0, grid)
         out = tmp_path / "rt.asc"
         save_dem(t, out)
         t2 = load_dem(out)
