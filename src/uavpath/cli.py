@@ -215,7 +215,8 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunRecord]:
 
 def summarize(records: list[RunRecord], spec: BenchmarkSpec) -> list[dict]:
     """Mean/Std per cell plus the paired t-test of every algorithm against
-    the baseline; pairs where either side failed are dropped."""
+    the baseline, pairing runs by index alone (``mix_seed`` gives a pair's
+    runs unrelated seeds); pairs where either side failed are dropped."""
     by_cell: dict[tuple[str, str], list[EvolutionTrace]] = {}
     for r in sorted(records, key=lambda r: r.run_index):
         by_cell.setdefault((r.scenario, r.algorithm), []).append(r.trace)

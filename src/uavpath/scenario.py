@@ -13,12 +13,12 @@ The config schema (all keys documented in the README):
     weights: {<CostWeights fields>}
     n_waypoints: 12
 
-The section keys and their number kinds are read from the dataclasses'
-own fields, and ``save_scenario`` writes those fields back, so the
-dataclasses are the one statement of the schema.  Every section must be
-a mapping (``threats`` a list), every value a number, and a field
-annotated ``int`` a whole number.  Unknown keys anywhere are errors.
-A schema violation raises a ``ConfigError`` that names the field, and so
+The section keys are read from the dataclasses' own fields, and
+``save_scenario`` writes those fields back, so the dataclasses are the
+one statement of the schema.  Every section must be a mapping
+(``threats`` a list) and unknown keys anywhere are errors; the values go
+to the records as read, and each record checks its own numbers.  A
+schema violation raises a ``ConfigError`` that names the field, and so
 does a file that cannot be read or decoded: ``load_scenario`` names the
 config file and a bad DEM names ``terrain.dem_path``.
 """
@@ -33,7 +33,8 @@ import numpy as np
 import yaml
 
 from .terrain import (
-    SyntheticTerrainSpec, TerrainMap, check_fields, generate_synthetic, is_int, load_dem, save_dem,
+    ConfigError, SyntheticTerrainSpec, TerrainMap, check_fields, generate_synthetic, is_int, is_real,
+    load_dem, save_dem,
 )
 
 
@@ -44,17 +45,6 @@ from .terrain import (
 MAX_WAYPOINTS = 1000
 
 EPS_LEN = 1e-9  # below this a path segment counts as degenerate
-
-
-class ConfigError(ValueError):
-    """Raised for every bad input where it is read: a schema violation, a
-    scenario invariant, an unreadable config or DEM file, and a bad
-    ``SwarmConfig``, ``run`` algorithm, ``BenchmarkSpec`` or suite seed.
-    The constructors raise it too: ``Threat``, ``FlightConstraints`` and
-    ``CostWeights`` for a field that is a bool, a string, ``None``, not
-    finite or an integer beyond the float range, and ``Scenario`` for an
-    endpoint that is not 3 numbers, a threat that is not a ``Threat`` and
-    an ``n_waypoints`` that is not an integer."""
 
 
 def require_int(name: str, value, minimum: int | None = None) -> None:
@@ -75,7 +65,7 @@ class Threat:
     radius: float
 
     def __post_init__(self):
-        check_fields(self, ConfigError)
+        check_fields(self)
         if self.radius <= 0:
             raise ConfigError(f"threat radius must be > 0, got {self.radius}")
 
@@ -88,7 +78,7 @@ class FlightConstraints:
     danger_distance: float = 10.0
 
     def __post_init__(self):
-        check_fields(self, ConfigError)
+        check_fields(self)
         if not (0 <= self.h_min < self.h_max):
             raise ConfigError(
                 f"h_min < h_max violated: h_min={self.h_min}, h_max={self.h_max}"
@@ -111,7 +101,7 @@ class CostWeights:
     a2: float = 1.0
 
     def __post_init__(self):
-        check_fields(self, ConfigError)
+        check_fields(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if value < 0:
@@ -139,7 +129,10 @@ class Scenario:
         for label in ("start", "goal"):
             value = getattr(self, label)
             try:
-                point = np.array(value, dtype=float).reshape(3)
+                coords = np.array(value, dtype=object).reshape(3)
+                if not all(map(is_real, coords)):  # a bool, a string, None
+                    raise TypeError
+                point = coords.astype(float)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{label} must be 3 numbers (x, y, z), got {value!r}") from None
             point.setflags(write=False)
@@ -234,33 +227,21 @@ def _mapping(section, keys, where: str) -> dict:
     return section
 
 
-def _number(value, where: str, kind=float):
-    """A YAML number as ``kind``; an int must be a whole number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        if kind is int and not float(value).is_integer():
-            raise ConfigError(f"{where} must be a whole number, got {value!r}")
-        return kind(value)
-    except OverflowError:  # a YAML integer beyond the float range
-        raise ConfigError(f"{where} is out of range") from None
-
-
 def _record(cls, section, where: str, extra=()):
-    """Build dataclass ``cls`` from the matching keys of ``section``; its
-    fields are annotated ``"int"`` or ``"float"``."""
-    kinds = {f.name: int if f.type == "int" else float for f in fields(cls)}
-    section = _mapping(section, (*kinds, *extra), where)
-    values = {k: _number(v, f"{where}.{k}", kinds[k]) for k, v in section.items() if k in kinds}
+    """Build dataclass ``cls`` from the matching keys of ``section`` as
+    read; the record checks the values, and its error is named by
+    ``where``.  A missing required field is an error too."""
+    names = [f.name for f in fields(cls)]
+    section = _mapping(section, (*names, *extra), where)
     try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
+        return cls(**{k: v for k, v in section.items() if k in names})
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _point(section, where: str, keys: str = "xyz") -> list[float]:
+def _point(section, where: str, keys: str = "xyz") -> list:
     section = _mapping(section, keys, where)
-    return [_number(section.get(k), f"{where}.{k}") for k in keys]
+    return [section.get(k) for k in keys]
 
 
 def _build_terrain(section, base_dir: str, dems: dict) -> TerrainMap:
@@ -280,9 +261,8 @@ def _build_terrain(section, base_dir: str, dems: dict) -> TerrainMap:
         return dems[key]
     synth = section["synthetic"]
     spec = _record(SyntheticTerrainSpec, synth, "terrain.synthetic", extra=("seed",))
-    seed = _number(synth.get("seed", 0), "terrain.synthetic.seed", int)
-    if seed < 0:
-        raise ConfigError(f"terrain.synthetic.seed must be >= 0, got {seed}")
+    seed = synth.get("seed", 0)
+    require_int("terrain.synthetic.seed", seed, 0)
     return generate_synthetic(spec, seed)
 
 
@@ -338,7 +318,7 @@ def _load_scenario(file_path, dems: dict) -> Scenario:
         goal=_point(cfg["goal"], "goal"),
         constraints=_record(FlightConstraints, cfg.get("constraints"), "constraints"),
         weights=_record(CostWeights, cfg.get("weights"), "weights"),
-        n_waypoints=_number(cfg.get("n_waypoints", 12), "n_waypoints", int),
+        n_waypoints=cfg.get("n_waypoints", 12),
         name=os.path.splitext(os.path.basename(file_path))[0],
     )
 

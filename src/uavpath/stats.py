@@ -121,8 +121,8 @@ def t_two_sided_p(t: float, df: int) -> float:
 def paired_t_test(a, b) -> TTestVerdict:
     """Paired-sample t-test of a against b at significance ALPHA.
 
-    Samples pair by index (same seed list); lower values are better.  D+
-    means a's mean is statistically lower, D- higher, N insignificant.  A
+    Samples pair by index alone; lower values are better.  D+ means a's
+    mean is statistically lower, D- higher, N insignificant.  A
     zero-variance difference is deterministic dominance: verdict by sign
     with p = 0, or N with t = 0 when the samples are identical.
     """

@@ -21,6 +21,13 @@ _REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 MAX_GRID_NODES = 4096 * 4096
 
 
+class ConfigError(ValueError):
+    """Raised for every bad input where it is read, naming the field or the
+    file: by each config record's constructor (``check_fields`` and the
+    ``Scenario`` checks), the config loader, ``SwarmConfig``, ``run``'s
+    algorithm, ``BenchmarkSpec`` and a suite seed."""
+
+
 class DemParseError(ValueError):
     """Raised when an ESRI ASCII grid file is malformed."""
 
@@ -42,23 +49,33 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_fields(record, error=ValueError) -> None:
-    """Check a dataclass's fields by their annotations, raising ``error``
-    that names the field: a field annotated ``int`` must be an integer and
-    every field a finite real number (a bool is neither); an integer beyond
-    the float range is out of range."""
+def is_real(value) -> bool:
+    """A real number, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_fields(record) -> None:
+    """Check a dataclass's fields annotated ``int`` or ``float``, raising a
+    ``ConfigError`` that names the field: an ``int`` field must be an
+    integer and each a finite real number (a bool is neither); an integer
+    beyond the float range is out of range.  A ``float`` field is then held
+    as a Python float, so no int or numpy type reaches the arithmetic."""
     for f in fields(record):
+        if f.type not in ("int", "float"):
+            continue
         value = getattr(record, f.name)
         if f.type == "int" and not is_int(value):
-            raise error(f"{f.name} must be an integer, got {value!r}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise error(f"{f.name} must be a number, got {value!r}")
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if not is_real(value):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:
-            raise error(f"{f.name} is out of range") from None
+            raise ConfigError(f"{f.name} is out of range") from None
         if not finite:
-            raise error(f"{f.name} must be finite, got {value}")
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if f.type == "float":
+            object.__setattr__(record, f.name, float(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +84,8 @@ class TerrainMap:
 
     ``elevations`` is a 2-D grid of shape ``(n_rows, n_cols)``, which sets
     ``n_rows`` and ``n_cols``, with nodata cells stored as NaN;
-    ``nodata_value`` keeps the file sentinel for re-serialization.
+    ``nodata_value`` keeps the file sentinel for re-serialization.  The
+    four scalar fields must be finite numbers (``check_fields``).
     """
 
     origin_x: float
@@ -77,22 +95,23 @@ class TerrainMap:
     elevations: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_fields(self)
         elev = np.array(self.elevations, dtype=float)
         if elev.ndim != 2:
-            raise ValueError(f"elevations must be a 2-D grid, got shape {elev.shape}")
+            raise ConfigError(f"elevations must be a 2-D grid, got shape {elev.shape}")
         n_rows, n_cols = elev.shape
         if n_cols < 2 or n_rows < 2:
-            raise ValueError("grid needs at least 2x2 nodes for interpolation")
+            raise ConfigError("grid needs at least 2x2 nodes for interpolation")
         if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+            raise ConfigError("cell_size must be > 0")
         if np.isinf(elev).any():
-            raise ValueError("non-nodata elevations must be finite")
+            raise ConfigError("non-nodata elevations must be finite")
         # The grid is immutable, so its elevation range is taken once.  fmin
         # and fmax skip NaN as nanmin and nanmax do, and give NaN without a
         # warning when every cell is nodata.
         z_range = (float(np.fmin.reduce(elev, axis=None)), float(np.fmax.reduce(elev, axis=None)))
         if math.isnan(z_range[0]):
-            raise ValueError("every cell is nodata")
+            raise ConfigError("every cell is nodata")
         elev.setflags(write=False)
         object.__setattr__(self, "elevations", elev)
         object.__setattr__(self, "n_cols", n_cols)
@@ -337,20 +356,20 @@ class SyntheticTerrainSpec:
     def __post_init__(self):
         check_fields(self)
         if self.n_cols < 2 or self.n_rows < 2:
-            raise ValueError("n_cols and n_rows must be >= 2")
+            raise ConfigError("n_cols and n_rows must be >= 2")
         if self.n_cols * self.n_rows > MAX_GRID_NODES:
-            raise ValueError(
+            raise ConfigError(
                 f"n_cols * n_rows must be <= {MAX_GRID_NODES} grid nodes, "
                 f"got {self.n_cols} * {self.n_rows}"
             )
         if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+            raise ConfigError("cell_size must be > 0")
         if self.n_hills < 0:
-            raise ValueError("n_hills must be >= 0")
+            raise ConfigError("n_hills must be >= 0")
         if self.sigma_min <= 0 or self.sigma_max < self.sigma_min:
-            raise ValueError("hill widths must satisfy 0 < sigma_min <= sigma_max")
+            raise ConfigError("hill widths must satisfy 0 < sigma_min <= sigma_max")
         if self.amp_max < self.amp_min:
-            raise ValueError("amp_max must be >= amp_min")
+            raise ConfigError("amp_max must be >= amp_min")
 
 
 def generate_synthetic(spec: SyntheticTerrainSpec, seed: int) -> TerrainMap:

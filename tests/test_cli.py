@@ -181,6 +181,14 @@ class TestPlan:
             ("weights", {"a1": -1.0}, (), "a1"),
             ("n_waypoints", 10**13, (), "n_waypoints"),
             ("goal", FLAT_CFG["start"], (), "goal"),
+            # Integer fields take integers, as in the Python constructors.
+            ("n_waypoints", 12.0, (), "n_waypoints"),
+            ("terrain.synthetic.n_cols", 11.0, (), "n_cols"),
+            ("terrain.synthetic.seed", 0.0, (), "seed"),
+            ("start.x", True, (), "start"),
+            # An integer recipe is built in floats: no int64 overflow.
+            ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10, "origin_x": 10**19}, (),
+             "start outside terrain bounds"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):

@@ -1,6 +1,7 @@
 """Every bad input raises ``ConfigError`` where it is read, naming the field
 or the file, so a caller meets one exception type whichever layer read it."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -53,7 +54,7 @@ class TestRaisedWhereRead:
         (tmp_path / "tiny.yaml").write_text(yaml.safe_dump(cfg))
         with pytest.raises(ConfigError, match=r"terrain\.dem_path .*tiny\.asc: .*2x2") as info:
             load_scenario(tmp_path / "tiny.yaml")
-        assert type(info.value.__cause__) is ValueError
+        assert type(info.value.__cause__) is ConfigError
 
 
 class TestIntegerFields:
@@ -132,30 +133,44 @@ def make(cls, **kwargs):
     valid = {
         Threat: {"center_x": 0.0, "center_y": 0.0, "radius": 5.0},
         SyntheticTerrainSpec: {"n_cols": 5, "n_rows": 5, "cell_size": 1.0},
+        TerrainMap: {"origin_x": 0.0, "origin_y": 0.0, "cell_size": 10.0, "nodata_value": -9999.0,
+                     "elevations": np.zeros((3, 3))},
     }.get(cls, {})
     return cls(**{**valid, **kwargs})
 
 
 class TestFieldRule:
     """Every config record checks its fields by their annotations, naming
-    the field: ``ConfigError`` for the scenario records, ``ValueError`` for
-    the terrain recipe."""
+    the field, and raises ``ConfigError``."""
 
     RECORDS = [
-        (Threat, "radius", ConfigError),
-        (Threat, "center_y", ConfigError),
-        (FlightConstraints, "h_min", ConfigError),
-        (CostWeights, "b1", ConfigError),
-        (SyntheticTerrainSpec, "cell_size", ValueError),
-        (SyntheticTerrainSpec, "amp_max", ValueError),
+        (Threat, "radius"),
+        (Threat, "center_y"),
+        (FlightConstraints, "h_min"),
+        (CostWeights, "b1"),
+        (SyntheticTerrainSpec, "cell_size"),
+        (SyntheticTerrainSpec, "amp_max"),
+        (TerrainMap, "cell_size"),
+        (TerrainMap, "origin_x"),
     ]
 
-    @pytest.mark.parametrize("value", [True, "5", None], ids=repr)
-    @pytest.mark.parametrize("cls, field, error", RECORDS, ids=lambda x: getattr(x, "__name__", x))
-    def test_float_field_must_be_a_number(self, cls, field, error, value):
-        with pytest.raises(error, match=f"^{field} must be a number, got {re.escape(repr(value))}$") as info:
+    @pytest.mark.parametrize(
+        "value, says",
+        [(True, "a number, got True"), ("5", "a number, got '5'"), (None, "a number, got None"),
+         (math.nan, "finite, got nan"), (math.inf, "finite, got inf")],
+        ids=["True", "'5'", "None", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("cls, field", RECORDS, ids=lambda x: getattr(x, "__name__", x))
+    def test_float_field_must_be_a_number(self, cls, field, value, says):
+        with pytest.raises(ConfigError, match=f"^{field} must be {re.escape(says)}$") as info:
             make(cls, **{field: value})
-        assert type(info.value) is error
+        assert type(info.value) is ConfigError
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.float32(7.0)], ids=["int", "int64", "float32"])
+    @pytest.mark.parametrize("cls, field", RECORDS, ids=lambda x: getattr(x, "__name__", x))
+    def test_float_field_held_as_float(self, cls, field, value):
+        held = getattr(make(cls, **{field: value}), field)
+        assert type(held) is float and held == 7.0
 
     @pytest.mark.parametrize("value", [2.5, 5.0, True])
     @pytest.mark.parametrize("field", ["n_cols", "n_hills"])
@@ -172,8 +187,9 @@ class TestFieldRule:
 class TestScenarioInputs:
     @pytest.mark.parametrize(
         "field, value",
-        [("start", [10**400, 0, 0]), ("start", [1, 2]), ("start", None), ("goal", "abc")],
-        ids=["huge", "two-numbers", "None", "string"],
+        [("start", [10**400, 0, 0]), ("start", [1, 2]), ("start", None), ("goal", "abc"),
+         ("start", ["10.0", "10.0", "70.0"]), ("goal", [True, 10.0, 70.0])],
+        ids=["huge", "two-numbers", "None", "string", "strings", "bool"],
     )
     def test_endpoint_must_be_three_numbers(self, flat_scenario, field, value):
         with pytest.raises(ConfigError, match=rf"^{field} must be 3 numbers \(x, y, z\), got "):
@@ -182,6 +198,19 @@ class TestScenarioInputs:
     def test_nan_endpoint_is_off_the_map(self, flat_scenario):
         with pytest.raises(ConfigError, match="^start outside terrain bounds$"):
             replace(flat_scenario, start=[float("nan"), 10.0, 70.0])
+
+    @pytest.mark.parametrize("label, z", [("start", 20.0), ("goal", 120.0)], ids=["h_min", "h_max"])
+    def test_endpoint_on_corridor_edge_accepted(self, flat_scenario, label, z):
+        """Over flat ground at 0 m the corridor is [20, 120] m, closed."""
+        x, y, _ = getattr(flat_scenario, label)
+        assert getattr(replace(flat_scenario, **{label: [x, y, z]}), label)[2] == z
+
+    def test_endpoint_on_collision_circle_rejected(self, flat_scenario):
+        """The threat's centre is 3 m east and 4 m north of the start at
+        (10, 10), and its collision radius is r + drone_diameter = 4 + 1:
+        the distance and the radius are both exactly 5."""
+        with pytest.raises(ConfigError, match="^start inside collision zone of threat 0$"):
+            replace(flat_scenario, threats=(Threat(13.0, 14.0, 4.0),))
 
     @pytest.mark.parametrize(
         "threats, where",

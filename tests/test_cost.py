@@ -126,6 +126,11 @@ class TestAltitude:
     def test_offset(self, flat_terrain):
         assert one(f3_of, [(50, 50, 120)], flat_terrain, CONS) == pytest.approx(30.0)
 
+    @pytest.mark.parametrize("z", [100.0, 200.0], ids=["h_min", "h_max"])
+    def test_corridor_is_closed(self, flat_terrain, z):
+        """A waypoint exactly h_min or h_max above the ground is inside."""
+        assert one(f3_of, [(50, 50, z)], flat_terrain, CONS) == 50.0
+
     def test_above_ceiling(self, flat_terrain):
         assert one(f3_of, [(50, 50, 250)], flat_terrain, CONS) == math.inf
 
