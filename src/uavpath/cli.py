@@ -90,6 +90,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         for name, minimum in (("runs_per_cell", 1), ("jobs", 1), ("base_seed", None)):
             require_int(name, getattr(self, name), minimum)
+        if self.base_config.seed != 0:  # run_benchmark seeds every run from base_seed
+            raise ConfigError(f"base_config.seed must be 0 (set base_seed), got {self.base_config.seed}")
         if not self.scenarios or not self.algorithms:
             raise ConfigError("need at least one scenario and one algorithm")
         for a in self.algorithms:

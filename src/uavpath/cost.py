@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import EPS_LEN, FlightConstraints, Scenario
+from .scenario import EPS_LEN, FlightConstraints, Scenario, planar_distance
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def threat_cost_many(points: np.ndarray, steps: np.ndarray, threats: np.ndarray)
     """Sum over segments and threats of a penalty in the horizontal distance
     d from the cylinder axis to the segment: zero beyond the danger annulus,
     linear inside it, infinite in the collision disc.  ``threats`` is a
-    ``threat_table``."""
+    ``threat_table``; d is ``planar_distance``, as the endpoint check's."""
     _, m, segs = steps.shape
     k = threats.shape[1]
     if k == 0:
@@ -122,10 +122,7 @@ def threat_cost_many(points: np.ndarray, steps: np.ndarray, threats: np.ndarray)
         np.multiply(t, aby, out=dy)
         dy += ay
         np.subtract(cy, dy, out=dy)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        d = np.sqrt(dx, out=dx)
+        d = planar_distance(dx, dy)
         penalty = danger_r - d
         np.maximum(penalty, 0.0, out=penalty)
         np.putmask(penalty, d <= collide_r, np.inf)
@@ -139,11 +136,10 @@ def threat_cost_many(points: np.ndarray, steps: np.ndarray, threats: np.ndarray)
 
 def altitude_cost_many(points: np.ndarray, terrain, constraints: FlightConstraints) -> np.ndarray:
     """Sum of |height above ground - corridor midpoint| over the waypoints;
-    infinite once a waypoint leaves [h_min, h_max] or the map."""
+    infinite once a waypoint leaves the map or the corridor (``in_corridor``)."""
     ground = terrain.heights(points[0], points[1])  # NaN off-map / nodata
     h = points[2] - ground
-    in_corridor = (h >= constraints.h_min) & (h <= constraints.h_max)
-    penalty = np.where(in_corridor, np.abs(h - constraints.corridor_mid), np.inf)
+    penalty = np.where(constraints.in_corridor(h), np.abs(h - constraints.corridor_mid), np.inf)
     return penalty.sum(axis=-1)
 
 

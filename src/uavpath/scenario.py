@@ -90,6 +90,10 @@ class FlightConstraints:
         # Read on every F3 call, so taken once.
         object.__setattr__(self, "corridor_mid", 0.5 * (self.h_max + self.h_min))
 
+    def in_corridor(self, h):
+        """Where a height above ground is in [h_min, h_max]: the one corridor rule."""
+        return (h >= self.h_min) & (h <= self.h_max)
+
 
 @dataclass(frozen=True)
 class CostWeights:
@@ -177,6 +181,14 @@ def threat_table(threats, constraints: FlightConstraints) -> np.ndarray:
     return table
 
 
+def planar_distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), in place over dx and dy: F2's one collision distance."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 def rho_max(scenario: Scenario) -> float:
     """Spherical step-length cap: allows a decoded chain about twice the
     direct start-goal distance."""
@@ -185,32 +197,32 @@ def rho_max(scenario: Scenario) -> float:
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Check every Scenario invariant; raise ConfigError naming the field."""
+    """Check each invariant, endpoints by the cost model's own tests; raise ConfigError naming the field."""
     require_int("n_waypoints", sc.n_waypoints, 3)
     if sc.n_waypoints > MAX_WAYPOINTS:
         raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
     if rho_max(sc) <= EPS_LEN:  # the spherical step cap must exceed its floor
         raise ConfigError("goal coincides with start")
-    x_min, x_max, y_min, y_max = sc.terrain.bounds
-    collide = sc.threat_table[2, :, 0]
-    for label, p in (("start", sc.start), ("goal", sc.goal)):
-        if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):
+    cx, cy, collide, _ = sc.threat_table[:, :, 0]
+    for label, (x, y, z) in (("start", sc.start), ("goal", sc.goal)):
+        if not sc.terrain.contains(x, y):
             raise ConfigError(f"{label} outside terrain bounds")
-        ground = float(sc.terrain.heights(p[0], p[1]))
+        ground = float(sc.terrain.heights(x, y))
         if math.isnan(ground):
-            raise ConfigError(f"{label} over unusable terrain: ({p[0]}, {p[1]}) touches a nodata cell")
-        h = p[2] - ground
-        if not (sc.constraints.h_min <= h <= sc.constraints.h_max):
+            raise ConfigError(f"{label} over unusable terrain: ({x}, {y}) touches a nodata cell")
+        h = z - ground
+        if not sc.constraints.in_corridor(h):
             raise ConfigError(
                 f"{label} altitude {h:.1f} m outside corridor "
                 f"[{sc.constraints.h_min}, {sc.constraints.h_max}]"
             )
-        for k, threat in enumerate(sc.threats):
-            if math.hypot(p[0] - threat.center_x, p[1] - threat.center_y) <= collide[k]:
-                raise ConfigError(f"{label} inside collision zone of threat {k}")
-    for k, threat in enumerate(sc.threats):
-        if not (x_min <= threat.center_x <= x_max and y_min <= threat.center_y <= y_max):
-            raise ConfigError(f"threat {k} center outside terrain bounds")
+        with np.errstate(over="ignore"):  # a distance past the float range is no hit
+            hits = np.flatnonzero(planar_distance(cx - x, cy - y) <= collide)
+        if hits.size:
+            raise ConfigError(f"{label} inside collision zone of threat {hits[0]}")
+    off_map = np.flatnonzero(~sc.terrain.contains(cx, cy))
+    if off_map.size:
+        raise ConfigError(f"threat {off_map[0]} center outside terrain bounds")
 
 
 # --- config parsing helpers -------------------------------------------------
@@ -263,7 +275,10 @@ def _build_terrain(section, base_dir: str, dems: dict) -> TerrainMap:
     spec = _record(SyntheticTerrainSpec, synth, "terrain.synthetic", extra=("seed",))
     seed = synth.get("seed", 0)
     require_int("terrain.synthetic.seed", seed, 0)
-    return generate_synthetic(spec, seed)
+    try:
+        return generate_synthetic(spec, seed)
+    except ConfigError as exc:
+        raise ConfigError(f"terrain.synthetic: {exc}") from exc
 
 
 def load_scenario(file_path) -> Scenario:

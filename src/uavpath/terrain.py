@@ -139,22 +139,21 @@ class TerrainMap:
     def z_max(self) -> float:
         return self._z_range[1]
 
+    def contains(self, xs, ys):
+        """Where (x, y) is on the closed ``bounds`` rectangle: the one on-map rule."""
+        return (xs >= self.origin_x) & (xs <= self.x_max) & (ys >= self.origin_y) & (ys <= self.y_max)
+
     def heights(self, xs, ys) -> np.ndarray:
         """Vectorized bilinear interpolation.
 
-        Returns NaN where the query is out of bounds or touches a nodata
-        corner; never raises.  Exact grid nodes return the stored value.
+        Returns NaN off the map (``contains``) or where a nodata corner is
+        touched; never raises.  Exact grid nodes return the stored value.
         """
         # Strided views (a path stack's x or y plane) are copied first:
         # comparisons on contiguous data cost less than the copy.
         xs = np.asarray(xs, dtype=float, order="C")
         ys = np.asarray(ys, dtype=float, order="C")
-        inside = (
-            (xs >= self.origin_x)
-            & (xs <= self.x_max)
-            & (ys >= self.origin_y)
-            & (ys <= self.y_max)
-        )
+        inside = self.contains(xs, ys)
         # Out-of-bounds points get clipped indices to keep the gather legal,
         # then masked back to NaN at the end.  The work runs on flat arrays,
         # in place where it can, so each op is one contiguous loop.
@@ -211,8 +210,7 @@ def height_at(terrain: TerrainMap, x: float, y: float) -> float:
     Raises OutOfBoundsError outside the grid rectangle and NodataError when
     any of the four surrounding corners is nodata.
     """
-    x_min, x_max, y_min, y_max = terrain.bounds
-    if not (x_min <= x <= x_max and y_min <= y <= y_max):
+    if not terrain.contains(x, y):
         raise OutOfBoundsError(f"({x}, {y}) outside terrain bounds {terrain.bounds}")
     z = float(terrain.heights(x, y))
     if np.isnan(z):
@@ -389,7 +387,14 @@ def generate_synthetic(spec: SyntheticTerrainSpec, seed: int) -> TerrainMap:
         cy = ys[rng.integers(0, spec.n_rows)]
         amp = rng.uniform(spec.amp_min, spec.amp_max)
         sigma = rng.uniform(spec.sigma_min, spec.sigma_max)
-        grid = grid + amp * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * sigma**2))
+        # A value past the float range is inf: a far node's square gives no
+        # hill there, and an infinite sum is rejected by TerrainMap.
+        with np.errstate(over="ignore"):
+            try:
+                bump = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * sigma**2))
+            except OverflowError:  # Python's sigma**2 raises: an infinite width, a flat hill
+                bump = 1.0
+            grid = grid + amp * bump
     return TerrainMap(
         origin_x=spec.origin_x,
         origin_y=spec.origin_y,

@@ -189,6 +189,10 @@ class TestPlan:
             # An integer recipe is built in floats: no int64 overflow.
             ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10, "origin_x": 10**19}, (),
              "start outside terrain bounds"),
+            # Hills that sum past the float range name the recipe, and warn nothing.
+            ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10.0, "base_elevation": 1e308,
+                                   "n_hills": 1, "amp_min": 1e308, "amp_max": 1e308}, (),
+             "terrain.synthetic: non-nodata elevations must be finite"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):
@@ -208,6 +212,17 @@ class TestPlan:
         assert code == 2
         assert named in err
         assert "Traceback" not in err
+
+    def test_hill_wider_than_the_float_range_is_flat(self, tmp_path, capsys):
+        """Python's sigma**2 overflows at sigma 1e200: the hill's width is
+        infinite, so it adds its amplitude everywhere."""
+        cfg = copy.deepcopy(FLAT_CFG)
+        cfg["terrain"]["synthetic"].update(n_hills=1, amp_min=5.0, amp_max=5.0, sigma_min=1e200, sigma_max=1e200)
+        path = tmp_path / "wide.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert (load_scenario(path).terrain.elevations == 5.0).all()
+        assert main(["plan", str(path), "--algo", "pso", "--swarm", "4", "--iters", "1",
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
         "line, named",

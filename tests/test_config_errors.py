@@ -37,6 +37,12 @@ class TestRaisedWhereRead:
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
             spec(flat_scenario, jobs=0)
 
+    def test_benchmark_spec_base_config_seed(self, flat_scenario):
+        """run_benchmark seeds each run by mix_seed(base_seed, ...), so a
+        seed in base_config would be dropped without a word."""
+        with pytest.raises(ConfigError, match=r"^base_config\.seed must be 0 \(set base_seed\), got 12345$"):
+            spec(flat_scenario, base_config=SwarmConfig(6, 2, seed=12345))
+
     def test_suite_seed(self):
         with pytest.raises(ConfigError, match="suite seed"):
             build_benchmark_suite(-1)
@@ -205,12 +211,33 @@ class TestScenarioInputs:
         x, y, _ = getattr(flat_scenario, label)
         assert getattr(replace(flat_scenario, **{label: [x, y, z]}), label)[2] == z
 
-    def test_endpoint_on_collision_circle_rejected(self, flat_scenario):
-        """The threat's centre is 3 m east and 4 m north of the start at
-        (10, 10), and its collision radius is r + drone_diameter = 4 + 1:
-        the distance and the radius are both exactly 5."""
+    @pytest.mark.parametrize(
+        "start, threat",
+        [((10.0, 10.0), Threat(13.0, 14.0, 4.0)),
+         ((24.30642671306078, 439.2037173939365),
+          Threat(368.623948169398, 17.019219068112633, 543.7883132084082))],
+        ids=["3-4-5", "hypot-one-ulp-above"],
+    )
+    def test_endpoint_on_collision_circle_rejected(self, flat_scenario, start, threat):
+        """The start lies exactly on the threat's collision circle, of
+        radius r + drone_diameter (drone_diameter 1), on a flat 600 m map.
+        3-4-5: the centre is 3 m east and 4 m north of the start and r = 4,
+        so the distance and the radius are both exactly 5.
+        hypot-one-ulp-above: F2's sqrt(dx*dx + dy*dy) is 544.7883132084082
+        and 1 + r equals it, but math.hypot reads 544.7883132084083, so a
+        check by hypot would accept a start from which every path scores
+        +inf."""
+        terrain = TerrainMap(0.0, 0.0, 10.0, -9999.0, np.zeros((61, 61)))
         with pytest.raises(ConfigError, match="^start inside collision zone of threat 0$"):
-            replace(flat_scenario, threats=(Threat(13.0, 14.0, 4.0),))
+            replace(flat_scenario, terrain=terrain, start=[*start, 70.0], goal=[10.0, 590.0, 70.0],
+                    threats=(threat,))
+
+    @pytest.mark.parametrize("x", [100.5, 1e300], ids=["past-the-edge", "huge"])
+    def test_threat_center_off_the_map(self, flat_scenario, x):
+        """Checked after the endpoints, whose distance to a centre 1e300 m
+        away passes the float range without a warning."""
+        with pytest.raises(ConfigError, match="^threat 0 center outside terrain bounds$"):
+            replace(flat_scenario, threats=(Threat(x, 50.0, 1.0),))
 
     @pytest.mark.parametrize(
         "threats, where",

@@ -7,6 +7,9 @@ drawn with hypothesis.
 * F2 (threats) never decreases as a threat's radius grows: the collision
   and danger radii both grow while the distance to the path stays put, so
   an infinite value stays infinite.
+* An endpoint is rejected for collision exactly when F2 scores the
+  zero-length segment at it +inf, with the collision radius at F2's own
+  distance or one ulp to either side of it.
 * ``load_dem`` returns exactly the grid a per-token ``float()`` gives,
   whatever the separators, line endings and blank lines, and a bad cell
   names its line in the file.
@@ -22,7 +25,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavpath import CostWeights, DemParseError, FlightConstraints, Threat, load_dem
+from uavpath import (
+    ConfigError, CostWeights, DemParseError, FlightConstraints, Scenario, TerrainMap, Threat, load_dem,
+)
 
 from conftest import f1_of, f2_of, f4_of
 
@@ -83,6 +88,37 @@ def test_threat_cost_monotone_in_radius(path, threats, data):
     assert after >= before
     if math.isinf(before):
         assert math.isinf(after)
+
+
+on_square = st.floats(0.0, 250.0)
+
+
+@PROPERTY_SETTINGS
+@given(start=st.tuples(on_square, on_square), centre=st.tuples(on_square, on_square),
+       side=st.sampled_from([-math.inf, None, math.inf]))
+def test_endpoint_collision_check_agrees_with_threat_cost(start, centre, side):
+    """F2's distance from the endpoint to the centre is the collision radius,
+    or one ulp below or above it.  Start and centre lie in [0, 250]^2 of a
+    flat 600 m map, so the goal at (600, 600) is more than 494 m from the
+    centre, beyond any radius drawn."""
+    dx, dy = centre[0] - start[0], centre[1] - start[1]
+    collide = math.sqrt(dx * dx + dy * dy)
+    if side is not None:
+        collide = math.nextafter(collide, side)
+    radius = collide - 1.0  # drone_diameter 1
+    assume(radius > 0 and 1.0 + radius == collide)
+    threats = [Threat(*centre, radius)]
+    endpoint = np.array([*start, 70.0])
+    f2 = f2_of(np.stack([endpoint, endpoint])[None], threats, FlightConstraints())[0]
+    terrain = TerrainMap(0.0, 0.0, 10.0, -9999.0, np.zeros((61, 61)))
+    try:
+        Scenario(terrain, tuple(threats), endpoint, [600.0, 600.0, 70.0], FlightConstraints(),
+                 CostWeights(), 5)
+        rejected = False
+    except ConfigError as exc:
+        assert str(exc) == "start inside collision zone of threat 0"
+        rejected = True
+    assert rejected == math.isinf(f2)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
