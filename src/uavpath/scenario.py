@@ -201,7 +201,11 @@ def validate_scenario(sc: Scenario) -> None:
     require_int("n_waypoints", sc.n_waypoints, 3)
     if sc.n_waypoints > MAX_WAYPOINTS:
         raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
-    if rho_max(sc) <= EPS_LEN:  # the spherical step cap must exceed its floor
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        cap = rho_max(sc)
+    if cap == math.inf:  # NaN, from a NaN endpoint, is off the map below
+        raise ConfigError("start and goal are too far apart: their distance passes the float range")
+    if cap <= EPS_LEN:  # the spherical step cap must exceed its floor
         raise ConfigError("goal coincides with start")
     cx, cy, collide, _ = sc.threat_table[:, :, 0]
     for label, (x, y, z) in (("start", sc.start), ("goal", sc.goal)):

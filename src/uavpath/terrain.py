@@ -78,6 +78,19 @@ def check_fields(record) -> None:
             object.__setattr__(record, f.name, float(value))
 
 
+def far_edge(origin_name: str, origin: float, n: int, cell_size: float) -> float:
+    """origin + (n - 1) * cell_size, the far side of a grid axis of n nodes.
+    A ConfigError names cell_size when the width passes the float range,
+    and ``origin_name`` when only the sum does."""
+    width = (n - 1) * cell_size
+    if not math.isfinite(width):
+        raise ConfigError(f"cell_size must keep the grid's width in the float range, got {cell_size}")
+    edge = origin + width
+    if not math.isfinite(edge):
+        raise ConfigError(f"{origin_name} must keep the grid's far edge in the float range, got {origin}")
+    return edge
+
+
 @dataclass(frozen=True, eq=False)
 class TerrainMap:
     """Immutable elevation grid.
@@ -85,7 +98,8 @@ class TerrainMap:
     ``elevations`` is a 2-D grid of shape ``(n_rows, n_cols)``, which sets
     ``n_rows`` and ``n_cols``, with nodata cells stored as NaN;
     ``nodata_value`` keeps the file sentinel for re-serialization.  The
-    four scalar fields must be finite numbers (``check_fields``).
+    four scalar fields must be finite numbers (``check_fields``), and so
+    must the grid's far corner (``far_edge``).
     """
 
     origin_x: float
@@ -104,32 +118,23 @@ class TerrainMap:
             raise ConfigError("grid needs at least 2x2 nodes for interpolation")
         if self.cell_size <= 0:
             raise ConfigError("cell_size must be > 0")
-        if np.isinf(elev).any():
-            raise ConfigError("non-nodata elevations must be finite")
-        # The grid is immutable, so its elevation range is taken once.  fmin
-        # and fmax skip NaN as nanmin and nanmax do, and give NaN without a
-        # warning when every cell is nodata.
+        # The grid is immutable, so its rectangle, (x_min, x_max, y_min,
+        # y_max) in ``bounds``, and its elevation range are taken once.
+        x_max = far_edge("origin_x", self.origin_x, n_cols, self.cell_size)
+        y_max = far_edge("origin_y", self.origin_y, n_rows, self.cell_size)
+        # fmin and fmax skip NaN as nanmin and nanmax do, give NaN without a
+        # warning when every cell is nodata, and an infinite end for an
+        # infinite cell.
         z_range = (float(np.fmin.reduce(elev, axis=None)), float(np.fmax.reduce(elev, axis=None)))
+        if math.isinf(z_range[0]) or math.isinf(z_range[1]):
+            raise ConfigError("non-nodata elevations must be finite")
         if math.isnan(z_range[0]):
             raise ConfigError("every cell is nodata")
         elev.setflags(write=False)
-        object.__setattr__(self, "elevations", elev)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "_z_range", z_range)
-
-    @property
-    def x_max(self) -> float:
-        return self.origin_x + (self.n_cols - 1) * self.cell_size
-
-    @property
-    def y_max(self) -> float:
-        return self.origin_y + (self.n_rows - 1) * self.cell_size
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(x_min, x_max, y_min, y_max) of the interpolable rectangle."""
-        return (self.origin_x, self.x_max, self.origin_y, self.y_max)
+        vars(self).update(
+            elevations=elev, n_cols=n_cols, n_rows=n_rows, x_max=x_max, y_max=y_max,
+            bounds=(self.origin_x, x_max, self.origin_y, y_max), _z_range=z_range,
+        )
 
     @property
     def z_min(self) -> float:
@@ -268,7 +273,7 @@ def load_dem(file_path) -> TerrainMap:
     grid = grid[::-1]  # file is north-first; store south-first
     nodata = header.get("nodata_value", -9999.0)
     if "nodata_value" in header:  # only mask cells when the file declares a sentinel
-        grid = np.where(grid == nodata, np.nan, grid)
+        grid[grid == nodata] = np.nan
     return TerrainMap(
         origin_x=header["xllcorner"],
         origin_y=header["yllcorner"],
@@ -327,12 +332,9 @@ def save_dem(terrain: TerrainMap, file_path) -> None:
         fh.write(f"yllcorner {terrain.origin_y!r}\n")
         fh.write(f"cellsize {terrain.cell_size!r}\n")
         fh.write(f"NODATA_value {terrain.nodata_value!r}\n")
-        for row in terrain.elevations[::-1]:  # northernmost row first
-            out = [
-                repr(terrain.nodata_value) if np.isnan(v) else repr(float(v))
-                for v in row
-            ]
-            fh.write(" ".join(out) + "\n")
+        grid = np.where(np.isnan(terrain.elevations), terrain.nodata_value, terrain.elevations)
+        for row in grid[::-1]:  # northernmost row first
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 @dataclass(frozen=True)
@@ -362,6 +364,10 @@ class SyntheticTerrainSpec:
             )
         if self.cell_size <= 0:
             raise ConfigError("cell_size must be > 0")
+        # generate_synthetic builds the node coordinates before its
+        # TerrainMap can check the far edges, so they are checked here.
+        far_edge("origin_x", self.origin_x, int(self.n_cols), self.cell_size)
+        far_edge("origin_y", self.origin_y, int(self.n_rows), self.cell_size)
         if self.n_hills < 0:
             raise ConfigError("n_hills must be >= 0")
         if self.sigma_min <= 0 or self.sigma_max < self.sigma_min:

@@ -5,7 +5,8 @@ the math module; none of it calls into uavpath.cost, so a disagreement
 points at a real defect in one of the two sides.  The solver-step
 references build DE trials and ABC candidates one member at a time from
 the arrays the step draws for its whole generation, and the initial
-population one redraw round at a time.
+population one redraw round at a time.  The DEM writer reference writes
+its grid one cell at a time.
 """
 
 import math
@@ -183,3 +184,21 @@ def sample_reference(draw, evaluate, streams, retries):
         fitness[bad] = evaluate(genomes[bad])
         evaluations += bad.size
     return genomes, fitness, evaluations
+
+
+def save_dem_reference(terrain, file_path):
+    """ESRI ASCII grid writer, one cell at a time: each NaN cell is written
+    as the nodata sentinel and every other cell as repr of its float."""
+    with open(file_path, "w") as fh:
+        fh.write(f"ncols {terrain.n_cols}\n")
+        fh.write(f"nrows {terrain.n_rows}\n")
+        fh.write(f"xllcorner {terrain.origin_x!r}\n")
+        fh.write(f"yllcorner {terrain.origin_y!r}\n")
+        fh.write(f"cellsize {terrain.cell_size!r}\n")
+        fh.write(f"NODATA_value {terrain.nodata_value!r}\n")
+        for row in terrain.elevations[::-1]:  # northernmost row first
+            out = [
+                repr(terrain.nodata_value) if np.isnan(v) else repr(float(v))
+                for v in row
+            ]
+            fh.write(" ".join(out) + "\n")

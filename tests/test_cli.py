@@ -193,6 +193,12 @@ class TestPlan:
             ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10.0, "base_elevation": 1e308,
                                    "n_hills": 1, "amp_min": 1e308, "amp_max": 1e308}, (),
              "terrain.synthetic: non-nodata elevations must be finite"),
+            # A grid whose extent passes the float range names the field
+            # that takes it there, before any node coordinate is built.
+            ("terrain.synthetic", {"n_cols": 21, "n_rows": 21, "cell_size": 1e307}, (),
+             "terrain.synthetic: cell_size must keep the grid's width in the float range"),
+            ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 1e307, "origin_y": 1e308}, (),
+             "terrain.synthetic: origin_y must keep the grid's far edge in the float range"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):
@@ -213,6 +219,21 @@ class TestPlan:
         assert named in err
         assert "Traceback" not in err
 
+    def test_start_goal_distance_past_the_float_range_exits_2(self, tmp_path, capsys):
+        """The goal at the far corner of a flat map 1e201 m wide: the square
+        of the start-goal distance passes the float range."""
+        cfg = copy.deepcopy(FLAT_CFG)
+        cfg["terrain"]["synthetic"]["cell_size"] = 1e200
+        cfg["goal"] = {"x": 1e201, "y": 1e201, "z": 70.0}
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        code = main(["plan", str(path), "--algo", "spso", "--swarm", "4", "--iters", "1",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "start and goal are too far apart" in err
+        assert "Traceback" not in err
+
     def test_hill_wider_than_the_float_range_is_flat(self, tmp_path, capsys):
         """Python's sigma**2 overflows at sigma 1e200: the hill's width is
         infinite, so it adds its amplitude everywhere."""
@@ -226,7 +247,8 @@ class TestPlan:
 
     @pytest.mark.parametrize(
         "line, named",
-        [("cellsize nan", "'cellsize'"), ("ncols 2.7", "'ncols'"), ("NODATA_value inf", "'nodata_value'")],
+        [("cellsize nan", "'cellsize'"), ("ncols 2.7", "'ncols'"), ("NODATA_value inf", "'nodata_value'"),
+         ("cellsize 1e308", "terrain.dem_path"), ("cellsize 1e308", "cell_size must keep")],
     )
     def test_bad_dem_header_exits_2(self, tmp_path, capsys, line, named):
         header = {"ncols": "ncols 11", "nrows": "nrows 11", "xllcorner": "xllcorner 0",

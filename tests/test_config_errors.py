@@ -3,6 +3,7 @@ or the file, so a caller meets one exception type whichever layer read it."""
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,19 @@ class TestScenarioInputs:
     def test_nan_endpoint_is_off_the_map(self, flat_scenario):
         with pytest.raises(ConfigError, match="^start outside terrain bounds$"):
             replace(flat_scenario, start=[float("nan"), 10.0, 70.0])
+
+    @pytest.mark.parametrize("start_x", [0.0, math.inf], ids=["far-corner", "inf"])
+    def test_endpoint_distance_past_the_float_range(self, flat_scenario, start_x):
+        """The spherical step cap, twice the start-goal distance over
+        n - 1, is infinite: the goal at the far corner of a map 2e200 m
+        wide, whose distance's square passes the float range, or an
+        infinite start.  Raised before any warning or other check."""
+        terrain = TerrainMap(0.0, 0.0, 1e200, -9999.0, np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^start and goal are too far apart: "):
+                replace(flat_scenario, terrain=terrain, start=[start_x, 0.0, 70.0],
+                        goal=[terrain.x_max, terrain.y_max, 70.0])
 
     @pytest.mark.parametrize("label, z", [("start", 20.0), ("goal", 120.0)], ids=["h_min", "h_max"])
     def test_endpoint_on_corridor_edge_accepted(self, flat_scenario, label, z):

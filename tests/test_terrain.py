@@ -1,10 +1,13 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from oracles import save_dem_reference
 
 from uavpath import (
+    ConfigError,
     DemParseError,
     NodataError,
     OutOfBoundsError,
@@ -166,6 +169,37 @@ class TestTerrainMap:
         with pytest.raises(ValueError, match="elevations must be a 2-D grid"):
             TerrainMap(0.0, 0.0, 1.0, -9999.0, elevations)
 
+    @pytest.mark.parametrize("with_nodata", [False, True], ids=["dense", "with-nodata"])
+    @pytest.mark.parametrize("cell", [math.inf, -math.inf], ids=["+inf", "-inf"])
+    def test_infinite_cell_rejected(self, cell, with_nodata):
+        """An infinite cell makes one end of the elevation range infinite;
+        NaN cells, skipped by the range, do not hide it."""
+        grid = np.zeros((3, 4))
+        grid[1, 2] = cell
+        if with_nodata:
+            grid[0, 0] = grid[2, 3] = np.nan
+        with pytest.raises(ConfigError, match="^non-nodata elevations must be finite$"):
+            TerrainMap(0.0, 0.0, 1.0, -9999.0, grid)
+
+    @pytest.mark.parametrize(
+        "origin_x, origin_y, cell_size, named",
+        [(0.0, 0.0, 1e308, "cell_size"), (-1e308, 0.0, 1e308, "cell_size"),
+         (1.7e308, 0.0, 1e307, "origin_x"), (0.0, 1.7e308, 1e307, "origin_y")],
+        ids=["width", "width-from-below", "x-edge", "y-edge"],
+    )
+    def test_extent_past_the_float_range_names_field(self, origin_x, origin_y, cell_size, named):
+        """(n - 1) * cell_size, or the far edge origin + (n - 1) * cell_size,
+        past the float range names the field that takes it there."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^{named} must keep the grid's"):
+                TerrainMap(origin_x, origin_y, cell_size, -9999.0, np.zeros((3, 3)))
+
+    def test_extent_up_to_the_float_range_accepted(self):
+        """A width of 1e308 is in range, and so is its far edge from -1e308."""
+        t = TerrainMap(-1e308, 0.0, 1e308, -9999.0, np.zeros((2, 2)))
+        assert t.bounds == (-1e308, 0.0, 0.0, 1e308)
+
 
 class TestHeightAt:
     def test_grid_node_identity(self, tmp_path):
@@ -274,3 +308,18 @@ class TestSaveRoundTrip:
         both = np.isfinite(t.elevations)
         assert np.array_equal(np.isnan(t2.elevations), ~both)
         assert np.array_equal(t2.elevations[both], t.elevations[both])
+
+    @pytest.mark.parametrize("nodata", [-9999.0, 0.1, -0.0, 3.0000000000000004e-12])
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path, nodata):
+        """NaN cells, -0.0, 17-digit values and huge and tiny magnitudes are
+        written byte for byte as the per-cell reference writes them."""
+        rng = np.random.default_rng(4)
+        grid = rng.uniform(-10, 500, size=(6, 7))
+        grid[0, :3] = -0.0, 0.0, 0.1 + 0.2  # 0.30000000000000004
+        grid[1, 1] = 1.2345678901234567e-300
+        grid[2, 2] = -1.7976931348623157e308
+        grid[3, 4] = grid[5, 0] = grid[5, 6] = np.nan
+        t = TerrainMap(1.25, -3.5, 0.1 + 0.7, nodata, grid)
+        save_dem(t, tmp_path / "fast.asc")
+        save_dem_reference(t, tmp_path / "ref.asc")
+        assert (tmp_path / "fast.asc").read_bytes() == (tmp_path / "ref.asc").read_bytes()
