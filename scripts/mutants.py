@@ -69,9 +69,15 @@ MUTANTS = [
     ("clamp-wrap-clip", ENCODINGS, "clipped = np.clip(g, space.lower, space.upper)",
      "clipped = g.copy()"),
     ("spherical-step-cap", ENCODINGS, "upper = np.tile([cap, ", "upper = np.tile([2 * cap, "),
-    # The input boundary's two overflow checks.
-    ("grid-width-overflow", TERRAIN, "if not math.isfinite(width):", "if False:"),
-    ("endpoint-distance-overflow", SCENARIO, "if cap == math.inf:", "if False:"),
+    # The input boundary's magnitude bound, closed: a config number, an
+    # elevation and an endpoint coordinate may equal MAX_MAGNITUDE, and a
+    # hill's width 1 / MAX_MAGNITUDE.
+    ("field-bound", TERRAIN, "if not abs(value) <= limit:", "if not abs(value) < limit:"),
+    ("elevation-bound", TERRAIN, "if not max(map(abs, z_range)) <= MAX_MAGNITUDE:",
+     "if not max(map(abs, z_range)) < MAX_MAGNITUDE:"),
+    ("endpoint-bound", SCENARIO, "abs(c) <= MAX_MAGNITUDE for c", "abs(c) < MAX_MAGNITUDE for c"),
+    ("hill-width-floor", TERRAIN, "if not 1 / MAX_MAGNITUDE <= self.sigma_min",
+     "if not 1 / MAX_MAGNITUDE < self.sigma_min"),
 ]
 
 PYTEST = [

@@ -33,8 +33,8 @@ import numpy as np
 import yaml
 
 from .terrain import (
-    ConfigError, SyntheticTerrainSpec, TerrainMap, check_fields, generate_synthetic, is_int, is_real,
-    load_dem, save_dem,
+    MAX_MAGNITUDE, ConfigError, SyntheticTerrainSpec, TerrainMap, check_fields, generate_synthetic, is_int,
+    is_real, load_dem, save_dem,
 )
 
 
@@ -134,11 +134,14 @@ class Scenario:
             value = getattr(self, label)
             try:
                 coords = np.array(value, dtype=object).reshape(3)
-                if not all(map(is_real, coords)):  # a bool, a string, None
+                # A bool, a string or None is no number, and NaN and
+                # infinity fail the bound.
+                if not all(is_real(c) and abs(c) <= MAX_MAGNITUDE for c in coords):
                     raise TypeError
                 point = coords.astype(float)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{label} must be 3 numbers (x, y, z), got {value!r}") from None
+            except (TypeError, ValueError):
+                raise ConfigError(f"{label} must be 3 numbers (x, y, z), each at most {MAX_MAGNITUDE:g} in "
+                                  f"magnitude, got {value!r}") from None
             point.setflags(write=False)
             object.__setattr__(self, label, point)
         try:
@@ -201,11 +204,7 @@ def validate_scenario(sc: Scenario) -> None:
     require_int("n_waypoints", sc.n_waypoints, 3)
     if sc.n_waypoints > MAX_WAYPOINTS:
         raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
-    with np.errstate(over="ignore"):  # a distance past the float range is inf
-        cap = rho_max(sc)
-    if cap == math.inf:  # NaN, from a NaN endpoint, is off the map below
-        raise ConfigError("start and goal are too far apart: their distance passes the float range")
-    if cap <= EPS_LEN:  # the spherical step cap must exceed its floor
+    if rho_max(sc) <= EPS_LEN:  # the spherical step cap must exceed its floor
         raise ConfigError("goal coincides with start")
     cx, cy, collide, _ = sc.threat_table[:, :, 0]
     for label, (x, y, z) in (("start", sc.start), ("goal", sc.goal)):
@@ -220,8 +219,7 @@ def validate_scenario(sc: Scenario) -> None:
                 f"{label} altitude {h:.1f} m outside corridor "
                 f"[{sc.constraints.h_min}, {sc.constraints.h_max}]"
             )
-        with np.errstate(over="ignore"):  # a distance past the float range is no hit
-            hits = np.flatnonzero(planar_distance(cx - x, cy - y) <= collide)
+        hits = np.flatnonzero(planar_distance(cx - x, cy - y) <= collide)
         if hits.size:
             raise ConfigError(f"{label} inside collision zone of threat {hits[0]}")
     off_map = np.flatnonzero(~sc.terrain.contains(cx, cy))

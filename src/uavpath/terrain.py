@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -19,6 +20,9 @@ _REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 # Largest synthetic grid, checked before the grid is allocated (about 11.6x
 # a 1201 x 1201 DEM; each node takes several float64 arrays while built).
 MAX_GRID_NODES = 4096 * 4096
+# Largest magnitude of a config number and of an elevation: above any UTM
+# coordinate (about 1e7 m) and any plausible weight (see check_fields).
+MAX_MAGNITUDE = 1e9
 
 
 class ConfigError(ValueError):
@@ -57,9 +61,16 @@ def is_real(value) -> bool:
 def check_fields(record) -> None:
     """Check a dataclass's fields annotated ``int`` or ``float``, raising a
     ``ConfigError`` that names the field: an ``int`` field must be an
-    integer and each a finite real number (a bool is neither); an integer
-    beyond the float range is out of range.  A ``float`` field is then held
-    as a Python float, so no int or numpy type reaches the arithmetic."""
+    integer, and each a real number (a bool is neither) of magnitude at
+    most ``MAX_MAGNITUDE``, which NaN and infinity are not; ``nodata_value``,
+    a file sentinel that no arithmetic reads, need only be finite.  A
+    ``float`` field is then held as a Python float.
+
+    The bound keeps the model's arithmetic finite: with at most
+    ``MAX_GRID_NODES`` synthetic grid nodes (a DEM has what its file holds)
+    and ``MAX_WAYPOINTS`` path nodes, a grid's width is at most about 1e16 m
+    and its square 1e32, and every weighted cost stays far below the float
+    range."""
     for f in fields(record):
         if f.type not in ("int", "float"):
             continue
@@ -68,27 +79,14 @@ def check_fields(record) -> None:
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if not is_real(value):
             raise ConfigError(f"{f.name} must be a number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise ConfigError(f"{f.name} is out of range") from None
-        if not finite:
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+        limit = sys.float_info.max if f.name == "nodata_value" else MAX_MAGNITUDE
+        # False for NaN and infinity; a Python int is compared exactly, so
+        # 10**400 needs no conversion, and is not printed.
+        if not abs(value) <= limit:
+            got = "a larger integer" if is_int(value) else value
+            raise ConfigError(f"{f.name} must be finite and at most {limit:g} in magnitude, got {got}")
         if f.type == "float":
             object.__setattr__(record, f.name, float(value))
-
-
-def far_edge(origin_name: str, origin: float, n: int, cell_size: float) -> float:
-    """origin + (n - 1) * cell_size, the far side of a grid axis of n nodes.
-    A ConfigError names cell_size when the width passes the float range,
-    and ``origin_name`` when only the sum does."""
-    width = (n - 1) * cell_size
-    if not math.isfinite(width):
-        raise ConfigError(f"cell_size must keep the grid's width in the float range, got {cell_size}")
-    edge = origin + width
-    if not math.isfinite(edge):
-        raise ConfigError(f"{origin_name} must keep the grid's far edge in the float range, got {origin}")
-    return edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +96,8 @@ class TerrainMap:
     ``elevations`` is a 2-D grid of shape ``(n_rows, n_cols)``, which sets
     ``n_rows`` and ``n_cols``, with nodata cells stored as NaN;
     ``nodata_value`` keeps the file sentinel for re-serialization.  The
-    four scalar fields must be finite numbers (``check_fields``), and so
-    must the grid's far corner (``far_edge``).
+    four scalar fields obey ``check_fields``, and the non-nodata
+    elevations the same magnitude bound.
     """
 
     origin_x: float
@@ -120,16 +118,18 @@ class TerrainMap:
             raise ConfigError("cell_size must be > 0")
         # The grid is immutable, so its rectangle, (x_min, x_max, y_min,
         # y_max) in ``bounds``, and its elevation range are taken once.
-        x_max = far_edge("origin_x", self.origin_x, n_cols, self.cell_size)
-        y_max = far_edge("origin_y", self.origin_y, n_rows, self.cell_size)
+        x_max = self.origin_x + (n_cols - 1) * self.cell_size
+        y_max = self.origin_y + (n_rows - 1) * self.cell_size
         # fmin and fmax skip NaN as nanmin and nanmax do, give NaN without a
         # warning when every cell is nodata, and an infinite end for an
         # infinite cell.
         z_range = (float(np.fmin.reduce(elev, axis=None)), float(np.fmax.reduce(elev, axis=None)))
-        if math.isinf(z_range[0]) or math.isinf(z_range[1]):
-            raise ConfigError("non-nodata elevations must be finite")
         if math.isnan(z_range[0]):
             raise ConfigError("every cell is nodata")
+        if not max(map(abs, z_range)) <= MAX_MAGNITUDE:
+            raise ConfigError(
+                f"non-nodata elevations must be at most {MAX_MAGNITUDE:g} in magnitude, got the range {z_range}"
+            )
         elev.setflags(write=False)
         vars(self).update(
             elevations=elev, n_cols=n_cols, n_rows=n_rows, x_max=x_max, y_max=y_max,
@@ -324,7 +324,11 @@ def _raise_row_error(lines, first_line_no: int, n_cols: int):
 
 
 def save_dem(terrain: TerrainMap, file_path) -> None:
-    """Write an ESRI ASCII grid; non-nodata values round-trip exactly."""
+    """Write an ESRI ASCII grid; non-nodata values round-trip exactly.  A
+    grid that holds its own ``nodata_value`` as a cell value would reload
+    that cell as nodata, so it is a ConfigError, and nothing is written."""
+    if (terrain.elevations == terrain.nodata_value).any():
+        raise ConfigError(f"nodata_value {terrain.nodata_value!r} is also a cell value")
     with open(file_path, "w") as fh:
         fh.write(f"ncols {terrain.n_cols}\n")
         fh.write(f"nrows {terrain.n_rows}\n")
@@ -364,14 +368,12 @@ class SyntheticTerrainSpec:
             )
         if self.cell_size <= 0:
             raise ConfigError("cell_size must be > 0")
-        # generate_synthetic builds the node coordinates before its
-        # TerrainMap can check the far edges, so they are checked here.
-        far_edge("origin_x", self.origin_x, int(self.n_cols), self.cell_size)
-        far_edge("origin_y", self.origin_y, int(self.n_rows), self.cell_size)
         if self.n_hills < 0:
             raise ConfigError("n_hills must be >= 0")
-        if self.sigma_min <= 0 or self.sigma_max < self.sigma_min:
-            raise ConfigError("hill widths must satisfy 0 < sigma_min <= sigma_max")
+        # generate_synthetic divides by 2 * sigma**2, which a width below
+        # 1 / MAX_MAGNITUDE takes to zero or past the float range.
+        if not 1 / MAX_MAGNITUDE <= self.sigma_min <= self.sigma_max:
+            raise ConfigError(f"hill widths must satisfy {1 / MAX_MAGNITUDE:g} <= sigma_min <= sigma_max")
         if self.amp_max < self.amp_min:
             raise ConfigError("amp_max must be >= amp_min")
 
@@ -393,14 +395,8 @@ def generate_synthetic(spec: SyntheticTerrainSpec, seed: int) -> TerrainMap:
         cy = ys[rng.integers(0, spec.n_rows)]
         amp = rng.uniform(spec.amp_min, spec.amp_max)
         sigma = rng.uniform(spec.sigma_min, spec.sigma_max)
-        # A value past the float range is inf: a far node's square gives no
-        # hill there, and an infinite sum is rejected by TerrainMap.
-        with np.errstate(over="ignore"):
-            try:
-                bump = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * sigma**2))
-            except OverflowError:  # Python's sigma**2 raises: an infinite width, a flat hill
-                bump = 1.0
-            grid = grid + amp * bump
+        bump = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * sigma**2))
+        grid = grid + amp * bump
     return TerrainMap(
         origin_x=spec.origin_x,
         origin_y=spec.origin_y,

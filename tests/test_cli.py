@@ -2,13 +2,14 @@ import copy
 import csv
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uavpath import EvolutionTrace, Scenario, SwarmConfig, cli, load_scenario
+from uavpath import ConfigError, EvolutionTrace, Scenario, SwarmConfig, cli, load_scenario
 from uavpath.cli import (
     BenchmarkSpec,
     export_convergence_csv,
@@ -186,19 +187,26 @@ class TestPlan:
             ("terrain.synthetic.n_cols", 11.0, (), "n_cols"),
             ("terrain.synthetic.seed", 0.0, (), "seed"),
             ("start.x", True, (), "start"),
-            # An integer recipe is built in floats: no int64 overflow.
+            # An integer past int64 is past the magnitude bound too.
             ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10, "origin_x": 10**19}, (),
-             "start outside terrain bounds"),
-            # Hills that sum past the float range name the recipe, and warn nothing.
+             "terrain.synthetic: origin_x must be finite and at most"),
+            # Hills that would sum past the float range: the base is past the
+            # bound, and nothing warns.
             ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10.0, "base_elevation": 1e308,
                                    "n_hills": 1, "amp_min": 1e308, "amp_max": 1e308}, (),
-             "terrain.synthetic: non-nodata elevations must be finite"),
-            # A grid whose extent passes the float range names the field
-            # that takes it there, before any node coordinate is built.
+             "terrain.synthetic: base_elevation must be finite and at most"),
+            # A grid whose extent would pass the float range: the first field
+            # past the bound is named, before any node coordinate is built.
             ("terrain.synthetic", {"n_cols": 21, "n_rows": 21, "cell_size": 1e307}, (),
-             "terrain.synthetic: cell_size must keep the grid's width in the float range"),
+             "terrain.synthetic: cell_size must be finite and at most"),
             ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 1e307, "origin_y": 1e308}, (),
-             "terrain.synthetic: origin_y must keep the grid's far edge in the float range"),
+             "terrain.synthetic: cell_size must be finite and at most"),
+            # Hills that sum past the bound, each field inside it, name the recipe.
+            ("terrain.synthetic", {"n_cols": 11, "n_rows": 11, "cell_size": 10.0, "base_elevation": 1e9,
+                                   "n_hills": 1, "amp_min": 1e9, "amp_max": 1e9}, (),
+             "terrain.synthetic: non-nodata elevations must be at most 1e+09 in magnitude"),
+            # A hill narrower than 1 / MAX_MAGNITUDE.
+            ("terrain.synthetic.sigma_min", 5e-324, (), "terrain.synthetic: hill widths must satisfy 1e-09"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, key, value, algo_args, named):
@@ -220,8 +228,9 @@ class TestPlan:
         assert "Traceback" not in err
 
     def test_start_goal_distance_past_the_float_range_exits_2(self, tmp_path, capsys):
-        """The goal at the far corner of a flat map 1e201 m wide: the square
-        of the start-goal distance passes the float range."""
+        """The goal at the far corner of a flat map 1e201 m wide, whose
+        distance from the start would square past the float range: the
+        cell size is past the magnitude bound."""
         cfg = copy.deepcopy(FLAT_CFG)
         cfg["terrain"]["synthetic"]["cell_size"] = 1e200
         cfg["goal"] = {"x": 1e201, "y": 1e201, "z": 70.0}
@@ -231,24 +240,46 @@ class TestPlan:
                      "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "start and goal are too far apart" in err
+        assert "terrain.synthetic: cell_size must be finite and at most 1e+09 in magnitude, got 1e+200" in err
         assert "Traceback" not in err
 
     def test_hill_wider_than_the_float_range_is_flat(self, tmp_path, capsys):
-        """Python's sigma**2 overflows at sigma 1e200: the hill's width is
-        infinite, so it adds its amplitude everywhere."""
+        """A hill of width 1e200, whose square Python's sigma**2 cannot
+        take, is past the magnitude bound."""
         cfg = copy.deepcopy(FLAT_CFG)
         cfg["terrain"]["synthetic"].update(n_hills=1, amp_min=5.0, amp_max=5.0, sigma_min=1e200, sigma_max=1e200)
         path = tmp_path / "wide.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        assert (load_scenario(path).terrain.elevations == 5.0).all()
+        with pytest.raises(ConfigError, match="^terrain.synthetic: sigma_min must be finite and at most"):
+            load_scenario(path)
         assert main(["plan", str(path), "--algo", "pso", "--swarm", "4", "--iters", "1",
-                     "--out", str(tmp_path / "o")]) == 0
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "sigma_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, code", [(1.7e308, 2), (1e9, 0)], ids=["past-the-bound", "at-the-bound"])
+    def test_far_dem_cells_past_the_bound_exit_2(self, tmp_path, capsys, cell, code):
+        """A flat 61 x 61 DEM with one corner cell at +cell and the opposite
+        one at -cell, far from both endpoints: past the magnitude bound the
+        grid is a config error naming the DEM; at it, the plan runs, and
+        nothing warns either way."""
+        grid = np.zeros((61, 61))
+        grid[0, 0], grid[-1, -1] = cell, -cell
+        header = "ncols 61\nnrows 61\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_value -9999\n"
+        (tmp_path / "far.asc").write_text(header + "\n".join(" ".join(map(repr, row)) for row in grid.tolist()))
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(dict(FLAT_CFG, terrain={"dem_path": "far.asc"})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plan", str(path), "--algo", "spso", "--swarm", "6", "--iters", "3",
+                         "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "terrain.dem_path" in err and "non-nodata elevations must be at most 1e+09" in err
 
     @pytest.mark.parametrize(
         "line, named",
         [("cellsize nan", "'cellsize'"), ("ncols 2.7", "'ncols'"), ("NODATA_value inf", "'nodata_value'"),
-         ("cellsize 1e308", "terrain.dem_path"), ("cellsize 1e308", "cell_size must keep")],
+         ("cellsize 1e308", "terrain.dem_path"), ("cellsize 1e308", "cell_size must be finite")],
     )
     def test_bad_dem_header_exits_2(self, tmp_path, capsys, line, named):
         header = {"ncols": "ncols 11", "nrows": "nrows 11", "xllcorner": "xllcorner 0",

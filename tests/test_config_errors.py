@@ -15,6 +15,10 @@ from uavpath import (
     build_benchmark_suite, load_scenario, run,
 )
 from uavpath.cli import BenchmarkSpec
+from uavpath.terrain import MAX_MAGNITUDE
+
+BOUND = r"must be finite and at most 1e\+09 in magnitude, got "
+ENDPOINT = r"must be 3 numbers \(x, y, z\), each at most 1e\+09 in magnitude, got "
 
 
 def spec(flat_scenario, **kwargs):
@@ -115,8 +119,9 @@ class TestIntegerFields:
 
 
 class TestOutOfRange:
-    """An integer beyond the float range is a ConfigError naming the field,
-    in the words the YAML reader uses."""
+    """An integer beyond the float range is past the magnitude bound: a
+    ConfigError naming the field, in the words the YAML reader uses, that
+    does not print the integer."""
 
     @pytest.mark.parametrize(
         "record, field",
@@ -131,7 +136,7 @@ class TestOutOfRange:
              "FlightConstraints.danger_distance", "CostWeights.b1"],
     )
     def test_huge_integer(self, record, field):
-        with pytest.raises(ConfigError, match=f"^{field} is out of range$"):
+        with pytest.raises(ConfigError, match=f"^{field} {BOUND}a larger integer$"):
             record(10**400)
 
 
@@ -164,7 +169,8 @@ class TestFieldRule:
     @pytest.mark.parametrize(
         "value, says",
         [(True, "a number, got True"), ("5", "a number, got '5'"), (None, "a number, got None"),
-         (math.nan, "finite, got nan"), (math.inf, "finite, got inf")],
+         (math.nan, "finite and at most 1e+09 in magnitude, got nan"),
+         (math.inf, "finite and at most 1e+09 in magnitude, got inf")],
         ids=["True", "'5'", "None", "nan", "inf"],
     )
     @pytest.mark.parametrize("cls, field", RECORDS, ids=lambda x: getattr(x, "__name__", x))
@@ -178,6 +184,19 @@ class TestFieldRule:
     def test_float_field_held_as_float(self, cls, field, value):
         held = getattr(make(cls, **{field: value}), field)
         assert type(held) is float and held == 7.0
+
+    @pytest.mark.parametrize(
+        "cls, field", [(cls, "h_max" if field == "h_min" else field) for cls, field in RECORDS],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    def test_magnitude_bound_is_closed(self, cls, field):
+        """MAX_MAGNITUDE itself is in, as a float and as an int, and the
+        next float and int above it are out."""
+        for value in (MAX_MAGNITUDE, 10**9):
+            assert getattr(make(cls, **{field: value}), field) == 1e9
+        for value in (math.nextafter(MAX_MAGNITUDE, math.inf), 10**9 + 1):
+            with pytest.raises(ConfigError, match=f"^{field} {BOUND}"):
+                make(cls, **{field: value})
 
     @pytest.mark.parametrize("value", [2.5, 5.0, True])
     @pytest.mark.parametrize("field", ["n_cols", "n_hills"])
@@ -199,25 +218,37 @@ class TestScenarioInputs:
         ids=["huge", "two-numbers", "None", "string", "strings", "bool"],
     )
     def test_endpoint_must_be_three_numbers(self, flat_scenario, field, value):
-        with pytest.raises(ConfigError, match=rf"^{field} must be 3 numbers \(x, y, z\), got "):
+        with pytest.raises(ConfigError, match=rf"^{field} {ENDPOINT}"):
             replace(flat_scenario, **{field: value})
 
     def test_nan_endpoint_is_off_the_map(self, flat_scenario):
-        with pytest.raises(ConfigError, match="^start outside terrain bounds$"):
+        """NaN fails the magnitude bound, before the on-map test."""
+        with pytest.raises(ConfigError, match=rf"^start {ENDPOINT}\[nan, 10.0, 70.0\]$"):
             replace(flat_scenario, start=[float("nan"), 10.0, 70.0])
+
+    def test_endpoint_bound_is_closed(self, flat_scenario):
+        """A start at x = MAX_MAGNITUDE, on the far edge of a map that ends
+        there, is in; the next float above it is out, before the on-map
+        test."""
+        terrain = TerrainMap(MAX_MAGNITUDE - 100.0, 0.0, 10.0, -9999.0, np.zeros((11, 11)))
+        sc = replace(flat_scenario, terrain=terrain, start=[MAX_MAGNITUDE, 10.0, 70.0],
+                     goal=[MAX_MAGNITUDE - 90.0, 90.0, 70.0])
+        assert sc.start[0] == terrain.x_max == 1e9
+        with pytest.raises(ConfigError, match=f"^start {ENDPOINT}"):
+            replace(sc, start=[math.nextafter(MAX_MAGNITUDE, math.inf), 10.0, 70.0])
 
     @pytest.mark.parametrize("start_x", [0.0, math.inf], ids=["far-corner", "inf"])
     def test_endpoint_distance_past_the_float_range(self, flat_scenario, start_x):
-        """The spherical step cap, twice the start-goal distance over
-        n - 1, is infinite: the goal at the far corner of a map 2e200 m
-        wide, whose distance's square passes the float range, or an
-        infinite start.  Raised before any warning or other check."""
-        terrain = TerrainMap(0.0, 0.0, 1e200, -9999.0, np.zeros((3, 3)))
+        """A map 2e200 m wide, from whose far corner the start-goal
+        distance would square past the float range, and an infinite start:
+        the magnitude bound rejects the cell size, and the goal at that
+        corner or the infinite start, before any distance is taken."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="^start and goal are too far apart: "):
-                replace(flat_scenario, terrain=terrain, start=[start_x, 0.0, 70.0],
-                        goal=[terrain.x_max, terrain.y_max, 70.0])
+            with pytest.raises(ConfigError, match=f"^cell_size {BOUND}1e\\+200$"):
+                TerrainMap(0.0, 0.0, 1e200, -9999.0, np.zeros((3, 3)))
+            with pytest.raises(ConfigError, match=f"^{'start' if start_x else 'goal'} {ENDPOINT}"):
+                replace(flat_scenario, start=[start_x, 0.0, 70.0], goal=[2e200, 2e200, 70.0])
 
     @pytest.mark.parametrize("label, z", [("start", 20.0), ("goal", 120.0)], ids=["h_min", "h_max"])
     def test_endpoint_on_corridor_edge_accepted(self, flat_scenario, label, z):
@@ -246,11 +277,15 @@ class TestScenarioInputs:
             replace(flat_scenario, terrain=terrain, start=[*start, 70.0], goal=[10.0, 590.0, 70.0],
                     threats=(threat,))
 
-    @pytest.mark.parametrize("x", [100.5, 1e300], ids=["past-the-edge", "huge"])
-    def test_threat_center_off_the_map(self, flat_scenario, x):
-        """Checked after the endpoints, whose distance to a centre 1e300 m
-        away passes the float range without a warning."""
-        with pytest.raises(ConfigError, match="^threat 0 center outside terrain bounds$"):
+    @pytest.mark.parametrize(
+        "x, says",
+        [(100.5, "^threat 0 center outside terrain bounds$"), (1e300, f"^center_x {BOUND}1e\\+300$")],
+        ids=["past-the-edge", "huge"],
+    )
+    def test_threat_center_off_the_map(self, flat_scenario, x, says):
+        """A centre past the edge is checked after the endpoints; one 1e300 m
+        away fails the magnitude bound when the threat is built."""
+        with pytest.raises(ConfigError, match=says):
             replace(flat_scenario, threats=(Threat(x, 50.0, 1.0),))
 
     @pytest.mark.parametrize(

@@ -29,6 +29,8 @@ from uavpath import (
     ConfigError, CostWeights, DemParseError, FlightConstraints, Scenario, TerrainMap, Threat, load_dem,
 )
 
+from uavpath.terrain import MAX_MAGNITUDE
+
 from conftest import f1_of, f2_of, f4_of
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -122,6 +124,7 @@ def test_endpoint_collision_check_agrees_with_threat_cost(start, centre, side):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+in_bound = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
 separator = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
 blank = st.sampled_from(["", " ", "\t", "  \t"])
 
@@ -131,8 +134,9 @@ def dem_files(draw):
     """An ESRI grid as file lines, each a list of text pieces; a data row
     holds its tokens at the odd indices, between its separators.  Also
     returns the indices of the data rows, the line ending and the nodata
-    sentinel."""
+    sentinel.  A grid's cells span the float range or the magnitude bound."""
     n_cols, n_rows = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    cells = draw(st.sampled_from([finite, in_bound]))
     fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
     sentinel = draw(st.sampled_from([-9999.0, 0.0, 1e300, -3.4028234663852886e38]))
     lines = [[""] for _ in range(draw(st.integers(0, 2)))]
@@ -143,7 +147,7 @@ def dem_files(draw):
         lines += [[draw(blank)] for _ in range(draw(st.integers(0, 2)))]
         pieces = [draw(blank)]
         for _ in range(n_cols):
-            value = sentinel if draw(st.integers(0, 3)) == 0 else draw(finite)
+            value = sentinel if draw(st.integers(0, 3)) == 0 else draw(cells)
             pieces += [fmt(value), draw(separator)]
         pieces[-1] = draw(blank)
         rows.append(len(lines))
@@ -164,8 +168,12 @@ def test_load_dem_matches_per_token_float(tmp_path_factory, dem, data):
     assume(not np.isnan(want).all())  # an all-nodata grid has no elevation range
     path = tmp_path_factory.getbasetemp() / "property.asc"
     write_lines(path, lines, eol)
-    got = load_dem(path).elevations
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if np.nanmax(np.abs(want)) <= MAX_MAGNITUDE:
+        got = load_dem(path).elevations
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    else:  # a cell past the magnitude bound
+        with pytest.raises(ConfigError, match="^non-nodata elevations must be at most 1e\\+09 in magnitude, "):
+            load_dem(path)
     # One cell outside the grammar: the error names its line in the file.
     i = data.draw(st.sampled_from(rows), label="bad row")
     k = data.draw(st.integers(0, want.shape[1] - 1), label="bad column")

@@ -18,6 +18,9 @@ from uavpath import (
     load_dem,
     save_dem,
 )
+from uavpath.terrain import MAX_MAGNITUDE
+
+BOUND = r"must be finite and at most 1e\+09 in magnitude, got "
 
 SMALL_DEM = """\
 ncols 2
@@ -172,33 +175,49 @@ class TestTerrainMap:
     @pytest.mark.parametrize("with_nodata", [False, True], ids=["dense", "with-nodata"])
     @pytest.mark.parametrize("cell", [math.inf, -math.inf], ids=["+inf", "-inf"])
     def test_infinite_cell_rejected(self, cell, with_nodata):
-        """An infinite cell makes one end of the elevation range infinite;
-        NaN cells, skipped by the range, do not hide it."""
+        """An infinite cell makes one end of the elevation range infinite,
+        past the magnitude bound; NaN cells, skipped by the range, do not
+        hide it."""
         grid = np.zeros((3, 4))
         grid[1, 2] = cell
         if with_nodata:
             grid[0, 0] = grid[2, 3] = np.nan
-        with pytest.raises(ConfigError, match="^non-nodata elevations must be finite$"):
+        with pytest.raises(ConfigError, match=r"^non-nodata elevations must be at most 1e\+09 in magnitude, "):
+            TerrainMap(0.0, 0.0, 1.0, -9999.0, grid)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
+    def test_elevation_bound_is_closed(self, sign):
+        """An elevation of magnitude MAX_MAGNITUDE is in, and the next float
+        above it is out, at either end of the range."""
+        grid = np.zeros((2, 3))
+        grid[1, 1] = sign * MAX_MAGNITUDE
+        assert TerrainMap(0.0, 0.0, 1.0, -9999.0, grid).elevations[1, 1] == grid[1, 1]
+        grid[1, 1] = sign * math.nextafter(MAX_MAGNITUDE, math.inf)
+        with pytest.raises(ConfigError, match="^non-nodata elevations must be at most"):
             TerrainMap(0.0, 0.0, 1.0, -9999.0, grid)
 
     @pytest.mark.parametrize(
         "origin_x, origin_y, cell_size, named",
-        [(0.0, 0.0, 1e308, "cell_size"), (-1e308, 0.0, 1e308, "cell_size"),
+        [(0.0, 0.0, 1e308, "cell_size"), (-1e308, 0.0, 1e308, "origin_x"),
          (1.7e308, 0.0, 1e307, "origin_x"), (0.0, 1.7e308, 1e307, "origin_y")],
         ids=["width", "width-from-below", "x-edge", "y-edge"],
     )
     def test_extent_past_the_float_range_names_field(self, origin_x, origin_y, cell_size, named):
-        """(n - 1) * cell_size, or the far edge origin + (n - 1) * cell_size,
-        past the float range names the field that takes it there."""
+        """A grid whose width, or far edge, would pass the float range has
+        an origin or a cell size past the magnitude bound, the first such
+        field in field order is named, and nothing warns."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match=f"^{named} must keep the grid's"):
+            with pytest.raises(ConfigError, match=f"^{named} {BOUND}"):
                 TerrainMap(origin_x, origin_y, cell_size, -9999.0, np.zeros((3, 3)))
 
     def test_extent_up_to_the_float_range_accepted(self):
-        """A width of 1e308 is in range, and so is its far edge from -1e308."""
-        t = TerrainMap(-1e308, 0.0, 1e308, -9999.0, np.zeros((2, 2)))
-        assert t.bounds == (-1e308, 0.0, 0.0, 1e308)
+        """A width of 1e308 from -1e308 is past the magnitude bound; a width
+        of MAX_MAGNITUDE from -MAX_MAGNITUDE is in."""
+        with pytest.raises(ConfigError, match=f"^origin_x {BOUND}-1e\\+308$"):
+            TerrainMap(-1e308, 0.0, 1e308, -9999.0, np.zeros((2, 2)))
+        t = TerrainMap(-MAX_MAGNITUDE, 0.0, MAX_MAGNITUDE, -9999.0, np.zeros((2, 2)))
+        assert t.bounds == (-1e9, 0.0, 0.0, 1e9)
 
 
 class TestHeightAt:
@@ -289,12 +308,37 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticTerrainSpec(n_cols=5, n_rows=5, cell_size=1.0, n_hills=1, sigma_min=0.0)
 
+    def test_hill_width_floor_is_closed(self):
+        """A hill of width 1 / MAX_MAGNITUDE is a spike on its summit node,
+        built without a warning; a narrower one is rejected."""
+        spec = dict(n_cols=5, n_rows=5, cell_size=1.0, n_hills=1, amp_min=3.0, amp_max=3.0, sigma_max=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = generate_synthetic(SyntheticTerrainSpec(**spec, sigma_min=1 / MAX_MAGNITUDE), 0)
+        assert sorted(t.elevations.ravel())[-2:] == [0.0, 3.0]
+        with pytest.raises(ConfigError, match="^hill widths must satisfy 1e-09 <= sigma_min <= sigma_max$"):
+            SyntheticTerrainSpec(**spec, sigma_min=math.nextafter(1e-9, 0.0))
+
     def test_integer_beyond_float_range_names_field(self):
         with pytest.raises(ValueError, match="n_cols"):
             SyntheticTerrainSpec(n_cols=10**400, n_rows=11, cell_size=10.0)
 
 
 class TestSaveRoundTrip:
+    @pytest.mark.parametrize(
+        "nodata, grid",
+        [(0.0, np.zeros((2, 2))), (0.0, [[5.0, 5.0], [0.0, 5.0]]), (-0.0, [[5.0, 5.0], [0.0, 5.0]])],
+        ids=["all-sentinel", "one-sentinel-cell", "signed-zero"],
+    )
+    def test_grid_holding_its_sentinel_is_not_written(self, tmp_path, nodata, grid):
+        """A cell equal to nodata_value would reload as nodata (load_dem
+        masks by ==, so 0.0 matches -0.0): save_dem names the sentinel and
+        writes no file."""
+        t = TerrainMap(0.0, 0.0, 10.0, nodata, grid)
+        with pytest.raises(ConfigError, match=f"^nodata_value {nodata!r} is also a cell value$"):
+            save_dem(t, tmp_path / "out.asc")
+        assert not (tmp_path / "out.asc").exists()
+
     def test_values_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(9)
         grid = rng.uniform(-10, 500, size=(5, 8))
@@ -311,13 +355,18 @@ class TestSaveRoundTrip:
 
     @pytest.mark.parametrize("nodata", [-9999.0, 0.1, -0.0, 3.0000000000000004e-12])
     def test_bytes_equal_the_per_cell_writer(self, tmp_path, nodata):
-        """NaN cells, -0.0, 17-digit values and huge and tiny magnitudes are
-        written byte for byte as the per-cell reference writes them."""
+        """NaN cells, -0.0, 17-digit values, tiny magnitudes and the
+        magnitude bound are written byte for byte as the per-cell reference
+        writes them.  Under the sentinel -0.0 the zero cells are 1.0, since
+        a grid may not hold its own sentinel."""
         rng = np.random.default_rng(4)
         grid = rng.uniform(-10, 500, size=(6, 7))
         grid[0, :3] = -0.0, 0.0, 0.1 + 0.2  # 0.30000000000000004
+        if nodata == 0.0:
+            grid[0, :2] = 1.0
         grid[1, 1] = 1.2345678901234567e-300
-        grid[2, 2] = -1.7976931348623157e308
+        grid[2, 2] = -MAX_MAGNITUDE
+        grid[4, 4] = math.nextafter(MAX_MAGNITUDE, 0.0)
         grid[3, 4] = grid[5, 0] = grid[5, 6] = np.nan
         t = TerrainMap(1.25, -3.5, 0.1 + 0.7, nodata, grid)
         save_dem(t, tmp_path / "fast.asc")
