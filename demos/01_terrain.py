@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uavpath import SyntheticTerrainSpec, generate_synthetic, height_at, load_dem, save_dem
+from uavpath import SyntheticTerrainSpec, generate_synthetic, load_dem, save_dem
 
 # A 600 m x 600 m map with five gentle hills on a flat base.
 spec = SyntheticTerrainSpec(
@@ -18,9 +18,11 @@ print(f"grid: {terrain.n_cols} x {terrain.n_rows} nodes, cell {terrain.cell_size
 print(f"elevation range: {terrain.z_min:.2f} .. {terrain.z_max:.2f} m")
 
 # Height queries interpolate bilinearly between grid nodes, so they are
-# continuous everywhere inside the map.
-for x, y in [(0.0, 0.0), (305.0, 295.0), (123.4, 456.7)]:
-    print(f"ground at ({x:6.1f}, {y:6.1f}) = {height_at(terrain, x, y):7.3f} m")
+# continuous everywhere inside the map; a point off the map reads NaN.
+xs = np.array([0.0, 305.0, 123.4, 700.0])
+ys = np.array([0.0, 295.0, 456.7, 100.0])
+for x, y, z in zip(xs, ys, terrain.heights(xs, ys)):
+    print(f"ground at ({x:6.1f}, {y:6.1f}) = {z:7.3f} m")
 
 # Maps serialize to plain-text ESRI ASCII grids and reload losslessly.
 with tempfile.TemporaryDirectory() as tmp:

@@ -1,4 +1,4 @@
-"""Mutation probe: one hand-written mutant per feasibility edge.
+"""Mutation probe: one hand-written mutant per feasibility edge and input bound.
 
 Each mutant replaces one exact snippet of a file under ``src/`` in a copy
 of ``src/``, ``tests/`` and ``pyproject.toml`` made under a temporary
@@ -32,6 +32,8 @@ TERRAIN = "src/uavpath/terrain.py"
 SCENARIO = "src/uavpath/scenario.py"
 COST = "src/uavpath/cost.py"
 ENCODINGS = "src/uavpath/encodings.py"
+OPTIMIZERS = "src/uavpath/optimizers.py"
+CLI = "src/uavpath/cli.py"
 
 # (name, file, snippet, replacement)
 MUTANTS = [
@@ -78,6 +80,17 @@ MUTANTS = [
     ("endpoint-bound", SCENARIO, "abs(c) <= MAX_MAGNITUDE for c", "abs(c) < MAX_MAGNITUDE for c"),
     ("hill-width-floor", TERRAIN, "if not 1 / MAX_MAGNITUDE <= self.sigma_min",
      "if not 1 / MAX_MAGNITUDE < self.sigma_min"),
+    # A run's size bounds, closed: a swarm, a run's evaluations, a cell's
+    # runs and a synthetic build's hill-nodes may equal their bound.  A
+    # bound given to require_int is lowered by one, which makes its
+    # ``value > maximum`` strict.
+    ("swarm-size-bound", OPTIMIZERS, "self.swarm_size, 2, MAX_SWARM_SIZE)",
+     "self.swarm_size, 2, MAX_SWARM_SIZE - 1)"),
+    ("evaluation-bound", OPTIMIZERS, "self.max_iterations > MAX_EVALUATIONS:",
+     "self.max_iterations >= MAX_EVALUATIONS:"),
+    ("runs-per-cell-bound", CLI, "self.runs_per_cell, 1, MAX_RUNS_PER_CELL)",
+     "self.runs_per_cell, 1, MAX_RUNS_PER_CELL - 1)"),
+    ("hill-work-bound", TERRAIN, "self.n_rows > MAX_HILL_NODES:", "self.n_rows >= MAX_HILL_NODES:"),
 ]
 
 PYTEST = [

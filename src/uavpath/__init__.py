@@ -27,13 +27,9 @@ from .scenario import (
 from .stats import SampleSummary, TTestVerdict, Verdict, mean_std, paired_t_test
 from .suite import build_benchmark_suite
 from .terrain import (
-    DemParseError,
-    NodataError,
-    OutOfBoundsError,
     SyntheticTerrainSpec,
     TerrainMap,
     generate_synthetic,
-    height_at,
     load_dem,
     save_dem,
 )

@@ -77,6 +77,12 @@ def export_breakdown_csv(breakdown, file_path) -> None:
 # --- benchmark harness -----------------------------------------------------------
 
 
+# Most runs per (scenario, algorithm) cell, checked before run_benchmark
+# lists its cells: 100x the default 10.  The built-in suite's 8 scenarios
+# and 7 solvers then make 56,000 runs, each keeping one trace.
+MAX_RUNS_PER_CELL = 1000
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     scenarios: tuple[Scenario, ...]
@@ -88,8 +94,9 @@ class BenchmarkSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        for name, minimum in (("runs_per_cell", 1), ("jobs", 1), ("base_seed", None)):
-            require_int(name, getattr(self, name), minimum)
+        require_int("runs_per_cell", self.runs_per_cell, 1, MAX_RUNS_PER_CELL)
+        require_int("jobs", self.jobs, 1)
+        require_int("base_seed", self.base_seed)
         if self.base_config.seed != 0:  # run_benchmark seeds every run from base_seed
             raise ConfigError(f"base_config.seed must be 0 (set base_seed), got {self.base_config.seed}")
         if not self.scenarios or not self.algorithms:

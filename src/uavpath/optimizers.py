@@ -67,6 +67,15 @@ ABC_LIMIT = 50  # ABC failed trials before a source is retired
 # with its rows up to about 1000 and rises past 1500 (on s4 of the suite and
 # on the 1201x1201 DEM; see CHANGES.md).
 MAX_STACK = 1000
+# Largest swarm, checked before any particle is drawn: 20x the paper's 500.
+# At the suite's 12 waypoints each of a solver's (swarm, 3n) float64 arrays
+# then takes 2.4 MB, and at MAX_WAYPOINTS 240 MB.
+MAX_SWARM_SIZE = 10_000
+# Most candidate paths one run may score, swarm_size * max_iterations:
+# 100x the paper's 500 x 200.  It bounds the run's time and its trace (one
+# float per iteration, at most 40 MB at a swarm of 2), and DE's budget rule,
+# which trades swarm for iterations, keeps a run inside it.
+MAX_EVALUATIONS = 10_000_000
 
 
 @dataclass
@@ -81,8 +90,14 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("swarm_size", 2), ("max_iterations", 1), ("seed", 0)):
-            require_int(name, getattr(self, name), minimum)
+        require_int("swarm_size", self.swarm_size, 2, MAX_SWARM_SIZE)
+        require_int("max_iterations", self.max_iterations, 1)
+        require_int("seed", self.seed, 0)
+        if self.swarm_size * self.max_iterations > MAX_EVALUATIONS:
+            raise ConfigError(
+                f"swarm_size * max_iterations must be <= {MAX_EVALUATIONS} paths per run, "
+                f"got {self.swarm_size} * {self.max_iterations}"
+            )
 
 
 @dataclass

@@ -47,13 +47,15 @@ MAX_WAYPOINTS = 1000
 EPS_LEN = 1e-9  # below this a path segment counts as degenerate
 
 
-def require_int(name: str, value, minimum: int | None = None) -> None:
+def require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
     """Reject a value that is not an integer (a bool is not one) or is
-    below ``minimum``, naming the field."""
+    below ``minimum`` or above ``maximum``, naming the field."""
     if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,7 @@ def rho_max(scenario: Scenario) -> float:
 
 def validate_scenario(sc: Scenario) -> None:
     """Check each invariant, endpoints by the cost model's own tests; raise ConfigError naming the field."""
-    require_int("n_waypoints", sc.n_waypoints, 3)
-    if sc.n_waypoints > MAX_WAYPOINTS:
-        raise ConfigError(f"n_waypoints must be <= {MAX_WAYPOINTS}, got {sc.n_waypoints}")
+    require_int("n_waypoints", sc.n_waypoints, 3, MAX_WAYPOINTS)
     if rho_max(sc) <= EPS_LEN:  # the spherical step cap must exceed its floor
         raise ConfigError("goal coincides with start")
     cx, cy, collide, _ = sc.threat_table[:, :, 0]

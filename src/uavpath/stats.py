@@ -60,36 +60,26 @@ _BETACF_EPS = 3e-16
 _FPMIN = 1e-300
 
 
+def _off_zero(v: float) -> float:
+    """Lentz's guard: a term smaller in magnitude than _FPMIN becomes _FPMIN."""
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function."""
+    """Continued fraction for the incomplete beta function, by the modified
+    Lentz method: each iteration takes one even and one odd term."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")

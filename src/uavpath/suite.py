@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import cost_components, total_cost
 from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat, require_int
-from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic, height_at
+from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic
 
 N_SCENARIOS = 8
 _COMPLICATED = (3, 4, 7, 8)  # 1-based scenario numbers
@@ -145,8 +145,8 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
         sy = rng.uniform(40.0, 90.0)
         gx = rng.uniform(510.0, 560.0)
         gy = rng.uniform(510.0, 560.0)
-        start = np.array([sx, sy, height_at(terrain, sx, sy) + constraints.corridor_mid])
-        goal = np.array([gx, gy, height_at(terrain, gx, gy) + constraints.corridor_mid])
+        start = np.array([sx, sy, float(terrain.heights(sx, sy)) + constraints.corridor_mid])
+        goal = np.array([gx, gy, float(terrain.heights(gx, gy)) + constraints.corridor_mid])
         try:
             threats = _sample_threats(rng, start, goal, constraints, complicated)
             scenario = Scenario(

@@ -20,6 +20,11 @@ _REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 # Largest synthetic grid, checked before the grid is allocated (about 11.6x
 # a 1201 x 1201 DEM; each node takes several float64 arrays while built).
 MAX_GRID_NODES = 4096 * 4096
+# Most hill-node additions a synthetic build may make, n_hills * n_cols *
+# n_rows: 64 hills on the largest grid.  generate_synthetic adds each hill
+# over the whole grid, at 13-23 ns a node on a 2-CPU Xeon, so a build takes
+# at most about 25 s.
+MAX_HILL_NODES = 64 * MAX_GRID_NODES
 # Largest magnitude of a config number and of an elevation: above any UTM
 # coordinate (about 1e7 m) and any plausible weight (see check_fields).
 MAX_MAGNITUDE = 1e9
@@ -28,24 +33,8 @@ MAX_MAGNITUDE = 1e9
 class ConfigError(ValueError):
     """Raised for every bad input where it is read, naming the field or the
     file: by each config record's constructor (``check_fields`` and the
-    ``Scenario`` checks), the config loader, ``SwarmConfig``, ``run``'s
-    algorithm, ``BenchmarkSpec`` and a suite seed."""
-
-
-class DemParseError(ValueError):
-    """Raised when an ESRI ASCII grid file is malformed."""
-
-
-class TerrainError(Exception):
-    """Base class for height-query failures."""
-
-
-class OutOfBoundsError(TerrainError):
-    """Query point lies outside the terrain's bounding rectangle."""
-
-
-class NodataError(TerrainError):
-    """Query touches a nodata cell corner."""
+    ``Scenario`` checks), the config loader, ``load_dem``, ``SwarmConfig``,
+    ``run``'s algorithm, ``BenchmarkSpec`` and a suite seed."""
 
 
 def is_int(value) -> bool:
@@ -209,20 +198,6 @@ class TerrainMap:
         return z
 
 
-def height_at(terrain: TerrainMap, x: float, y: float) -> float:
-    """Ground elevation at (x, y) by bilinear interpolation.
-
-    Raises OutOfBoundsError outside the grid rectangle and NodataError when
-    any of the four surrounding corners is nodata.
-    """
-    if not terrain.contains(x, y):
-        raise OutOfBoundsError(f"({x}, {y}) outside terrain bounds {terrain.bounds}")
-    z = float(terrain.heights(x, y))
-    if np.isnan(z):
-        raise NodataError(f"({x}, {y}) touches a nodata cell")
-    return z
-
-
 def load_dem(file_path) -> TerrainMap:
     """Parse an ESRI ASCII grid file.
 
@@ -240,7 +215,7 @@ def load_dem(file_path) -> TerrainMap:
             data_start = fh.tell()
             line = fh.readline()
             if not line:
-                raise DemParseError("no data rows found")
+                raise ConfigError("no data rows found")
             line_no += 1
             tokens = line.split()
             if not tokens:
@@ -249,13 +224,13 @@ def load_dem(file_path) -> TerrainMap:
             if key not in _HEADER_KEYS:
                 break  # the first data row
             if len(tokens) != 2:
-                raise DemParseError(f"line {line_no}: expected 'key value'")
+                raise ConfigError(f"line {line_no}: expected 'key value'")
             if key in header:
-                raise DemParseError(f"line {line_no}: duplicate header key {key!r}")
+                raise ConfigError(f"line {line_no}: duplicate header key {key!r}")
             header[key] = _header_value(key, tokens[1], line_no)
         for req in _REQUIRED_KEYS:
             if req not in header:
-                raise DemParseError(f"line {line_no}: missing header key {req!r}")
+                raise ConfigError(f"line {line_no}: missing header key {req!r}")
         n_cols = int(header["ncols"])
         # One C-level pass over the whole block; a malformed block is
         # scanned again row by row to name the offending line.
@@ -269,7 +244,7 @@ def load_dem(file_path) -> TerrainMap:
             _raise_row_error(fh, line_no, n_cols)
     n_rows = int(header["nrows"])
     if grid.shape[0] != n_rows:
-        raise DemParseError(f"expected {n_rows} data rows, got {grid.shape[0]}")
+        raise ConfigError(f"expected {n_rows} data rows, got {grid.shape[0]}")
     grid = grid[::-1]  # file is north-first; store south-first
     nodata = header.get("nodata_value", -9999.0)
     if "nodata_value" in header:  # only mask cells when the file declares a sentinel
@@ -287,12 +262,12 @@ def _header_value(key: str, token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise DemParseError(f"line {line_no}: non-numeric value for {key!r}") from None
+        raise ConfigError(f"line {line_no}: non-numeric value for {key!r}") from None
     if key in ("ncols", "nrows"):
         if not (value.is_integer() and value >= 1):  # False for nan and inf too
-            raise DemParseError(f"line {line_no}: {key!r} must be a positive integer, got {token}")
+            raise ConfigError(f"line {line_no}: {key!r} must be a positive integer, got {token}")
     elif not math.isfinite(value):
-        raise DemParseError(f"line {line_no}: {key!r} must be finite, got {token}")
+        raise ConfigError(f"line {line_no}: {key!r} must be finite, got {token}")
     return value
 
 
@@ -317,10 +292,10 @@ def _raise_row_error(lines, first_line_no: int, n_cols: int):
             continue
         n_rows += 1
         if not all(map(_is_cell, tokens)):
-            raise DemParseError(f"line {line_no}: non-numeric cell value")
+            raise ConfigError(f"line {line_no}: non-numeric cell value")
         if len(tokens) != n_cols:
-            raise DemParseError(f"row {n_rows}: expected {n_cols} values, got {len(tokens)}")
-    raise DemParseError("data rows could not be parsed")
+            raise ConfigError(f"row {n_rows}: expected {n_cols} values, got {len(tokens)}")
+    raise ConfigError("data rows could not be parsed")
 
 
 def save_dem(terrain: TerrainMap, file_path) -> None:
@@ -370,6 +345,11 @@ class SyntheticTerrainSpec:
             raise ConfigError("cell_size must be > 0")
         if self.n_hills < 0:
             raise ConfigError("n_hills must be >= 0")
+        if self.n_hills * self.n_cols * self.n_rows > MAX_HILL_NODES:
+            raise ConfigError(
+                f"n_hills * n_cols * n_rows must be <= {MAX_HILL_NODES} hill-nodes, "
+                f"got {self.n_hills} * {self.n_cols} * {self.n_rows}"
+            )
         # generate_synthetic divides by 2 * sigma**2, which a width below
         # 1 / MAX_MAGNITUDE takes to zero or past the float range.
         if not 1 / MAX_MAGNITUDE <= self.sigma_min <= self.sigma_max:

@@ -11,6 +11,7 @@ import yaml
 
 from uavpath import ConfigError, EvolutionTrace, Scenario, SwarmConfig, cli, load_scenario
 from uavpath.cli import (
+    MAX_RUNS_PER_CELL,
     BenchmarkSpec,
     export_convergence_csv,
     export_waypoints_csv,
@@ -18,7 +19,8 @@ from uavpath.cli import (
     mix_seed,
     run_benchmark,
 )
-from uavpath.optimizers import run_lockstep
+from uavpath.optimizers import MAX_EVALUATIONS, MAX_SWARM_SIZE, run_lockstep
+from uavpath.terrain import MAX_HILL_NODES
 
 from test_golden_cli import without_column
 
@@ -322,6 +324,49 @@ class TestPlan:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flag, named",
+        [("--swarm", f"swarm_size must be <= {MAX_SWARM_SIZE}, got 10000000000000"),
+         ("--iters", f"swarm_size * max_iterations must be <= {MAX_EVALUATIONS} paths per run, "
+                     "got 500 * 10000000000000")],
+    )
+    def test_oversized_run_exits_2(self, flat_cfg_path, tmp_path, capsys, flag, named):
+        """A swarm or a budget far past the bound: exit 2 naming the field,
+        before any particle or trace is allocated."""
+        code = main(["plan", str(flat_cfg_path), "--algo", "spso", flag, str(10**13),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "synthetic, named",
+        [
+            # 10**9 hills on an 11 x 11 grid would take hours to build.
+            ({"n_hills": 10**9}, f"terrain.synthetic: n_hills * n_cols * n_rows must be <= {MAX_HILL_NODES}"),
+            # At the bound the recipe passes: the negative seed, checked next,
+            # stops the load before the grid is built.
+            ({"n_cols": 64, "n_rows": 64, "n_hills": MAX_HILL_NODES // 4096, "seed": -1},
+             "terrain.synthetic.seed must be >= 0"),
+        ],
+        ids=["past-the-bound", "at-the-bound"],
+    )
+    def test_hill_work_bound_exits_2_at_once(self, tmp_path, capsys, synthetic, named):
+        cfg = copy.deepcopy(FLAT_CFG)
+        cfg["terrain"]["synthetic"].update(synthetic)
+        path = tmp_path / "hills.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        t0 = time.perf_counter()
+        code = main(["plan", str(path), "--algo", "spso", "--swarm", "4", "--iters", "1",
+                     "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+
     def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.yaml"
         bad.write_bytes(yaml.safe_dump(FLAT_CFG).encode() + "# caf\xe9\n".encode("latin-1"))
@@ -480,6 +525,31 @@ class TestBench:
                      "--swarm", "6", "--iters", "2", "--out", str(out)])
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "past, named",
+        [
+            (None, "unknown algorithm 'nope'"),
+            ("--swarm", f"swarm_size must be <= {MAX_SWARM_SIZE}, got {MAX_SWARM_SIZE + 1}"),
+            ("--iters", f"swarm_size * max_iterations must be <= {MAX_EVALUATIONS} paths per run"),
+            ("--runs", f"runs_per_cell must be <= {MAX_RUNS_PER_CELL}, got {MAX_RUNS_PER_CELL + 1}"),
+        ],
+        ids=["at-the-bounds", "swarm", "iters", "runs"],
+    )
+    def test_run_size_bounds_exit_2(self, tmp_path, capsys, past, named):
+        """``--swarm``, ``--iters`` and ``--runs`` at their bounds pass them,
+        so the unknown algorithm, checked last, is what stops the bench; one
+        past a bound names its field.  No run starts."""
+        at = {"--swarm": MAX_SWARM_SIZE, "--iters": MAX_EVALUATIONS // MAX_SWARM_SIZE, "--runs": MAX_RUNS_PER_CELL}
+        flags = [str(a) for flag, value in at.items() for a in (flag, value + (flag == past))]
+        cfgs = self.make_two_configs(tmp_path)
+        out = tmp_path / "size"
+        code = main(["bench", "--scenarios", cfgs[0], "--algos", "nope", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -14,8 +14,9 @@ from uavpath import (
     ConfigError, CostWeights, FlightConstraints, SwarmConfig, SyntheticTerrainSpec, TerrainMap, Threat,
     build_benchmark_suite, load_scenario, run,
 )
-from uavpath.cli import BenchmarkSpec
-from uavpath.terrain import MAX_MAGNITUDE
+from uavpath.cli import MAX_RUNS_PER_CELL, BenchmarkSpec
+from uavpath.optimizers import MAX_EVALUATIONS, MAX_SWARM_SIZE, budgeted_config
+from uavpath.terrain import MAX_HILL_NODES, MAX_MAGNITUDE
 
 BOUND = r"must be finite and at most 1e\+09 in magnitude, got "
 ENDPOINT = r"must be 3 numbers \(x, y, z\), each at most 1e\+09 in magnitude, got "
@@ -116,6 +117,47 @@ class TestIntegerFields:
         with pytest.raises(ConfigError, match="^n_waypoints must be >= 3, got 2$"):
             replace(flat_scenario, n_waypoints=2)
         assert replace(flat_scenario, n_waypoints=np.int64(3)).n_interior == 1
+
+
+class TestRunSize:
+    """A run's size is bounded where it is read, each bound closed: a value
+    at it is accepted and the next one names the field.  No run starts."""
+
+    def test_swarm_size_bound_is_closed(self):
+        assert SwarmConfig(swarm_size=MAX_SWARM_SIZE, max_iterations=1).swarm_size == MAX_SWARM_SIZE
+        with pytest.raises(ConfigError, match=f"^swarm_size must be <= {MAX_SWARM_SIZE}, got {MAX_SWARM_SIZE + 1}$"):
+            SwarmConfig(swarm_size=MAX_SWARM_SIZE + 1, max_iterations=1)
+
+    @pytest.mark.parametrize("swarm", [2, 500, 3001, MAX_SWARM_SIZE])
+    def test_evaluation_bound_is_closed(self, swarm):
+        iters = MAX_EVALUATIONS // swarm
+        assert SwarmConfig(swarm_size=swarm, max_iterations=iters).max_iterations == iters
+        with pytest.raises(ConfigError, match=rf"^swarm_size \* max_iterations must be <= {MAX_EVALUATIONS} "
+                                              rf"paths per run, got {swarm} \* {iters + 1}$"):
+            SwarmConfig(swarm_size=swarm, max_iterations=iters + 1)
+
+    def test_de_budget_stays_inside_the_bound(self):
+        """DE trades swarm for iterations at an equal budget, so a config at
+        the bound gives a DE config inside it."""
+        for swarm in [*range(2, 60), 3001, MAX_SWARM_SIZE]:
+            de = budgeted_config("de", SwarmConfig(swarm_size=swarm, max_iterations=MAX_EVALUATIONS // swarm))
+            assert de.swarm_size * de.max_iterations <= MAX_EVALUATIONS
+
+    def test_runs_per_cell_bound_is_closed(self, flat_scenario):
+        assert spec(flat_scenario, runs_per_cell=MAX_RUNS_PER_CELL).runs_per_cell == MAX_RUNS_PER_CELL
+        with pytest.raises(ConfigError,
+                           match=f"^runs_per_cell must be <= {MAX_RUNS_PER_CELL}, got {MAX_RUNS_PER_CELL + 1}$"):
+            spec(flat_scenario, runs_per_cell=MAX_RUNS_PER_CELL + 1)
+
+    def test_hill_work_bound_is_closed(self):
+        """64 x 64 nodes take exactly MAX_HILL_NODES / 4096 hills; the spec
+        alone is built, not the terrain."""
+        n_hills = MAX_HILL_NODES // (64 * 64)
+        assert n_hills * 64 * 64 == MAX_HILL_NODES
+        assert SyntheticTerrainSpec(n_cols=64, n_rows=64, cell_size=1.0, n_hills=n_hills).n_hills == n_hills
+        with pytest.raises(ConfigError, match=f"^n_hills \\* n_cols \\* n_rows must be <= {MAX_HILL_NODES} "
+                                              f"hill-nodes, got {n_hills + 1} \\* 64 \\* 64$"):
+            SyntheticTerrainSpec(n_cols=64, n_rows=64, cell_size=1.0, n_hills=n_hills + 1)
 
 
 class TestOutOfRange:

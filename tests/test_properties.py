@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavpath import (
-    ConfigError, CostWeights, DemParseError, FlightConstraints, Scenario, TerrainMap, Threat, load_dem,
+    ConfigError, CostWeights, FlightConstraints, Scenario, TerrainMap, Threat, load_dem,
 )
 
 from uavpath.terrain import MAX_MAGNITUDE
@@ -180,5 +180,5 @@ def test_load_dem_matches_per_token_float(tmp_path_factory, dem, data):
     bad = [list(pieces) for pieces in lines]
     bad[i][2 * k + 1] = data.draw(st.sampled_from(["#", "1_0", "x", "1.5.2"]), label="bad token")
     write_lines(path, bad, eol)
-    with pytest.raises(DemParseError, match=f"^line {i + 1}: non-numeric cell value$"):
+    with pytest.raises(ConfigError, match=f"^line {i + 1}: non-numeric cell value$"):
         load_dem(path)

@@ -14,11 +14,8 @@ PUBLIC_NAMES = {
     "ConfigError",
     "CostBreakdown",
     "CostWeights",
-    "DemParseError",
     "EvolutionTrace",
     "FlightConstraints",
-    "NodataError",
-    "OutOfBoundsError",
     "SampleSummary",
     "Scenario",
     "SwarmConfig",
@@ -34,7 +31,6 @@ PUBLIC_NAMES = {
     "decode_spherical",
     "evaluate_paths",
     "generate_synthetic",
-    "height_at",
     "load_dem",
     "load_scenario",
     "mean_std",

@@ -8,13 +8,9 @@ from oracles import save_dem_reference
 
 from uavpath import (
     ConfigError,
-    DemParseError,
-    NodataError,
-    OutOfBoundsError,
     SyntheticTerrainSpec,
     TerrainMap,
     generate_synthetic,
-    height_at,
     load_dem,
     save_dem,
 )
@@ -46,12 +42,12 @@ class TestLoadDem:
         assert (t.origin_x, t.origin_y, t.cell_size) == (0.0, 0.0, 10.0)
         assert t.elevations.size == 4
         # first file row is the northernmost: value 1 sits at max y
-        assert height_at(t, 0.0, 10.0) == 1.0
-        assert height_at(t, 0.0, 0.0) == 3.0
+        assert float(t.heights(0.0, 10.0)) == 1.0
+        assert float(t.heights(0.0, 0.0)) == 3.0
 
     def test_row_width_mismatch(self, tmp_path):
         bad = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 4 5\n"
-        with pytest.raises(DemParseError, match="row 1: expected 3 values"):
+        with pytest.raises(ConfigError, match="row 1: expected 3 values"):
             load_dem(write(tmp_path, bad))
 
     def test_nodata_cell_flagged(self, tmp_path):
@@ -75,17 +71,17 @@ class TestLoadDem:
 
     def test_missing_header_key(self, tmp_path):
         bad = "ncols 2\nnrows 2\nxllcorner 0\ncellsize 5\n1 2\n3 4\n"
-        with pytest.raises(DemParseError, match="missing header key 'yllcorner'"):
+        with pytest.raises(ConfigError, match="missing header key 'yllcorner'"):
             load_dem(write(tmp_path, bad))
 
     def test_duplicate_header_key(self, tmp_path):
         bad = "ncols 2\nncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 4\n"
-        with pytest.raises(DemParseError, match="duplicate header key"):
+        with pytest.raises(ConfigError, match="duplicate header key"):
             load_dem(write(tmp_path, bad))
 
     def test_non_numeric_cell(self, tmp_path):
         bad = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 x\n3 4\n"
-        with pytest.raises(DemParseError, match="line 6"):
+        with pytest.raises(ConfigError, match="line 6"):
             load_dem(write(tmp_path, bad))
 
     def test_header_case_insensitive(self, tmp_path):
@@ -95,7 +91,7 @@ class TestLoadDem:
 
     def test_row_count_mismatch(self, tmp_path):
         bad = "ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 4\n"
-        with pytest.raises(DemParseError, match="expected 3 data rows"):
+        with pytest.raises(ConfigError, match="expected 3 data rows"):
             load_dem(write(tmp_path, bad))
 
 
@@ -117,7 +113,7 @@ class TestLoadDem:
                   "cellsize": "5", "NODATA_value": "-9999", key: value}
         text = "".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n"
         line = list(header).index(key) + 1
-        with pytest.raises(DemParseError, match=f"line {line}: {message}, got {value}"):
+        with pytest.raises(ConfigError, match=f"line {line}: {message}, got {value}"):
             load_dem(write(tmp_path, text))
 
     def test_integral_float_grid_size(self, tmp_path):
@@ -129,32 +125,32 @@ class TestLoadDem:
         # float() takes "1_0" as 10.0 and the Arabic-Indic digit as 1.0;
         # the grid parser takes neither.
         bad = f"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 {token}\n"
-        with pytest.raises(DemParseError, match="line 7: non-numeric cell value"):
+        with pytest.raises(ConfigError, match="line 7: non-numeric cell value"):
             load_dem(write(tmp_path, bad))
 
     def test_error_line_counts_blank_lines(self, tmp_path):
         bad = "\n\nncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n\n\n1 2\n\n3 x\n"
-        with pytest.raises(DemParseError, match="line 12: non-numeric cell value"):
+        with pytest.raises(ConfigError, match="line 12: non-numeric cell value"):
             load_dem(write(tmp_path, bad))
 
     def test_width_error_counts_data_rows(self, tmp_path):
         bad = "ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n\n3 4\n5 6 7\n"
-        with pytest.raises(DemParseError, match="row 3: expected 2 values, got 3"):
+        with pytest.raises(ConfigError, match="row 3: expected 2 values, got 3"):
             load_dem(write(tmp_path, bad))
 
     def test_consistent_wrong_width(self, tmp_path):
         bad = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n3 4\n"
-        with pytest.raises(DemParseError, match="row 1: expected 3 values, got 2"):
+        with pytest.raises(ConfigError, match="row 1: expected 3 values, got 2"):
             load_dem(write(tmp_path, bad))
 
     def test_single_data_row_keeps_its_shape(self, tmp_path):
         bad = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n1 2\n"
-        with pytest.raises(DemParseError, match="expected 2 data rows, got 1"):
+        with pytest.raises(ConfigError, match="expected 2 data rows, got 1"):
             load_dem(write(tmp_path, bad))
 
     def test_header_only_file(self, tmp_path):
         bad = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 5\n\n"
-        with pytest.raises(DemParseError, match="no data rows found"):
+        with pytest.raises(ConfigError, match="no data rows found"):
             load_dem(write(tmp_path, bad))
 
 
@@ -224,24 +220,22 @@ class TestHeightAt:
     def test_grid_node_identity(self, tmp_path):
         t = load_dem(write(tmp_path, SMALL_DEM))
         for (x, y), want in [((0, 0), 3.0), ((10, 0), 4.0), ((0, 10), 1.0), ((10, 10), 2.0)]:
-            assert height_at(t, x, y) == want
+            assert float(t.heights(x, y)) == want
 
     def test_cell_center_symmetry(self):
         t = TerrainMap(0.0, 0.0, 10.0, -9999.0, [[0.0, 10.0], [10.0, 0.0]])
-        assert height_at(t, 5.0, 5.0) == pytest.approx(5.0)
+        assert float(t.heights(5.0, 5.0)) == pytest.approx(5.0)
 
     def test_hand_evaluated_bilinear(self):
         # f(0,0)=1, f(1,0)=2, f(0,1)=3, f(1,1)=4 queried at (0.25, 0.75):
         # (1-u)(1-v)f00 + u(1-v)f10 + (1-u)v f01 + uv f11 = 2.75
         t = TerrainMap(0.0, 0.0, 1.0, -9999.0, [[1.0, 2.0], [3.0, 4.0]])
-        assert height_at(t, 0.25, 0.75) == pytest.approx(2.75, abs=1e-12)
+        assert float(t.heights(0.25, 0.75)) == pytest.approx(2.75, abs=1e-12)
 
     def test_out_of_bounds(self, tmp_path):
         t = load_dem(write(tmp_path, SMALL_DEM))
-        with pytest.raises(OutOfBoundsError):
-            height_at(t, -0.1, 5.0)
-        with pytest.raises(OutOfBoundsError):
-            height_at(t, 5.0, 10.1)
+        assert math.isnan(t.heights(-0.1, 5.0))
+        assert math.isnan(t.heights(5.0, 10.1))
 
     def test_nodata_corner(self, tmp_path):
         text = (
@@ -249,8 +243,7 @@ class TestHeightAt:
             "NODATA_value -9999\n1 2\n-9999 4\n"
         )
         t = load_dem(write(tmp_path, text))
-        with pytest.raises(NodataError):
-            height_at(t, 5.0, 5.0)
+        assert math.isnan(t.heights(5.0, 5.0))
 
     def test_all_nodes_exact(self):
         rng = np.random.default_rng(3)
@@ -258,7 +251,7 @@ class TestHeightAt:
         t = TerrainMap(5.0, -20.0, 2.5, -9999.0, grid)
         for iy in range(7):
             for ix in range(9):
-                assert height_at(t, 5.0 + 2.5 * ix, -20.0 + 2.5 * iy) == grid[iy, ix]
+                assert float(t.heights(5.0 + 2.5 * ix, -20.0 + 2.5 * iy)) == grid[iy, ix]
 
     def test_continuity_within_cells(self):
         rng = np.random.default_rng(4)
@@ -272,7 +265,7 @@ class TestHeightAt:
             scale = eps / math.hypot(dx, dy)
             x2 = float(np.clip(x + dx * scale, 0, 50))
             y2 = float(np.clip(y + dy * scale, 0, 50))
-            dh = abs(height_at(t, x2, y2) - height_at(t, x, y))
+            dh = abs(float(t.heights(x2, y2)) - float(t.heights(x, y)))
             dist = math.hypot(x2 - x, y2 - y)
             assert dh <= dist * 2 * max_grad + 1e-9
 
