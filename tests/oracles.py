@@ -6,12 +6,17 @@ points at a real defect in one of the two sides.  The solver-step
 references build DE trials and ABC candidates one member at a time from
 the arrays the step draws for its whole generation, and the initial
 population one redraw round at a time.  The DEM writer reference writes
-its grid one cell at a time.
+its grid one cell at a time.  The witness reference is the suite builder's
+search one attempt at a time: each bowed detour is drawn, then scored alone
+through ``total_cost``.
 """
 
 import math
 
 import numpy as np
+
+from uavpath import suite
+from uavpath.cost import total_cost
 
 EPS_LEN = 1e-9
 
@@ -202,3 +207,34 @@ def save_dem_reference(terrain, file_path):
                 for v in row
             ]
             fh.write(" ".join(out) + "\n")
+
+
+def witness_reference(rng, scenario):
+    """The suite's feasibility witness, attempt by attempt: draw a laterally
+    bowed detour at mid-corridor height, score it through ``total_cost``
+    and return the first finite one, or None after
+    ``suite._WITNESS_ATTEMPTS`` attempts."""
+    n = scenario.n_waypoints
+    start, goal = scenario.start, scenario.goal
+    dx, dy = goal[0] - start[0], goal[1] - start[1]
+    nx, ny = -dy, dx
+    norm = math.hypot(nx, ny)
+    nx, ny = nx / norm, ny / norm
+    ts = np.linspace(0.0, 1.0, n)[1:-1]
+    x_min, x_max, y_min, y_max = scenario.terrain.bounds
+    mid = scenario.constraints.corridor_mid
+    for _ in range(suite._WITNESS_ATTEMPTS):
+        side = 1.0 if rng.random() < 0.5 else -1.0
+        bow = rng.uniform(0.0, 280.0)
+        noise = rng.normal(0.0, 15.0, size=ts.size)
+        off = side * bow * np.sin(math.pi * ts) + noise
+        xs = np.clip(start[0] + ts * dx + off * nx, x_min + 5.0, x_max - 5.0)
+        ys = np.clip(start[1] + ts * dy + off * ny, y_min + 5.0, y_max - 5.0)
+        ground = scenario.terrain.heights(xs, ys)
+        zs = ground + mid
+        path = np.vstack(
+            [start, np.column_stack([xs, ys, zs]), goal]
+        )
+        if math.isfinite(total_cost(path, scenario).total):
+            return path
+    return None
