@@ -118,7 +118,10 @@ class CostWeights:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A full path-planning instance; immutable and safe to share."""
+    """A full path-planning instance; immutable and safe to share.
+
+    The suite builder sets ``witness`` once, on the scenario it has just
+    validated, before the scenario is returned."""
 
     terrain: TerrainMap
     threats: tuple[Threat, ...]
@@ -128,7 +131,8 @@ class Scenario:
     weights: CostWeights
     n_waypoints: int
     name: str = "scenario"
-    # Feasibility witness stored by the suite builder; not serialized.
+    # Feasibility witness, set once by the suite builder before the scenario
+    # is returned; not serialized.
     witness: np.ndarray | None = None
 
     def __post_init__(self):
