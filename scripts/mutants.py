@@ -71,6 +71,8 @@ MUTANTS = [
     ("clamp-wrap-clip", ENCODINGS, "clipped = np.clip(g, space.lower, space.upper)",
      "clipped = g.copy()"),
     ("spherical-step-cap", ENCODINGS, "upper = np.tile([cap, ", "upper = np.tile([2 * cap, "),
+    # A space's bounds and wrap policy are read-only.
+    ("space-read-only", ENCODINGS, "arr.setflags(write=False)", "arr.setflags(write=True)"),
     # The input boundary's magnitude bound, closed: a config number, an
     # elevation and an endpoint coordinate may equal MAX_MAGNITUDE, and a
     # hill's width 1 / MAX_MAGNITUDE.

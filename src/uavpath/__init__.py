@@ -8,12 +8,7 @@ reporting.  The cost API is ``evaluate_paths`` (a stack of paths) and
 """
 
 from .cost import CostBreakdown, evaluate_paths, total_cost
-from .encodings import (
-    clamp_wrap,
-    decode_angle,
-    decode_cartesian,
-    decode_spherical,
-)
+from .encodings import decode_angle, decode_cartesian, decode_spherical
 from .optimizers import ALGORITHMS, EvolutionTrace, SwarmConfig, run
 from .scenario import (
     ConfigError,

@@ -1,4 +1,9 @@
-"""Genome encodings for candidate paths and their decode maps.
+"""Genome encodings for candidate paths, one ``SearchSpace`` each.
+
+A space is one encoding on one scenario: its decode map, its per-gene
+bounds and its wrap policy.  ``cartesian_space``, ``angle_space`` and
+``spherical_space`` build one, and the initial sampler ``random_genomes``
+follows the space's decode.
 
 Three encodings share an interleaved per-node layout of 3N values for the
 N = n - 2 free interior waypoints (start and goal are fixed outside the
@@ -21,6 +26,7 @@ All decodes are pure; batched inputs (M, 3N) give batched outputs (M, n, 3).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +45,11 @@ SPSO_INIT_PSI_BAND = 0.2
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-dimension bounds and wrap policy for one encoding."""
+    """One encoding on one scenario: its decode map (genomes -> paths),
+    per-gene bounds and wrap policy; ``random_genomes`` samples by the
+    decode.  The arrays are read-only, as every step of a run shares them."""
 
-    kind: str
+    decode: Callable[..., np.ndarray]  # (genomes, scenario) -> paths
     lower: np.ndarray  # (3N,)
     upper: np.ndarray  # (3N,)
     wrap: np.ndarray   # (3N,) bool; wrapped dims use (-pi, pi] instead of clipping
@@ -64,13 +72,13 @@ class SearchSpace:
 def cartesian_space(scenario: Scenario) -> SearchSpace:
     n = scenario.n_interior
     bounds = np.tile(scenario.axis_bounds, (n, 1))
-    return SearchSpace("cartesian", bounds[:, 0], bounds[:, 1], np.zeros(3 * n, dtype=bool))
+    return SearchSpace(decode_cartesian, bounds[:, 0], bounds[:, 1], np.zeros(3 * n, dtype=bool))
 
 
 def angle_space(scenario: Scenario) -> SearchSpace:
     d = 3 * scenario.n_interior
     half = np.full(d, math.pi / 2)
-    return SearchSpace("angle", -half, half, np.zeros(d, dtype=bool))
+    return SearchSpace(decode_angle, -half, half, np.zeros(d, dtype=bool))
 
 
 def spherical_space(scenario: Scenario) -> SearchSpace:
@@ -79,7 +87,7 @@ def spherical_space(scenario: Scenario) -> SearchSpace:
     lower = np.tile([EPS_LEN, -math.pi / 2, -math.pi], n)
     upper = np.tile([cap, math.pi / 2, math.pi], n)
     wrap = np.tile([False, False, True], n)
-    return SearchSpace("spherical", lower, upper, wrap)
+    return SearchSpace(decode_spherical, lower, upper, wrap)
 
 
 # --- wrapping / clamping ------------------------------------------------------
@@ -206,27 +214,13 @@ def decode_spherical(genome, scenario: Scenario) -> np.ndarray:
     return path[0] if squeeze else path
 
 
-# encoding kind -> (search space builder, decode)
-_ENCODINGS = {
-    "cartesian": (cartesian_space, decode_cartesian),
-    "angle": (angle_space, decode_angle),
-    "spherical": (spherical_space, decode_spherical),
-}
-
-
-def decode(kind: str, genome, scenario: Scenario) -> np.ndarray:
-    _, decode_kind = _ENCODINGS[kind]
-    return decode_kind(genome, scenario)
-
-
 # --- random genomes -------------------------------------------------------------
 
-def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries=None) -> np.ndarray:
-    """Sample genomes from each generator in ``streams``, within the bounds
-    of ``space`` (the scenario's search space of one encoding).  Returns a
-    (len(streams), 3N) batch, one genome per stream; given ``tries``, a
-    (len(streams), tries, 3N) block whose try t of a stream is the genome
-    the t-th of ``tries`` successive one-genome calls would draw from it.
+def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries: int) -> np.ndarray:
+    """Sample ``tries`` genomes from each generator in ``streams``, within
+    the bounds of ``space`` (one encoding on ``scenario``): a
+    (len(streams), tries, 3N) block whose try t of a stream is the t-th
+    genome drawn from it.  What is drawn follows ``space.decode``.
 
     Horizontal coordinates (and angles) are uniform over their intervals.
     Waypoint altitudes are sampled relative to the ground under the drawn
@@ -241,23 +235,22 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries=None) 
     A try's ``width`` values are its 3N genome values, then, for cartesian
     and angle genomes, one altitude offset per node (4N in all).
     ``Generator.random`` spends one 64-bit word per double and buffers
-    none, so a block of tries holds the values successive calls would
-    draw.  At MAX_WAYPOINTS and a swarm of 500, a block of 4 tries takes
-    64 MB of draws and 48 MB of genomes.
+    none, so a block of tries holds the values successive one-try blocks
+    would draw.  At MAX_WAYPOINTS and a swarm of 500, a block of 4 tries
+    takes 64 MB of draws and 48 MB of genomes.
     """
     # Each value is ``lo + (hi - lo) * u``, the arithmetic of
     # ``rng.uniform(lo, hi)`` on the same stream value u, without the
     # Python-level bound checks ``Generator.uniform`` makes on every call.
     # The golden hashes and test_sampler_draws_equal_generator_uniform
     # guard that equivalence against a numpy that computes it differently.
-    kind = space.kind
+    spherical = space.decode is decode_spherical
     cons = scenario.constraints
     n = scenario.n_interior
-    width = 3 * n if kind == "spherical" else 4 * n
-    draws = np.empty((len(streams), 1 if tries is None else tries, width))
+    draws = np.empty((len(streams), tries, 3 * n if spherical else 4 * n))
     for rng, out in zip(streams, draws):
         rng.random(out=out)
-    if kind == "spherical":
+    if spherical:
         bearing = math.atan2(
             scenario.goal[1] - scenario.start[1], scenario.goal[0] - scenario.start[0]
         )
@@ -265,22 +258,21 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries=None) 
             [EPS_LEN, math.pi / 2 - SPSO_INIT_PSI_BAND, bearing - SPSO_INIT_PHI_HALFWIDTH], n
         )
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
-        genomes = clamp_wrap(lo + (hi - lo) * draws, space)
-        return genomes if tries is not None else genomes[:, 0]
+        return clamp_wrap(lo + (hi - lo) * draws, space)
     bounds = scenario.axis_bounds
     genomes = space.lower + (space.upper - space.lower) * draws[..., : 3 * n]
-    if kind == "angle":
+    if space.decode is decode_angle:
         xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[..., 0::3]) + bounds[0].sum())
         ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[..., 1::3]) + bounds[1].sum())
     else:
         xs, ys = genomes[..., 0::3], genomes[..., 1::3]
     ground = scenario.terrain.heights(xs, ys)
     z = ground + (cons.h_min + (cons.h_max - cons.h_min) * draws[..., 3 * n :])
-    if kind == "angle":
+    if space.decode is decode_angle:
         lo_z, hi_z = bounds[2]
         z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
     else:
         z_genes = np.clip(z, space.lower[2::3], space.upper[2::3])
     # Nodata ground (possible on real DEMs) falls back to the box-uniform z.
     genomes[..., 2::3] = np.where(np.isnan(z), genomes[..., 2::3], z_genes)
-    return genomes if tries is not None else genomes[:, 0]
+    return genomes

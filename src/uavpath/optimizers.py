@@ -160,7 +160,7 @@ class _State:
     evaluations: int = field(default=0, kw_only=True)
 
     def decode(self, genomes) -> np.ndarray:
-        return encodings.decode(self.space.kind, genomes, self.scenario)
+        return self.space.decode(genomes, self.scenario)
 
     def paths(self, genomes) -> np.ndarray:
         """Decode and count a batch of genomes: the paths a step yields to
@@ -548,7 +548,7 @@ def _scout_phase(colony: AbcColony) -> Generator:
     worst = int(np.argmax(colony.trials))
     if colony.trials[worst] < ABC_LIMIT:
         return
-    fresh = encodings.random_genomes(colony.space, colony.scenario, [colony.scout_stream])[0]
+    fresh = encodings.random_genomes(colony.space, colony.scenario, [colony.scout_stream], 1)[0, 0]
     colony.sources[worst] = fresh
     colony.fitness[worst] = (yield colony.paths(fresh[None]))[0]
     colony.trials[worst] = 0

@@ -14,7 +14,6 @@ from uavpath.encodings import (
     angle_space,
     cartesian_space,
     clamp_wrap,
-    decode,
     random_genomes,
     rho_max,
     spherical_space,
@@ -44,7 +43,7 @@ class TestDecodeCartesian:
 
     def test_round_trip(self, flat_scenario):
         rng = np.random.default_rng(0)
-        genome = random_genomes(cartesian_space(flat_scenario), flat_scenario, [rng])[0]
+        genome = random_genomes(cartesian_space(flat_scenario), flat_scenario, [rng], 1)[0, 0]
         path = decode_cartesian(genome, flat_scenario)
         assert np.array_equal(path[1:-1].reshape(-1), genome)
 
@@ -100,7 +99,7 @@ class TestDecodeSpherical:
 
     def test_chains_from_start_and_appends_goal(self, flat_scenario):
         rng = np.random.default_rng(2)
-        genome = random_genomes(spherical_space(flat_scenario), flat_scenario, [rng])[0]
+        genome = random_genomes(spherical_space(flat_scenario), flat_scenario, [rng], 1)[0, 0]
         path = decode_spherical(genome, flat_scenario)
         assert np.array_equal(path[0], flat_scenario.start)
         assert np.array_equal(path[-1], flat_scenario.goal)
@@ -185,7 +184,7 @@ class TestClampWrap:
         rng = np.random.default_rng(5)
         for space_of in (cartesian_space, angle_space, spherical_space):
             space = space_of(flat_scenario)
-            g = random_genomes(space, flat_scenario, [rng])[0]
+            g = random_genomes(space, flat_scenario, [rng], 1)[0, 0]
             assert np.array_equal(clamp_wrap(g, space), g)
 
     def test_wrap_to_pi_edges(self):
@@ -208,8 +207,8 @@ class TestRandomGenome:
     def test_deterministic_from_cloned_streams(self, hilly_scenario):
         for space_of in (cartesian_space, angle_space, spherical_space):
             space = space_of(hilly_scenario)
-            a = random_genomes(space, hilly_scenario, [np.random.default_rng(99)])[0]
-            b = random_genomes(space, hilly_scenario, [np.random.default_rng(99)])[0]
+            a = random_genomes(space, hilly_scenario, [np.random.default_rng(99)], 1)[0, 0]
+            b = random_genomes(space, hilly_scenario, [np.random.default_rng(99)], 1)[0, 0]
             assert np.array_equal(a, b)
 
     def test_angle_bounds_respected(self, hilly_scenario):
@@ -217,7 +216,7 @@ class TestRandomGenome:
         space = angle_space(hilly_scenario)
         lo = hi = 0.0
         for _ in range(10_000):
-            g = random_genomes(space, hilly_scenario, [rng])[0]
+            g = random_genomes(space, hilly_scenario, [rng], 1)[0, 0]
             lo = min(lo, g.min())
             hi = max(hi, g.max())
         assert -math.pi / 2 <= lo and hi <= math.pi / 2
@@ -227,7 +226,7 @@ class TestRandomGenome:
         cap = rho_max(hilly_scenario)
         space = spherical_space(hilly_scenario)
         for _ in range(10_000):
-            g = random_genomes(space, hilly_scenario, [rng])[0]
+            g = random_genomes(space, hilly_scenario, [rng], 1)[0, 0]
             rhos = g[0::3]
             assert np.all(rhos > 0) and np.all(rhos <= cap)
 
@@ -235,7 +234,7 @@ class TestRandomGenome:
         rng = np.random.default_rng(8)
         space = cartesian_space(hilly_scenario)
         for _ in range(500):
-            g = random_genomes(space, hilly_scenario, [rng])[0]
+            g = random_genomes(space, hilly_scenario, [rng], 1)[0, 0]
             assert np.all(g >= space.lower) and np.all(g <= space.upper)
 
 
@@ -245,7 +244,7 @@ def _uniform_reference(space, scenario, seeds):
     node, from fresh generators."""
     streams = [np.random.default_rng(seed) for seed in seeds]
     cons = scenario.constraints
-    if space.kind == "spherical":
+    if space.decode is decode_spherical:
         n = scenario.n_interior
         dx, dy = (scenario.goal - scenario.start)[:2]
         bearing = math.atan2(dy, dx)
@@ -256,14 +255,14 @@ def _uniform_reference(space, scenario, seeds):
         return clamp_wrap(np.stack([rng.uniform(lo, hi) for rng in streams]), space)
     bounds = scenario.axis_bounds
     genomes = np.stack([rng.uniform(space.lower, space.upper) for rng in streams])
-    if space.kind == "angle":
+    if space.decode is decode_angle:
         xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())
         ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[:, 1::3]) + bounds[1].sum())
     else:
         xs, ys = genomes[:, 0::3], genomes[:, 1::3]
     ground = scenario.terrain.heights(xs, ys)
     z = ground + np.stack([rng.uniform(cons.h_min, cons.h_max, size=xs.shape[1]) for rng in streams])
-    if space.kind == "angle":
+    if space.decode is decode_angle:
         lo_z, hi_z = bounds[2]
         z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
     else:
@@ -281,8 +280,22 @@ def test_sampler_draws_equal_generator_uniform(space_of, index):
     scenario = build_benchmark_suite(0)[index]
     space = space_of(scenario)
     seeds = range(40, 56)
-    got = random_genomes(space, scenario, [np.random.default_rng(seed) for seed in seeds])
+    got = random_genomes(space, scenario, [np.random.default_rng(seed) for seed in seeds], 1)[:, 0]
     assert np.array_equal(got, _uniform_reference(space, scenario, seeds))
+
+
+@pytest.mark.parametrize(
+    "space_of, decode",
+    [(cartesian_space, decode_cartesian), (angle_space, decode_angle), (spherical_space, decode_spherical)],
+)
+def test_space_is_read_only(space_of, decode):
+    """Every step of a run reads one space, so none of its arrays can be
+    written; and a space decodes with its own builder's map."""
+    for scenario in build_benchmark_suite(0):
+        space = space_of(scenario)
+        assert space.decode is decode
+        for name in ("lower", "upper", "wrap", "v_cap"):
+            assert not getattr(space, name).flags.writeable, name
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +320,8 @@ def holed_scenario():
 
 
 class TestSamplerBlocks:
-    """A block of tries per stream is what successive one-genome calls on
-    the same streams draw, and a one-genome call leaves each stream where
+    """A block of tries per stream is what successive one-try blocks on
+    the same streams draw, and a one-try block leaves each stream where
     the genome box and the altitude offsets, drawn in two calls, left it."""
 
     @pytest.mark.parametrize("space_of", [cartesian_space, angle_space, spherical_space])
@@ -322,18 +335,18 @@ class TestSamplerBlocks:
         assert block.shape == (len(seeds), tries, space.dims)
         clones = [np.random.default_rng(seed) for seed in seeds]
         for t in range(tries):
-            assert np.array_equal(block[:, t], random_genomes(space, holed_scenario, clones))
-        if space.kind != "spherical" and tries > 1:
-            nodes = decode(space.kind, block.reshape(-1, space.dims), holed_scenario)[:, 1:-1]
+            assert np.array_equal(block[:, t], random_genomes(space, holed_scenario, clones, 1)[:, 0])
+        if space.decode is not decode_spherical and tries > 1:
+            nodes = space.decode(block.reshape(-1, space.dims), holed_scenario)[:, 1:-1]
             assert np.isnan(holed_scenario.terrain.heights(nodes[..., 0], nodes[..., 1])).any()
 
     @pytest.mark.parametrize("space_of", [cartesian_space, angle_space, spherical_space])
     def test_one_try_leaves_stream_after_its_draws(self, holed_scenario, space_of):
         space = space_of(holed_scenario)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        random_genomes(space, holed_scenario, [rng])
+        random_genomes(space, holed_scenario, [rng], 1)
         ref.random(space.dims)
-        if space.kind != "spherical":
+        if space.decode is not decode_spherical:
             ref.random(holed_scenario.n_interior)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()

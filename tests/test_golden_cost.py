@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from uavpath.cost import evaluate_paths
-from uavpath.encodings import _ENCODINGS, random_genomes
+from uavpath.encodings import angle_space, cartesian_space, random_genomes, spherical_space
 from uavpath.suite import build_benchmark_suite
 
 from conftest import f1_of, f2_of, f3_of, f4_of
@@ -81,12 +81,12 @@ def edge_case_paths(scenario, rng) -> np.ndarray:
 def scenario_paths(scenario, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     batches = [edge_case_paths(scenario, rng)]
-    for space_of, decode in _ENCODINGS.values():
+    for space_of in (cartesian_space, angle_space, spherical_space):
         space = space_of(scenario)
         streams = [np.random.default_rng([seed, i]) for i in range(N_SAMPLED)]
-        batches.append(decode(random_genomes(space, scenario, streams), scenario))
+        batches.append(space.decode(random_genomes(space, scenario, streams, 1)[:, 0], scenario))
         uniform = rng.uniform(space.lower, space.upper, (N_UNIFORM, space.lower.size))
-        batches.append(decode(uniform, scenario))
+        batches.append(space.decode(uniform, scenario))
     return np.concatenate(batches)
 
 

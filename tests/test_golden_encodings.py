@@ -23,11 +23,13 @@ import numpy as np
 import pytest
 
 from uavpath.encodings import (
-    _ENCODINGS,
+    angle_space,
     assemble_path,
+    cartesian_space,
     clamp_velocity,
     clamp_wrap,
     random_genomes,
+    spherical_space,
     wrap_difference,
     wrap_to_pi,
 )
@@ -36,6 +38,7 @@ from uavpath.terrain import TerrainMap
 
 N_SAMPLED = 8  # genomes from the solvers' initial sampler, per encoding
 N_UNIFORM = 8  # genomes uniform over the search box, per encoding
+SPACES = {"cartesian": cartesian_space, "angle": angle_space, "spherical": spherical_space}
 
 # Azimuths every wrapping routine must map the same way as before.
 SPECIAL_ANGLES = np.array([
@@ -84,7 +87,7 @@ def genome_batch(space, scenario, seed: int) -> np.ndarray:
     """Sampled, uniform, on-bound and out-of-bound genomes, (M, 3N)."""
     rng = np.random.default_rng(seed)
     streams = [np.random.default_rng([seed, i]) for i in range(N_SAMPLED)]
-    sampled = random_genomes(space, scenario, streams)
+    sampled = random_genomes(space, scenario, streams, 1)[:, 0]
     uniform = rng.uniform(space.lower, space.upper, (N_UNIFORM, space.dims))
     span = space.upper - space.lower
     beyond = rng.uniform(space.lower - 2 * span, space.upper + 2 * span, (4, space.dims))
@@ -99,16 +102,15 @@ def special_genomes(space) -> np.ndarray:
     return SPECIAL_ANGLES[(rows + np.arange(space.dims)) % SPECIAL_ANGLES.size]
 
 
-@pytest.mark.parametrize("kind", list(_ENCODINGS))
+@pytest.mark.parametrize("kind", list(SPACES))
 def test_golden_decode(kind, suite):
     d = Digest()
     for i, scenario in enumerate(suite):
-        space_of, decode = _ENCODINGS[kind]
-        space = space_of(scenario)
+        space = SPACES[kind](scenario)
         genomes = np.concatenate([genome_batch(space, scenario, i), special_genomes(space)])
-        d.add(decode(genomes, scenario))
-        d.add(decode(genomes[0], scenario))  # one genome, (n, 3)
-        d.add(decode(genomes[-3:].tolist(), scenario))  # a list input
+        d.add(space.decode(genomes, scenario))
+        d.add(space.decode(genomes[0], scenario))  # one genome, (n, 3)
+        d.add(space.decode(genomes[-3:].tolist(), scenario))  # a list input
     d.check(f"decode_{kind}")
 
 
@@ -116,7 +118,7 @@ def test_golden_assemble_path(suite):
     d = Digest()
     for i, scenario in enumerate(suite):
         rng = np.random.default_rng(i)
-        space = _ENCODINGS["cartesian"][0](scenario)
+        space = cartesian_space(scenario)
         lo, hi = space.lower[:3], space.upper[:3]
         # GA members hold 1 .. 2N interior nodes; batches group one k.
         for k in (1, 2, 3, scenario.n_interior, 2 * scenario.n_interior):
@@ -141,7 +143,7 @@ def wrap_cases(suite):
     """(space, a, b) triples: genome pairs for every encoding of every
     scenario, as 2-D batches and as single genomes."""
     for i, scenario in enumerate(suite):
-        for space_of, _ in _ENCODINGS.values():
+        for space_of in SPACES.values():
             space = space_of(scenario)
             a = np.concatenate([genome_batch(space, scenario, i), special_genomes(space)])
             b = np.random.default_rng(100 + i).permutation(a)

@@ -16,7 +16,7 @@ from uavpath import (
 from uavpath import optimizers
 from uavpath.cost import evaluate_paths
 from uavpath.encodings import SearchSpace
-from uavpath.encodings import assemble_path, clamp_wrap, decode, random_genomes
+from uavpath.encodings import assemble_path, clamp_wrap, decode_cartesian, random_genomes
 from uavpath.optimizers import (
     ALGORITHMS,
     AbcColony,
@@ -93,7 +93,7 @@ def stub_swarm(positions, velocities, best_positions, best_fitness, inertia=1.0,
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     d = positions.shape[1]
     space = SearchSpace(
-        "cartesian",
+        decode_cartesian,
         np.full(d, -1e9),
         np.full(d, 1e9),
         np.zeros(d, dtype=bool) if wrap is None else np.asarray(wrap),
@@ -330,7 +330,7 @@ class TestDe:
         optimum = np.array([50.0, 50.0, 70.0])
         bad = np.array([15.0, 85.0, 115.0])
         members = np.vstack([bad, optimum, optimum, optimum])
-        space = SearchSpace("cartesian", np.full(3, 0.0), np.full(3, 200.0), np.zeros(3, bool))
+        space = SearchSpace(decode_cartesian, np.full(3, 0.0), np.full(3, 200.0), np.zeros(3, bool))
         fitness = evaluate_paths(
             np.stack([np.vstack([one_node_scenario.start, m[None], one_node_scenario.goal]) for m in members]),
             one_node_scenario,
@@ -355,7 +355,7 @@ class TestDe:
 
 def make_colony(scenario, sources):
     sources = np.asarray(sources, dtype=float)
-    space = SearchSpace("cartesian", np.full(3, 0.0), np.full(3, 200.0), np.zeros(3, bool))
+    space = SearchSpace(decode_cartesian, np.full(3, 0.0), np.full(3, 200.0), np.zeros(3, bool))
     paths = np.stack([np.vstack([scenario.start, s[None], scenario.goal]) for s in sources])
     fitness = evaluate_paths(paths, scenario)
     i = int(np.argmin(fitness))
@@ -422,7 +422,7 @@ class TestStepsEqualPerMemberReference:
     generator state they leave must equal the per-member loops of
     tests/oracles.py over the same draws."""
 
-    SPACE = SearchSpace("cartesian", np.full(30, 0.0), np.full(30, 200.0), np.zeros(30, bool))
+    SPACE = SearchSpace(decode_cartesian, np.full(30, 0.0), np.full(30, 200.0), np.zeros(30, bool))
 
     @pytest.mark.parametrize("m", [4, 20, 50])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -601,8 +601,8 @@ class TestInitEqualsPerRoundReference:
         space = space_of(scenario)
         state, genomes, fitness = drive(optimizers._sample(algorithm, scenario, 3, swarm), scored_on(scenario))
         want_genomes, want_fitness, want_evaluations = sample_reference(
-            lambda batch: random_genomes(space, scenario, batch),
-            lambda g: evaluate_paths(decode(space.kind, g, scenario), scenario),
+            lambda batch: random_genomes(space, scenario, batch, 1)[:, 0],
+            lambda g: evaluate_paths(space.decode(g, scenario), scenario),
             _particle_streams(3, algorithm, swarm),
             optimizers.INIT_RETRIES,
         )

@@ -25,7 +25,6 @@ PUBLIC_NAMES = {
     "Threat",
     "Verdict",
     "build_benchmark_suite",
-    "clamp_wrap",
     "decode_angle",
     "decode_cartesian",
     "decode_spherical",
