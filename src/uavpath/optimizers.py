@@ -19,7 +19,8 @@ batch of candidates and is sent back their fitness, as in
 runs on one scenario and scores the batches of all of them that have one
 path length in one ``evaluate_paths`` call; ``run`` is that driver with
 one run.  Every state derives from ``_State``, whose ``paths`` decodes and
-counts every batch of candidates.  Its ``best()`` is the lowest entry
+counts every batch of candidates (init, which scores tries it does not
+keep, counts its own; see ``_sample``).  Its ``best()`` is the lowest entry
 (lowest index on ties) of a record that never loses its best: the
 swarm's local bests, DE's greedy members, GA's population with the elite
 at index 0, and for ABC alone, whose scouts can retire its best source,
@@ -63,9 +64,11 @@ DE_CR = 0.9  # DE crossover rate
 DE_MIN_POPULATION = 4  # a member and three distinct partners
 ABC_LIMIT = 50  # ABC failed trials before a source is retired
 
-# Rows per stacked evaluate_paths call.  The cost per path of one call falls
-# with its rows up to about 1000 and rises past 1500 (on s4 of the suite and
-# on the 1201x1201 DEM; see CHANGES.md).
+# Most rows per evaluate_paths call, for a stacked batch and for a run's
+# batch alone in its length (an init block holds INIT_BLOCK x swarm rows).
+# The cost per path of one call falls with its rows up to about 1000 and
+# rises past 1500 (on s4 of the suite and on the 1201x1201 DEM; see
+# CHANGES.md).
 MAX_STACK = 1000
 # Largest swarm, checked before any particle is drawn: 20x the paper's 500.
 # At the suite's 12 waypoints each of a solver's (swarm, 3n) float64 arrays
@@ -174,27 +177,32 @@ def _sample(algorithm: str, scenario: Scenario, seed: int, count: int) -> Genera
     ones redrawn from their own stream a bounded number of times; a
     generator that returns (bare state, genomes, fitness).
 
-    Every INIT_BLOCK-th round draws the next INIT_BLOCK tries of each stream
-    still infeasible in one sampler call, and each round scores its try
-    from that block: the genomes, scores and evaluation count of drawing
-    one try per round.  No stream is read after init, so the tries left
-    over once a particle is feasible change nothing."""
+    Each block draws the next INIT_BLOCK tries of every stream still
+    infeasible in one sampler call and yields all of them as one batch.  A
+    particle keeps its first finite try, or its last try if none is finite,
+    and counts the tries up to the one it keeps: the genomes, scores and
+    evaluation count of drawing and scoring one try per round, since the
+    kernels score row by row.  The tries scored past a particle's first
+    finite one are neither kept nor counted; no stream is read after init,
+    so they change nothing."""
     streams = _particle_streams(seed, algorithm, count)
     space_of, _, _ = _SOLVERS[algorithm]
     base = _State(scenario, space_of(scenario))
     genomes = np.empty((count, base.space.dims))
     fitness = np.empty(count)
     bad = np.arange(count)
-    for r in range(INIT_RETRIES):
-        if r % INIT_BLOCK == 0:
-            drawn = bad  # the particle of each block row, ascending
-            block = encodings.random_genomes(
-                base.space, scenario, [streams[i] for i in bad], min(INIT_BLOCK, INIT_RETRIES - r)
-            )
-        batch = block[np.searchsorted(drawn, bad), r % INIT_BLOCK]
-        genomes[bad] = batch
-        fitness[bad] = yield base.paths(batch)
-        bad = np.flatnonzero(~np.isfinite(fitness))
+    for r in range(0, INIT_RETRIES, INIT_BLOCK):
+        tries = min(INIT_BLOCK, INIT_RETRIES - r)
+        block = encodings.random_genomes(base.space, scenario, [streams[i] for i in bad], tries)
+        scores = (yield base.decode(block.reshape(-1, base.space.dims))).reshape(-1, tries)
+        finite = np.isfinite(scores)
+        found = finite.any(axis=1)
+        kept = np.where(found, finite.argmax(axis=1), tries - 1)  # the first finite try, else the last
+        rows = np.arange(len(bad))
+        genomes[bad] = block[rows, kept]
+        fitness[bad] = scores[rows, kept]
+        base.evaluations += int(kept.sum()) + len(bad)  # tries 0..kept of each particle
+        bad = bad[~found]
         if bad.size == 0:
             break
     return base, genomes, fitness
@@ -611,14 +619,22 @@ def _solve(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator
     )
 
 
+def _score(paths: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """``evaluate_paths`` of ``paths`` in calls of at most MAX_STACK rows."""
+    if len(paths) <= MAX_STACK:
+        return evaluate_paths(paths, scenario)
+    chunks = range(0, len(paths), MAX_STACK)
+    return np.concatenate([evaluate_paths(paths[a:a + MAX_STACK], scenario) for a in chunks])
+
+
 def run_lockstep(scenario: Scenario, plans: list) -> list[tuple[EvolutionTrace, float]]:
     """Run every (algorithm, config) of ``plans`` on ``scenario`` together;
     returns (trace, seconds) per plan, in plan order.
 
     Each round sends every live run the fitness of its last batch and takes
     its next one.  The batches of one path length are concatenated in plan
-    order and scored in calls of at most MAX_STACK rows; a batch alone in
-    its length is scored as it is.  The kernels score row by row, so each
+    order, a batch alone in its length is left as it is, and each is scored
+    in calls of at most MAX_STACK rows.  The kernels score row by row, so each
     trace is the one ``run`` gives, whichever runs share its calls.  Every
     run is started before any path is scored, so a check that fails at
     the start of a run raises first; a run that raises stops them all.
@@ -648,12 +664,11 @@ def run_lockstep(scenario: Scenario, plans: list) -> list[tuple[EvolutionTrace, 
             t0 = time.perf_counter()
             if len(batch) == 1:
                 i, paths = batch[0]
-                sent[i] = evaluate_paths(paths, scenario)
+                sent[i] = _score(paths, scenario)
                 seconds[i] += time.perf_counter() - t0
                 continue
             stack = np.concatenate([paths for _, paths in batch])
-            chunks = range(0, len(stack), MAX_STACK)
-            fitness = np.concatenate([evaluate_paths(stack[a:a + MAX_STACK], scenario) for a in chunks])
+            fitness = _score(stack, scenario)
             share = (time.perf_counter() - t0) / len(stack)
             start = 0
             for i, paths in batch:

@@ -62,22 +62,26 @@ def test_unit_of_every_algorithm(suite):
 
 
 def test_chunks_split_requests(suite, monkeypatch):
-    """Batches of 10 rows (5 for DE) scored in calls of 7 rows: chunk
-    boundaries fall inside a run's batch."""
-    calls = []
+    """Batches of 10 rows (5 for DE) and init blocks of 4 tries per particle
+    scored in calls of at most 7 rows: chunk boundaries fall inside a run's
+    batch, also in a unit of one run, whose batches are each alone in their
+    length.  Every trace equals the one run() gives unchunked."""
     evaluate = optimizers.evaluate_paths
+    max_stack = optimizers.MAX_STACK
+    for plans in (plans_of(ALGORITHMS, 2), plans_of(["spso"], 1)):
+        calls = []
 
-    def recording(paths, scenario):
-        calls.append(len(paths))
-        return evaluate(paths, scenario)
+        def recording(paths, scenario):
+            calls.append(len(paths))
+            return evaluate(paths, scenario)
 
-    monkeypatch.setattr(optimizers, "MAX_STACK", 7)
-    plans = plans_of(ALGORITHMS, 2)
-    monkeypatch.setattr(optimizers, "evaluate_paths", recording)
-    got = run_lockstep(suite[2], plans)
-    monkeypatch.setattr(optimizers, "evaluate_paths", evaluate)
-    assert 7 in calls
-    assert_runs_alone_equal(suite[2], plans, got)
+        monkeypatch.setattr(optimizers, "MAX_STACK", 7)
+        monkeypatch.setattr(optimizers, "evaluate_paths", recording)
+        got = run_lockstep(suite[2], plans)
+        monkeypatch.setattr(optimizers, "evaluate_paths", evaluate)
+        monkeypatch.setattr(optimizers, "MAX_STACK", max_stack)
+        assert max(calls) == 7
+        assert_runs_alone_equal(suite[2], plans, got)
 
 
 def test_runs_share_calls(suite, monkeypatch):

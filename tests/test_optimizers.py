@@ -589,8 +589,9 @@ def _threat_ring(terrain):
 class TestInitEqualsPerRoundReference:
     """The initial population, its fitness and the evaluation count must
     equal the round-by-round redraw of tests/oracles.py, however the
-    sampler groups a stream's tries.  On s3 and s7 some particles of every
-    algorithm exhaust their retries."""
+    sampler groups a stream's tries, and the sampler must score each block
+    of tries in one batch.  On s3 and s7 some particles of every algorithm
+    exhaust their retries."""
 
     @pytest.fixture(scope="class")
     def suite(self):
@@ -599,7 +600,11 @@ class TestInitEqualsPerRoundReference:
     def check(self, algorithm, scenario, swarm):
         space_of, _, _ = optimizers._SOLVERS[algorithm]
         space = space_of(scenario)
-        state, genomes, fitness = drive(optimizers._sample(algorithm, scenario, 3, swarm), scored_on(scenario))
+        batches = []
+        score = scored_on(scenario)
+        state, genomes, fitness = drive(
+            optimizers._sample(algorithm, scenario, 3, swarm), lambda paths: batches.append(paths) or score(paths)
+        )
         want_genomes, want_fitness, want_evaluations = sample_reference(
             lambda batch: random_genomes(space, scenario, batch, 1)[:, 0],
             lambda g: evaluate_paths(space.decode(g, scenario), scenario),
@@ -609,6 +614,8 @@ class TestInitEqualsPerRoundReference:
         assert np.array_equal(genomes, want_genomes)
         assert np.array_equal(fitness, want_fitness)
         assert state.evaluations == want_evaluations
+        # One scored batch per block of tries.
+        assert len(batches) <= math.ceil(optimizers.INIT_RETRIES / optimizers.INIT_BLOCK)
         return state, fitness
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
