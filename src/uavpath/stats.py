@@ -102,9 +102,8 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
 
 
 def t_two_sided_p(t: float, df: int) -> float:
-    """Two-sided p-value for a t statistic."""
-    if math.isinf(t):
-        return 0.0
+    """Two-sided p-value for a t statistic; 0.0 for an infinite one, whose
+    ``df / (df + t * t)`` is 0."""
     return min(1.0, betainc_regularized(0.5 * df, 0.5, df / (df + t * t)))
 
 

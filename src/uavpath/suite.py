@@ -7,8 +7,9 @@ corridors, with the straight start-goal line provably blocked).  Every
 scenario ships with a stored feasibility witness: a detour path whose
 total cost is finite.
 
-Generation is deterministic in the suite seed and retries placement until
-all scenario invariants hold.
+Generation is deterministic in the suite seed and makes one attempt per
+scenario; a broken invariant is a ConfigError naming the suite seed, the
+scenario and the invariant.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ _TERRAIN_SPECS = (
     ),
 )
 
-_PLACEMENT_ATTEMPTS = 200
+# At most this many draws of a scenario's extra threats, kept or rejected.
+_THREAT_DRAWS = 400
 _WITNESS_ATTEMPTS = 500
 # Witness attempts scored per evaluate_paths call.  Over suite seeds 0-9, 74
 # of the 80 searches ended within 8 attempts and none ran out, so most
@@ -87,7 +89,7 @@ def _sample_threats(rng, start, goal, constraints, complicated: bool) -> list[Th
         band, min_sep, r_lo, r_hi = 120.0, 40.0, 18.0, 30.0
 
     guard = 0
-    while n_extra > 0 and guard < 400:
+    while n_extra > 0 and guard < _THREAT_DRAWS:
         guard += 1
         t = rng.uniform(0.05, 0.95)
         off = rng.uniform(-band, band)
@@ -106,7 +108,7 @@ def _sample_threats(rng, start, goal, constraints, complicated: bool) -> list[Th
         threats.append(Threat(x, y, r))
         n_extra -= 1
     if n_extra > 0:
-        raise RuntimeError("threat placement did not converge")
+        raise ConfigError("threat placement did not converge")
     return threats
 
 
@@ -118,8 +120,7 @@ def _make_witness(rng, scenario: Scenario) -> np.ndarray | None:
     ``_WITNESS_ATTEMPTS`` detours.  Each attempt draws its side, bow and
     noise in turn; the attempts are scored ``_WITNESS_CHUNK`` at a time as
     one stack, and ``evaluate_paths`` scores row by row, so the chunk size
-    changes neither the witness nor the stream left after a search that
-    runs out.
+    does not change the witness.
     """
     n = scenario.n_waypoints
     start, goal = scenario.start, scenario.goal
@@ -151,44 +152,41 @@ def _make_witness(rng, scenario: Scenario) -> np.ndarray | None:
 
 
 def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
+    where = f"suite seed {seed}, scenario s{number}"
     rng = np.random.default_rng(np.random.SeedSequence((seed, number)))
     constraints = FlightConstraints()
-    weights = CostWeights()
-    complicated = is_complicated(number)
-    for _ in range(_PLACEMENT_ATTEMPTS):
-        sx = rng.uniform(40.0, 90.0)
-        sy = rng.uniform(40.0, 90.0)
-        gx = rng.uniform(510.0, 560.0)
-        gy = rng.uniform(510.0, 560.0)
-        start_ground, goal_ground = terrain.heights([sx, gx], [sy, gy])
-        start = np.array([sx, sy, float(start_ground) + constraints.corridor_mid])
-        goal = np.array([gx, gy, float(goal_ground) + constraints.corridor_mid])
-        try:
-            threats = _sample_threats(rng, start, goal, constraints, complicated)
-            scenario = Scenario(
-                terrain=terrain,
-                threats=tuple(threats),
-                start=start,
-                goal=goal,
-                constraints=constraints,
-                weights=weights,
-                n_waypoints=12,
-                name=f"s{number}",
-            )
-        except (ConfigError, RuntimeError):
-            continue
-        if complicated:
-            _, threat, _, _ = cost_components(np.vstack([start, goal])[None], scenario)
-            if math.isfinite(threat[0]):
-                continue
-        witness = _make_witness(rng, scenario)
-        if witness is None:
-            continue
-        # Set in place, as __post_init__ sets its derived fields: the record
-        # is not yet shared, and a copy would validate it all again.
-        object.__setattr__(scenario, "witness", witness)
-        return scenario
-    raise RuntimeError(f"scenario {number} generation did not converge")
+    sx = rng.uniform(40.0, 90.0)
+    sy = rng.uniform(40.0, 90.0)
+    gx = rng.uniform(510.0, 560.0)
+    gy = rng.uniform(510.0, 560.0)
+    start_ground, goal_ground = terrain.heights([sx, gx], [sy, gy])
+    start = np.array([sx, sy, float(start_ground) + constraints.corridor_mid])
+    goal = np.array([gx, gy, float(goal_ground) + constraints.corridor_mid])
+    try:
+        threats = _sample_threats(rng, start, goal, constraints, is_complicated(number))
+        scenario = Scenario(
+            terrain=terrain,
+            threats=tuple(threats),
+            start=start,
+            goal=goal,
+            constraints=constraints,
+            weights=CostWeights(),
+            n_waypoints=12,
+            name=f"s{number}",
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if is_complicated(number):
+        _, threat, _, _ = cost_components(np.vstack([start, goal])[None], scenario)
+        if math.isfinite(threat[0]):
+            raise ConfigError(f"{where}: the straight start-goal line is not blocked")
+    witness = _make_witness(rng, scenario)
+    if witness is None:
+        raise ConfigError(f"{where}: no finite detour in {_WITNESS_ATTEMPTS} attempts")
+    # Set in place, as __post_init__ sets its derived fields: the record is
+    # not yet shared, and a copy would validate it all again.
+    object.__setattr__(scenario, "witness", witness)
+    return scenario
 
 
 def build_benchmark_suite(seed: int) -> list[Scenario]:

@@ -224,7 +224,7 @@ def load_dem(file_path) -> TerrainMap:
             if key not in _HEADER_KEYS:
                 break  # the first data row
             if len(tokens) != 2:
-                raise ConfigError(f"line {line_no}: expected 'key value'")
+                raise ConfigError(f"line {line_no}: expected one value for {key!r}")
             if key in header:
                 raise ConfigError(f"line {line_no}: duplicate header key {key!r}")
             header[key] = _header_value(key, tokens[1], line_no)

@@ -15,8 +15,9 @@ from uavpath import (
     build_benchmark_suite, load_scenario, run,
 )
 from uavpath.cli import MAX_RUNS_PER_CELL, BenchmarkSpec
+from uavpath.cost import evaluate_paths, total_cost
 from uavpath.optimizers import MAX_EVALUATIONS, MAX_SWARM_SIZE, budgeted_config
-from uavpath.terrain import MAX_HILL_NODES, MAX_MAGNITUDE
+from uavpath.terrain import MAX_HILL_NODES, MAX_MAGNITUDE, load_dem
 
 BOUND = r"must be finite and at most 1e\+09 in magnitude, got "
 ENDPOINT = r"must be 3 numbers \(x, y, z\), each at most 1e\+09 in magnitude, got "
@@ -348,3 +349,58 @@ class TestScenarioInputs:
         terrain = TerrainMap(0.0, 0.0, 10.0, -9999.0, elev)
         with pytest.raises(ConfigError, match=f"^{label} over unusable terrain: .* touches a nodata cell$"):
             replace(flat_scenario, terrain=terrain)
+
+
+class TestRarelyMetInputs:
+    """One bad input per raise that no other test reaches; each message names
+    the field or the file."""
+
+    @pytest.mark.parametrize("empty", ["scenarios", "algorithms"])
+    def test_benchmark_spec_needs_scenarios_and_algorithms(self, flat_scenario, empty):
+        with pytest.raises(ConfigError, match="^need at least one scenario and one algorithm$"):
+            replace(spec(flat_scenario), **{empty: ()})
+
+    def test_evaluate_paths_wants_three_coordinates(self, flat_scenario):
+        with pytest.raises(ValueError, match=re.escape("waypoints of shape (n, 3), got (2, 3, 2)")):
+            evaluate_paths(np.zeros((2, 3, 2)), flat_scenario)
+
+    def test_total_cost_needs_three_waypoints(self, flat_scenario):
+        with pytest.raises(ValueError, match="at least 3 waypoints, got 2"):
+            total_cost(np.array([flat_scenario.start, flat_scenario.goal]), flat_scenario)
+
+    def test_weights_not_all_zero(self):
+        with pytest.raises(ConfigError, match=r"^at least one of b1\.\.b4 must be > 0$"):
+            CostWeights(b1=0.0, b2=0.0, b3=0.0, b4=0.0)
+
+    @pytest.mark.parametrize(
+        "terrain", [{"dem_path": "map.asc", "synthetic": {}}, {}], ids=["both", "neither"]
+    )
+    def test_terrain_needs_one_source(self, tmp_path, terrain):
+        cfg = {"terrain": terrain, "start": {"x": 10.0, "y": 10.0, "z": 70.0},
+               "goal": {"x": 90.0, "y": 90.0, "z": 70.0}}
+        (tmp_path / "s.yaml").write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigError, match="^terrain needs exactly one of dem_path or synthetic$"):
+            load_scenario(tmp_path / "s.yaml")
+
+    def test_invalid_yaml_names_the_file(self, tmp_path):
+        (tmp_path / "s.yaml").write_text("start: [1, 2\n")
+        with pytest.raises(ConfigError, match=re.escape(f"invalid YAML in {tmp_path / 's.yaml'}: ")):
+            load_scenario(tmp_path / "s.yaml")
+
+    def test_missing_start(self, tmp_path):
+        cfg = {"terrain": {"synthetic": {}}, "goal": {"x": 90.0, "y": 90.0, "z": 70.0}}
+        (tmp_path / "s.yaml").write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigError, match="^missing required section 'start'$"):
+            load_scenario(tmp_path / "s.yaml")
+
+    @pytest.mark.parametrize(
+        "header, says",
+        [("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 0\n", "^cell_size must be > 0$"),
+         ("ncols\n", "^line 1: expected one value for 'ncols'$"),
+         ("ncols abc\n", "^line 1: non-numeric value for 'ncols'$")],
+        ids=["cellsize-0", "ncols-no-value", "ncols-abc"],
+    )
+    def test_dem_header(self, tmp_path, header, says):
+        (tmp_path / "map.asc").write_text(header + "1 2\n3 4\n")
+        with pytest.raises(ConfigError, match=says):
+            load_dem(tmp_path / "map.asc")

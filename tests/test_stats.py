@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavpath import stats
 from uavpath.stats import (
     SampleSummary,
     Verdict,
@@ -53,6 +54,17 @@ class TestTDistribution:
         # classic table values: P(|T_3| >= 3.182) = 0.05, P(|T_9| >= 2.262) = 0.05
         assert t_two_sided_p(3.182, 3) == pytest.approx(0.05, abs=1e-3)
         assert t_two_sided_p(2.262, 9) == pytest.approx(0.05, abs=1e-3)
+
+    @pytest.mark.parametrize("df", [1, 5, 999])
+    def test_infinite_t_is_exactly_zero(self, df):
+        """df / (df + inf) is 0, and I_0 is 0: no special case needed."""
+        assert t_two_sided_p(math.inf, df) == 0.0
+        assert t_two_sided_p(-math.inf, df) == 0.0
+
+    def test_betacf_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "_BETACF_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            betainc_regularized(2.0, 3.0, 0.3)
 
     def test_betainc_edges(self):
         assert betainc_regularized(2.0, 3.0, 0.0) == 0.0
