@@ -72,6 +72,8 @@ MUTANTS = [
     ("clamp-wrap-clip", ENCODINGS, "clipped = np.clip(g, space.lower, space.upper)",
      "clipped = g.copy()"),
     ("spherical-step-cap", ENCODINGS, "upper = np.tile([cap, ", "upper = np.tile([2 * cap, "),
+    # The sampler puts each altitude above the node the space decodes.
+    ("sampler-through-decode", ENCODINGS, "space.decode(", "decode_cartesian("),
     # A space's bounds and wrap policy are read-only.
     ("space-read-only", ENCODINGS, "arr.setflags(write=False)", "arr.setflags(write=True)"),
     # The input boundary's magnitude bound, closed: a config number, an

@@ -2,8 +2,9 @@
 
 A space is one encoding on one scenario: its decode map, its per-gene
 bounds and its wrap policy.  ``cartesian_space``, ``angle_space`` and
-``spherical_space`` build one, and the initial sampler ``random_genomes``
-follows the space's decode.
+``spherical_space`` build one.  The initial sampler ``random_genomes``
+reads its nodes through the space's decode; only its z-gene inverse is
+written per encoding.
 
 Three encodings share an interleaved per-node layout of 3N values for the
 N = n - 2 free interior waypoints (start and goal are fixed outside the
@@ -223,13 +224,14 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries: int) 
     genome drawn from it.  What is drawn follows ``space.decode``.
 
     Horizontal coordinates (and angles) are uniform over their intervals.
-    Waypoint altitudes are sampled relative to the ground under the drawn
-    (x, y) so every node starts inside the flight corridor; a box-uniform
-    z makes an all-nodes-in-corridor draw vanishingly rare.  Spherical
-    genomes are biased forward (azimuth near the start->goal bearing) and
-    nearly horizontal so the non-descending chain stays inside the
-    corridor too.  Row i depends on ``streams[i]`` alone, whatever the
-    batch.
+    Each altitude is drawn above the ground under the node ``space.decode``
+    places, so every node starts inside the flight corridor (a box-uniform
+    z makes an all-nodes-in-corridor draw vanishingly rare); the z gene's
+    inverse, a clip or the angle map's arcsin, is the one per-encoding step.
+    Spherical genomes keep the space's step bounds, biased forward (azimuth
+    near the start->goal bearing) and nearly horizontal so the chain stays
+    in the corridor too.  Row i depends on ``streams[i]`` alone, whatever
+    the batch.
 
     Each stream fills its (tries, width) draws in one ``rng.random`` call.
     A try's ``width`` values are its 3N genome values, then, for cartesian
@@ -237,7 +239,7 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries: int) 
     ``Generator.random`` spends one 64-bit word per double and buffers
     none, so a block of tries holds the values successive one-try blocks
     would draw.  At MAX_WAYPOINTS and a swarm of 500, a block of 4 tries
-    takes 64 MB of draws and 48 MB of genomes.
+    takes 64 MB of draws and 48 MB each of genomes and of their paths.
     """
     # Each value is ``lo + (hi - lo) * u``, the arithmetic of
     # ``rng.uniform(lo, hi)`` on the same stream value u, without the
@@ -254,22 +256,17 @@ def random_genomes(space: SearchSpace, scenario: Scenario, streams, tries: int) 
         bearing = math.atan2(
             scenario.goal[1] - scenario.start[1], scenario.goal[0] - scenario.start[0]
         )
-        lo = np.tile(
-            [EPS_LEN, math.pi / 2 - SPSO_INIT_PSI_BAND, bearing - SPSO_INIT_PHI_HALFWIDTH], n
-        )
-        hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
+        lo, hi = space.lower.copy(), space.upper.copy()
+        lo[1::3] = math.pi / 2 - SPSO_INIT_PSI_BAND
+        lo[2::3] = bearing - SPSO_INIT_PHI_HALFWIDTH
+        hi[2::3] = bearing + SPSO_INIT_PHI_HALFWIDTH
         return clamp_wrap(lo + (hi - lo) * draws, space)
-    bounds = scenario.axis_bounds
     genomes = space.lower + (space.upper - space.lower) * draws[..., : 3 * n]
-    if space.decode is decode_angle:
-        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[..., 0::3]) + bounds[0].sum())
-        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[..., 1::3]) + bounds[1].sum())
-    else:
-        xs, ys = genomes[..., 0::3], genomes[..., 1::3]
-    ground = scenario.terrain.heights(xs, ys)
+    nodes = space.decode(genomes.reshape(-1, 3 * n), scenario)[:, 1:-1]
+    ground = scenario.terrain.heights(nodes[..., 0], nodes[..., 1]).reshape(len(streams), tries, n)
     z = ground + (cons.h_min + (cons.h_max - cons.h_min) * draws[..., 3 * n :])
     if space.decode is decode_angle:
-        lo_z, hi_z = bounds[2]
+        lo_z, hi_z = scenario.axis_bounds[2]
         z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
     else:
         z_genes = np.clip(z, space.lower[2::3], space.upper[2::3])

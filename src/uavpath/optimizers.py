@@ -381,9 +381,8 @@ def ga_mutate(nodes: np.ndarray, scenario: Scenario, rng) -> np.ndarray:
         if len(nodes) >= ga_max_nodes(scenario):
             return nodes
         seg = int(rng.integers(len(nodes) + 1))  # of the len(nodes) + 1 segments
-        a = nodes[seg - 1] if seg > 0 else scenario.start
-        b = nodes[seg] if seg < len(nodes) else scenario.goal
-        mid = 0.5 * (a + b) + rng.normal(0.0, scenario.terrain.cell_size, 3)
+        path = assemble_path(nodes, scenario)
+        mid = 0.5 * (path[seg] + path[seg + 1]) + rng.normal(0.0, scenario.terrain.cell_size, 3)
         lo, hi = scenario.axis_bounds.T  # the bounds of one node
         return np.concatenate((nodes[:seg], np.clip(mid, lo, hi)[None], nodes[seg:]))
     if op == 1:  # delete a random node, keeping at least one

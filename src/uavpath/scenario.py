@@ -133,9 +133,9 @@ class Scenario:
     weights: CostWeights
     n_waypoints: int
     name: str = "scenario"
-    # Feasibility witness, set once by the suite builder before the scenario
-    # is returned; not serialized.
-    witness: np.ndarray | None = None
+    # Feasibility witness, an (n_waypoints, 3) path or None: not a field, so
+    # not a constructor argument and not serialized.
+    witness = None
 
     def __post_init__(self):
         for label in ("start", "goal"):

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .cost import cost_components, evaluate_paths
+from .encodings import assemble_path
 from .scenario import ConfigError, CostWeights, FlightConstraints, Scenario, Threat, require_int
 from .terrain import SyntheticTerrainSpec, TerrainMap, generate_synthetic
 
@@ -138,13 +139,12 @@ def _make_witness(rng, scenario: Scenario) -> np.ndarray | None:
             side = 1.0 if rng.random() < 0.5 else -1.0
             bow = rng.uniform(0.0, 280.0)
             row[:] = side * bow * bow_shape + rng.normal(0.0, 15.0, size=ts.size)
-        paths = np.empty((len(off), n, 3))
-        paths[:, 0], paths[:, -1] = start, goal
-        xs = paths[:, 1:-1, 0]
-        ys = paths[:, 1:-1, 1]
+        nodes = np.empty((len(off), ts.size, 3))
+        xs, ys = nodes[..., 0], nodes[..., 1]
         np.clip(start[0] + ts * dx + off * nx, x_min + 5.0, x_max - 5.0, out=xs)
         np.clip(start[1] + ts * dy + off * ny, y_min + 5.0, y_max - 5.0, out=ys)
-        paths[:, 1:-1, 2] = scenario.terrain.heights(xs, ys) + mid
+        nodes[..., 2] = scenario.terrain.heights(xs, ys) + mid
+        paths = assemble_path(nodes, scenario)
         found = np.flatnonzero(np.isfinite(evaluate_paths(paths, scenario)))
         if found.size:
             return paths[found[0]].copy()
@@ -183,8 +183,8 @@ def _build_scenario(seed: int, number: int, terrain: TerrainMap) -> Scenario:
     witness = _make_witness(rng, scenario)
     if witness is None:
         raise ConfigError(f"{where}: no finite detour in {_WITNESS_ATTEMPTS} attempts")
-    # Set in place, as __post_init__ sets its derived fields: the record is
-    # not yet shared, and a copy would validate it all again.
+    # Set in place, as __post_init__ sets its derived values: witness is no
+    # field, and the record is not yet shared.
     object.__setattr__(scenario, "witness", witness)
     return scenario
 

@@ -358,8 +358,7 @@ class TestFeasibilityFirst:
     weighted total of the full breakdown."""
 
     @staticmethod
-    def mixed_batch(scenario):
-        w = scenario.witness
+    def mixed_batch(scenario, w):
         threat = scenario.threats[0]
         rows = {
             "feasible": w,
@@ -380,9 +379,10 @@ class TestFeasibilityFirst:
 
     @pytest.mark.parametrize("weights", [{}, {"b2": 0.0}, {"b3": 0.0}])
     def test_totals_equal_full_breakdown(self, weights):
-        scenario = build_benchmark_suite(0)[3]
-        scenario = replace(scenario, weights=CostWeights(**weights))
-        names, paths = self.mixed_batch(scenario)
+        # replace() builds a new record, which carries no witness.
+        s4 = build_benchmark_suite(0)[3]
+        scenario = replace(s4, weights=CostWeights(**weights))
+        names, paths = self.mixed_batch(scenario, s4.witness)
         got = evaluate_paths(paths, scenario)
         want = _weighted_total(*cost_components(paths, scenario), scenario.weights)
         assert got.tobytes() == want.tobytes()

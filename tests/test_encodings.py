@@ -21,6 +21,7 @@ from uavpath.encodings import (
     wrap_to_pi,
 )
 from uavpath.suite import build_benchmark_suite
+from uavpath.terrain import SyntheticTerrainSpec, generate_synthetic
 
 from conftest import random_feasibleish_path
 from oracles import encode_spherical
@@ -241,7 +242,8 @@ class TestRandomGenome:
 def _uniform_reference(space, scenario, seeds):
     """random_genomes as drawn with ``Generator.uniform``: per stream, the
     genome box (or the spherical init box), then one altitude offset per
-    node, from fresh generators."""
+    node above the ground under the node ``space.decode`` places, from
+    fresh generators."""
     streams = [np.random.default_rng(seed) for seed in seeds]
     cons = scenario.constraints
     if space.decode is decode_spherical:
@@ -253,17 +255,12 @@ def _uniform_reference(space, scenario, seeds):
         )
         hi = np.tile([rho_max(scenario), math.pi / 2, bearing + SPSO_INIT_PHI_HALFWIDTH], n)
         return clamp_wrap(np.stack([rng.uniform(lo, hi) for rng in streams]), space)
-    bounds = scenario.axis_bounds
     genomes = np.stack([rng.uniform(space.lower, space.upper) for rng in streams])
+    nodes = space.decode(genomes, scenario)[:, 1:-1]
+    ground = scenario.terrain.heights(nodes[..., 0], nodes[..., 1])
+    z = ground + np.stack([rng.uniform(cons.h_min, cons.h_max, size=ground.shape[1]) for rng in streams])
     if space.decode is decode_angle:
-        xs = 0.5 * ((bounds[0, 1] - bounds[0, 0]) * np.sin(genomes[:, 0::3]) + bounds[0].sum())
-        ys = 0.5 * ((bounds[1, 1] - bounds[1, 0]) * np.sin(genomes[:, 1::3]) + bounds[1].sum())
-    else:
-        xs, ys = genomes[:, 0::3], genomes[:, 1::3]
-    ground = scenario.terrain.heights(xs, ys)
-    z = ground + np.stack([rng.uniform(cons.h_min, cons.h_max, size=xs.shape[1]) for rng in streams])
-    if space.decode is decode_angle:
-        lo_z, hi_z = bounds[2]
+        lo_z, hi_z = scenario.axis_bounds[2]
         z_genes = np.arcsin(np.clip((2.0 * z - hi_z - lo_z) / (hi_z - lo_z), -1.0, 1.0))
     else:
         z_genes = np.clip(z, space.lower[2::3], space.upper[2::3])
@@ -271,13 +268,39 @@ def _uniform_reference(space, scenario, seeds):
     return genomes
 
 
+def _offset_scenario():
+    """A suite-sized hill map whose origin is not (0, 0), with no threats
+    and both endpoints at mid-corridor.  Off the zero origin, decode_angle's
+    rounding of ``0.5 * ((hi - lo) * sin + hi + lo)`` differs from other
+    orderings in the last bits of some x and y."""
+    spec = SyntheticTerrainSpec(
+        n_cols=61, n_rows=61, cell_size=10.0, n_hills=9, amp_min=5.0, amp_max=13.0,
+        sigma_min=40.0, sigma_max=100.0, origin_x=1234.5, origin_y=-777.25,
+    )
+    terrain = generate_synthetic(spec, 3)
+    constraints = FlightConstraints()
+    xs, ys = spec.origin_x + np.array([50.0, 550.0]), spec.origin_y + np.array([50.0, 550.0])
+    zs = terrain.heights(xs, ys) + constraints.corridor_mid
+    return Scenario(
+        terrain=terrain,
+        threats=(),
+        start=[xs[0], ys[0], zs[0]],
+        goal=[xs[1], ys[1], zs[1]],
+        constraints=constraints,
+        weights=CostWeights(),
+        n_waypoints=12,
+    )
+
+
 @pytest.mark.parametrize("space_of", [cartesian_space, angle_space, spherical_space])
-@pytest.mark.parametrize("index", [0, 6])
+@pytest.mark.parametrize("index", [0, 6, "offset"])
 def test_sampler_draws_equal_generator_uniform(space_of, index):
     """random_genomes scales ``rng.random`` itself; a numpy whose
     ``Generator.uniform`` computes ``lo + (hi - lo) * u`` differently
-    breaks this identity, and with it every golden hash."""
-    scenario = build_benchmark_suite(0)[index]
+    breaks this identity, and with it every golden hash.  Each altitude
+    sits above the node its genome decodes to, on the suite's maps (origin
+    0) and off them."""
+    scenario = _offset_scenario() if index == "offset" else build_benchmark_suite(0)[index]
     space = space_of(scenario)
     seeds = range(40, 56)
     got = random_genomes(space, scenario, [np.random.default_rng(seed) for seed in seeds], 1)[:, 0]

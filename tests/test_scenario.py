@@ -166,6 +166,15 @@ class TestBenchmarkSuite:
             assert sc.witness.shape == (sc.n_waypoints, 3)
             assert math.isfinite(total_cost(sc.witness, sc).total)
 
+    def test_witness_is_not_a_field(self, suite):
+        """Only the suite builder sets a witness: a scenario built from
+        fields, a copy with other fields among them, carries none.  A
+        pickle keeps it."""
+        with pytest.raises(TypeError, match="witness"):
+            replace(suite[0], witness=suite[0].witness)
+        assert replace(suite[0], name="copy").witness is None
+        assert np.array_equal(pickle.loads(pickle.dumps(suite[0])).witness, suite[0].witness)
+
     def test_two_base_terrains(self, suite):
         a = suite[0].terrain.elevations
         assert all(np.array_equal(sc.terrain.elevations, a) for sc in suite[:4])
