@@ -1,5 +1,5 @@
-"""Mutation probe: one hand-written mutant per feasibility edge, input bound
-and init bookkeeping rule.
+"""Mutation probe: one hand-written mutant per feasibility edge, input bound,
+the cost's row bound and init bookkeeping rule.
 
 Each mutant replaces one exact snippet of a file under ``src/`` in a copy
 of ``src/``, ``tests/`` and ``pyproject.toml`` made under a temporary
@@ -96,6 +96,8 @@ MUTANTS = [
     ("runs-per-cell-bound", CLI, "self.runs_per_cell, 1, MAX_RUNS_PER_CELL)",
      "self.runs_per_cell, 1, MAX_RUNS_PER_CELL - 1)"),
     ("hill-work-bound", TERRAIN, "self.n_rows > MAX_HILL_NODES:", "self.n_rows >= MAX_HILL_NODES:"),
+    # evaluate_paths scores a stack in slices of at most MAX_STACK rows.
+    ("slice-bound", COST, "paths[a:a + MAX_STACK]", "paths[a:a + MAX_STACK + 1]"),
     # Init scores a block of tries at once and keeps each particle's first
     # finite try, as drawing one try per round would.
     ("init-first-finite", OPTIMIZERS, "finite.argmax(axis=1)", "tries - 1 - finite[:, ::-1].argmax(axis=1)"),

@@ -8,8 +8,9 @@ infinite weighted term makes the total infinite.
 
 All functions are pure.  ``evaluate_paths`` is what the optimizers call,
 and ``total_cost`` breaks one path into its terms.  Each term is a
-``*_many`` kernel with one value per path of a stack (M, n, 3).  The
-kernels read the stack laid out once per call: its x, y and z planes
+``*_many`` kernel with one value per path of a stack (M, n, 3);
+``evaluate_paths`` runs them in passes of at most ``MAX_STACK`` rows.  The
+kernels read a pass's stack laid out once: its x, y and z planes
 (``path_planes``), its segment vectors (``segment_steps``) and their
 lengths (``segment_lengths``), which F1 and F4 share.  F2 reads the
 scenario's ``threat_table``, built once with the scenario.
@@ -23,6 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import EPS_LEN, FlightConstraints, Scenario, planar_distance
+
+
+# Most rows per kernel pass.  The cost per path of a pass rises past about
+# 1500 rows (s4 and the 1201x1201 DEM; see CHANGES.md), and F2's
+# (K, M * (n-1)) arrays grow with the rows.
+MAX_STACK = 1000
 
 
 @dataclass(frozen=True)
@@ -209,16 +216,26 @@ def _in_running(term: np.ndarray, weight: float) -> np.ndarray:
 
 def evaluate_paths(paths, scenario: Scenario) -> np.ndarray:
     """Total cost of each path in an (M, n, 3) stack; the optimizer hot path.
+    The stack is scored in passes of at most ``MAX_STACK`` rows (``_evaluate_slice``);
+    the kernels work row by row, so each total has the bits of its path alone."""
+    paths = _as_paths(paths)
+    if len(paths) <= MAX_STACK:
+        return _evaluate_slice(paths, scenario)
+    starts = range(0, len(paths), MAX_STACK)
+    return np.concatenate([_evaluate_slice(paths[a:a + MAX_STACK], scenario) for a in starts])
+
+
+def _evaluate_slice(paths: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """``evaluate_paths`` of an (M, n, 3) stack in one kernel pass.
 
     Feasibility first: F3 runs on every path, F2 on the paths F3 left
     finite, F1 and F4 on the paths both left finite, and every other path
     scores +inf, as its weighted total would.  Once no path is left in the
-    running the call returns, so F2, F1 and F4 never run on an empty stack.
+    running the pass returns, so F2, F1 and F4 never run on an empty stack.
     The stack is laid out as planes once, and its segments are taken once,
-    for the rows F3 leaves.  The kernels work row by row, so each surviving
-    total is bit-identical to that of the full batch.
+    for the rows F3 leaves.
     """
-    points = path_planes(_as_paths(paths))
+    points = path_planes(paths)
     weights = scenario.weights
     m = points.shape[1]
     f3 = altitude_cost_many(points, scenario.terrain, scenario.constraints)

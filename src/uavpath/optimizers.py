@@ -64,12 +64,6 @@ DE_CR = 0.9  # DE crossover rate
 DE_MIN_POPULATION = 4  # a member and three distinct partners
 ABC_LIMIT = 50  # ABC failed trials before a source is retired
 
-# Most rows per evaluate_paths call, for a stacked batch and for a run's
-# batch alone in its length (an init block holds INIT_BLOCK x swarm rows).
-# The cost per path of one call falls with its rows up to about 1000 and
-# rises past 1500 (on s4 of the suite and on the 1201x1201 DEM; see
-# CHANGES.md).
-MAX_STACK = 1000
 # Largest swarm, checked before any particle is drawn: 20x the paper's 500.
 # At the suite's 12 waypoints each of a solver's (swarm, 3n) float64 arrays
 # then takes 2.4 MB, and at MAX_WAYPOINTS 240 MB.
@@ -618,23 +612,16 @@ def _solve(algorithm: str, scenario: Scenario, config: SwarmConfig) -> Generator
     )
 
 
-def _score(paths: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """``evaluate_paths`` of ``paths`` in calls of at most MAX_STACK rows."""
-    if len(paths) <= MAX_STACK:
-        return evaluate_paths(paths, scenario)
-    chunks = range(0, len(paths), MAX_STACK)
-    return np.concatenate([evaluate_paths(paths[a:a + MAX_STACK], scenario) for a in chunks])
-
-
 def run_lockstep(scenario: Scenario, plans: list) -> list[tuple[EvolutionTrace, float]]:
     """Run every (algorithm, config) of ``plans`` on ``scenario`` together;
     returns (trace, seconds) per plan, in plan order.
 
     Each round sends every live run the fitness of its last batch and takes
     its next one.  The batches of one path length are concatenated in plan
-    order, a batch alone in its length is left as it is, and each is scored
-    in calls of at most MAX_STACK rows.  The kernels score row by row, so each
-    trace is the one ``run`` gives, whichever runs share its calls.  Every
+    order (a batch alone in its length is left as it is) and scored in one
+    ``evaluate_paths`` call, which bounds the rows of each kernel pass
+    (``cost.MAX_STACK``).  The kernels score row by row, so each trace is
+    the one ``run`` gives, whichever runs share its calls.  Every
     run is started before any path is scored, so a check that fails at
     the start of a run raises first; a run that raises stops them all.
 
@@ -661,13 +648,8 @@ def run_lockstep(scenario: Scenario, plans: list) -> list[tuple[EvolutionTrace, 
         live = waiting
         for batch in by_length.values():
             t0 = time.perf_counter()
-            if len(batch) == 1:
-                i, paths = batch[0]
-                sent[i] = _score(paths, scenario)
-                seconds[i] += time.perf_counter() - t0
-                continue
-            stack = np.concatenate([paths for _, paths in batch])
-            fitness = _score(stack, scenario)
+            stack = batch[0][1] if len(batch) == 1 else np.concatenate([paths for _, paths in batch])
+            fitness = evaluate_paths(stack, scenario)
             share = (time.perf_counter() - t0) / len(stack)
             start = 0
             for i, paths in batch:

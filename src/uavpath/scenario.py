@@ -42,8 +42,8 @@ from .terrain import (
 # the default swarm of 500 each of a solver's (swarm, 3n) float64 arrays
 # takes 12 MB, each of F2's (threats, swarm * n) ones 4 MB per threat, and
 # init's block of 4 tries per particle 64 MB of draws and 48 MB of genomes.
-# Init decodes that block whole, about 48 MB of paths, and scores it in
-# MAX_STACK-row calls, whose F2 arrays take 8 MB per threat.
+# Init decodes that block whole, about 48 MB of paths; evaluate_paths scores
+# it in passes of cost.MAX_STACK rows, whose F2 arrays take 8 MB per threat.
 MAX_WAYPOINTS = 1000
 
 EPS_LEN = 1e-9  # below this a path segment counts as degenerate

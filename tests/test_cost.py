@@ -441,6 +441,29 @@ class TestFeasibilityFirst:
         assert got.tobytes() == want.tobytes()
         assert rows_seen == {"threat_cost_many": [6]}
 
+    def test_large_stack_scored_in_bounded_slices(self, monkeypatch):
+        """A stack past the row bound, mixing feasible, corridor-breaking,
+        colliding and off-map rows, scores bit-equal to each path scored
+        alone, and no kernel pass holds more than MAX_STACK rows."""
+        s4 = build_benchmark_suite(0)[3]
+        _, mixed = self.mixed_batch(s4, s4.witness)
+        paths = np.concatenate([self.jittered(path, 100, seed) for seed, path in enumerate(mixed)])
+        assert len(paths) == 2500 > 2 * cost.MAX_STACK
+        alone = np.concatenate([evaluate_paths(path, s4) for path in paths])
+        rows = []
+        altitude = cost.altitude_cost_many
+
+        def recording(points, *args):
+            rows.append(points.shape[1])
+            return altitude(points, *args)
+
+        monkeypatch.setattr(cost, "altitude_cost_many", recording)
+        got = evaluate_paths(paths, s4)
+        assert got.tobytes() == alone.tobytes()
+        assert 0 < np.isfinite(got).sum() < len(got)
+        assert max(rows) <= cost.MAX_STACK and sum(rows) == len(paths)
+        assert evaluate_paths(paths[:0], s4).shape == (0,)
+
     def test_empty_stack(self, monkeypatch):
         scenario = build_benchmark_suite(0)[3]
         paths = np.empty((0, scenario.n_waypoints, 3))

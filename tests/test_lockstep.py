@@ -2,12 +2,13 @@
 together, in stacked evaluate_paths calls, and each must get, byte for
 byte, the trace, genome, path and evaluation count run() gives it alone."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavpath import ConfigError, SwarmConfig, optimizers, run
+from uavpath import ConfigError, SwarmConfig, cost, optimizers, run
 from uavpath.optimizers import ALGORITHMS, budgeted_config, run_lockstep
 from uavpath.suite import build_benchmark_suite
 
@@ -63,25 +64,35 @@ def test_unit_of_every_algorithm(suite):
 
 def test_chunks_split_requests(suite, monkeypatch):
     """Batches of 10 rows (5 for DE) and init blocks of 4 tries per particle
-    scored in calls of at most 7 rows: chunk boundaries fall inside a run's
-    batch, also in a unit of one run, whose batches are each alone in their
-    length.  Every trace equals the one run() gives unchunked."""
-    evaluate = optimizers.evaluate_paths
-    max_stack = optimizers.MAX_STACK
+    scored in kernel passes of at most 7 rows: slice boundaries fall inside
+    a run's batch, also in a unit of one run, whose batches are each alone
+    in their length.  Every trace equals the one run() gives unsliced."""
+    altitude = cost.altitude_cost_many
     for plans in (plans_of(ALGORITHMS, 2), plans_of(["spso"], 1)):
-        calls = []
+        rows = []
 
-        def recording(paths, scenario):
-            calls.append(len(paths))
-            return evaluate(paths, scenario)
+        def recording(points, *args):
+            # F3 runs once per pass, on every row of it.
+            rows.append(points.shape[1])
+            return altitude(points, *args)
 
-        monkeypatch.setattr(optimizers, "MAX_STACK", 7)
-        monkeypatch.setattr(optimizers, "evaluate_paths", recording)
-        got = run_lockstep(suite[2], plans)
-        monkeypatch.setattr(optimizers, "evaluate_paths", evaluate)
-        monkeypatch.setattr(optimizers, "MAX_STACK", max_stack)
-        assert max(calls) == 7
+        with monkeypatch.context() as patch:
+            patch.setattr(cost, "MAX_STACK", 7)
+            patch.setattr(cost, "altitude_cost_many", recording)
+            got = run_lockstep(suite[2], plans)
+        assert max(rows) == 7
         assert_runs_alone_equal(suite[2], plans, got)
+
+
+def test_run_seconds_sum_within_unit_time(suite):
+    """Each run's seconds are positive, and the runs of a unit sum to at
+    most the time the unit took."""
+    t0 = time.perf_counter()
+    got = run_lockstep(suite[6], plans_of(ALGORITHMS, 2))
+    wall = time.perf_counter() - t0
+    seconds = [s for _, s in got]
+    assert min(seconds) > 0
+    assert sum(seconds) <= wall
 
 
 def test_runs_share_calls(suite, monkeypatch):
